@@ -445,8 +445,12 @@ let do_verify program scale json reach max_pairs jobs max_events deadline_s
   with
   | Error f ->
       Printf.printf "contained failure: %s\n" (Diag.to_string f);
-      print_endline
-        "(the recorded run crashed; run the enumerated sweep: rader coverage)";
+      (match f with
+      | Diag.Budget_exceeded _ -> ()
+      | _ ->
+          print_endline
+            "(the recorded run crashed; run the enumerated sweep: rader \
+             coverage)");
       3
   | Ok w ->
       if json then print_string (An.Witness.to_json w ^ "\n")

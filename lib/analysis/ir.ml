@@ -24,8 +24,8 @@ let group pairs =
   Hashtbl.iter (fun k vs -> Hashtbl.replace out k (List.rev vs)) tbl;
   out
 
-let of_program ?max_events (program : Engine.ctx -> int) =
-  let eng = Engine.create ~record:true ?max_events () in
+let of_program ?max_events ?deadline (program : Engine.ctx -> int) =
+  let eng = Engine.create ~record:true ?max_events ?deadline () in
   match Engine.run_result eng program with
   | Error f -> Error f
   | Ok result ->

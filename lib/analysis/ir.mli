@@ -4,9 +4,10 @@
     [Steal_spec.none] — the canonical serial execution every offline
     analysis in the paper is defined against — and lifts the recorded
     trace into an IR: the canonical SP parse tree (paper §4, Fig. 4) with
-    its O(depth) path index, plus strand↔reducer provenance joining the
-    tree's leaves back to the reducer operations and view-aware auxiliary
-    frames that executed them. The static passes ({!Verdict}, {!Lint})
+    its index (O(1) parallelism, O(depth) path queries), plus
+    strand↔reducer provenance joining the tree's leaves back to the
+    reducer operations and view-aware auxiliary frames that executed
+    them. The static passes ({!Verdict}, {!Lint})
     answer their questions with tree queries alone — no replay, no
     detector shadow state.
 
@@ -19,7 +20,7 @@
 type t = {
   trace : Rader_core.Trace.t;  (** the recorded serial execution *)
   tree : Rader_dag.Sp_tree.t;  (** canonical SP parse tree of [trace] *)
-  ix : Rader_dag.Sp_tree.indexed;  (** path index over [tree] *)
+  ix : Rader_dag.Sp_tree.indexed;  (** query index over [tree] *)
   result : int;  (** the program's result (ostensibly deterministic) *)
   aux : (Rader_runtime.Tool.frame_kind * int * int) list;
       (** every view-aware auxiliary frame, serial order:
@@ -36,10 +37,13 @@ type t = {
     builds the IR. Total: a contained crash of the program under test
     yields [Error] with the structured diagnostic instead of a partial —
     hence structurally unsound — tree.
-    @param max_events event budget for the profiling run (see
+    @param max_events event budget for the recorded run (see
+    [Engine.create]).
+    @param deadline absolute wall-clock deadline for the recorded run (see
     [Engine.create]). *)
 val of_program :
   ?max_events:int ->
+  ?deadline:float ->
   (Rader_runtime.Engine.ctx -> int) ->
   (t, Rader_core.Diag.failure) result
 

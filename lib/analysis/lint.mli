@@ -12,9 +12,10 @@
       observed value depends on scheduling (paper §3). Certain from
       structure.
     - {b R002} (error) — {e raw shared access}: a view-oblivious
-      [Cell]/[Rarray] access logically parallel ([lca_kind = `P], Feng &
-      Leiserson Lemma 4) with a view-oblivious write to the same location
-      — a determinacy race no reducer protects.
+      [Cell]/[Rarray] access logically parallel (their LCA in the parse
+      tree is a P node, Feng & Leiserson Lemma 4: [Sp_tree.parallel]) with
+      a view-oblivious write to the same location — a determinacy race no
+      reducer protects.
     - {b R003} (info) — {e dead reducer}: a reducer created but never read
       or updated after creation; delete it or use it.
     - {b R004} (warning) — {e schedule-sensitive reduction}: the program's

@@ -35,8 +35,7 @@ type t = {
   n_family : int;  (** size of the full §7 family for this profile *)
 }
 
-let analyze ?max_pairs ~prof (ir : Ir.t) =
-  let scan = Coverage.scan_trace ?max_pairs ir.Ir.trace in
+let of_scan ~prof scan =
   let family = Coverage.all_specs ~k:prof.Coverage.k ~d:prof.Coverage.d in
   let residual =
     List.filter
@@ -47,6 +46,9 @@ let analyze ?max_pairs ~prof (ir : Ir.t) =
   in
   { scan; prof; residual; n_family = List.length family }
 
+let analyze ?max_pairs ~prof (ir : Ir.t) =
+  of_scan ~prof (Coverage.scan_trace ?max_pairs ~ix:ir.Ir.ix ir.Ir.trace)
+
 let racy_locs t =
   List.map (fun ls -> ls.Coverage.ls_loc) t.scan.Coverage.scan_racy
 
@@ -55,17 +57,6 @@ let always_racy_locs t =
     (fun (ls : Coverage.loc_scan) ->
       if ls.Coverage.ls_always then Some ls.Coverage.ls_loc else None)
     t.scan.Coverage.scan_racy
-
-let witness_pair t loc =
-  List.find_map
-    (fun (ls : Coverage.loc_scan) ->
-      if ls.Coverage.ls_loc = loc then
-        Some (ls.Coverage.ls_first, ls.Coverage.ls_second)
-      else None)
-    t.scan.Coverage.scan_racy
-
-let certificate t loc =
-  List.assoc_opt loc t.scan.Coverage.scan_clean
 
 let complete t = not t.scan.Coverage.scan_truncated
 

@@ -31,9 +31,15 @@ type t = {
   n_family : int;  (** full §7 family size for this profile *)
 }
 
-(** [analyze ~prof ir] computes the symbolic verdict. [max_pairs] bounds
-    the per-location pair scan (default 100_000); blowing it marks the
-    scan truncated and {!complete} false. *)
+(** [of_scan ~prof scan] lifts the no-steal scan of a program with
+    profile [prof] to its whole family — no execution, no rescan. *)
+val of_scan :
+  prof:Rader_core.Coverage.profile -> Rader_core.Coverage.scan -> t
+
+(** [analyze ~prof ir] scans [ir]'s trace on its own index and lifts the
+    scan with {!of_scan}. [max_pairs] bounds the per-location pair scan
+    (default 100_000); blowing it marks the scan truncated and
+    {!complete} false. *)
 val analyze : ?max_pairs:int -> prof:Rader_core.Coverage.profile -> Ir.t -> t
 
 (** Locations racy in the no-steal execution, ascending. *)
@@ -42,15 +48,6 @@ val racy_locs : t -> int list
 (** Locations racy under {e every} spec of the family (both witness
     endpoints view-oblivious), ascending — the R006 set. *)
 val always_racy_locs : t -> int list
-
-(** [witness_pair t loc] is the minimal witness access pair (serial scan
-    order) for a no-steal-racy location. *)
-val witness_pair :
-  t -> int -> (Rader_runtime.Engine.access * Rader_runtime.Engine.access) option
-
-(** [certificate t loc] is the race-freedom certificate of a clean
-    location ([None] for racy or unscanned locations). *)
-val certificate : t -> int -> Rader_core.Coverage.certificate option
 
 (** [complete t] — did the pair scan finish within budget? When false,
     verdicts are advisory and a sound checker falls back to replaying the

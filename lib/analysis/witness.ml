@@ -3,11 +3,12 @@ module Report = Rader_core.Report
 module Diag = Rader_core.Diag
 module Steal_spec = Rader_runtime.Steal_spec
 module Engine = Rader_runtime.Engine
+module Obs = Rader_obs.Obs
 
 (* The `rader verify` driver: symbolic whole-family verdict + replay
    confirmation of every witness. Soundness comes from running the actual
    sweep over exactly [Symbolic.replay_specs] — done by
-   [Coverage.exhaustive_check ~symbolic:true], whose racy_locs/reports are
+   [Coverage.exhaustive_check ~scan], whose racy_locs/reports are
    byte-identical to the enumerated sweep by the relevance lemma — so the
    symbolic layer here only *explains* (witness pairs, certificates,
    spec-independence) and *accelerates* (skipped replays); it never
@@ -52,124 +53,170 @@ type t = {
 let access_kind_str (a : Engine.access) =
   if a.Engine.a_is_write then "write" else "read"
 
+(* [table_by key xs] tables [xs] by [key], keeping the first binding as
+   [List.assoc_opt] / [List.find_opt] would. *)
+let table_by key xs =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun x -> if not (Hashtbl.mem tbl (key x)) then Hashtbl.add tbl (key x) x)
+    xs;
+  tbl
+
+(* Per-location rows, every lookup from a table built once: rows are
+   assembled in time linear in locations plus the replays' verdicts. *)
+let assemble ~name (ir : Ir.t) (sym : Symbolic.t) (res : Coverage.result) =
+  let racy = table_by Fun.id res.Coverage.racy_locs in
+  let is_racy loc = Hashtbl.mem racy loc in
+  let reports = table_by (fun r -> r.Report.subject) res.Coverage.reports in
+  let labels = table_by fst ir.Ir.trace.Rader_core.Trace.loc_labels in
+  let pairs = table_by (fun ls -> ls.Coverage.ls_loc) sym.Symbolic.scan.Coverage.scan_racy in
+  let certs = table_by fst sym.Symbolic.scan.Coverage.scan_clean in
+  (* the first spec, in family order, whose replay elicited each location *)
+  let witnesses =
+    table_by fst
+      (List.concat_map
+         (fun ((sp : Steal_spec.t), locs) -> List.map (fun l -> (l, sp)) locs)
+         res.Coverage.per_spec)
+  in
+  let crashed =
+    List.filter_map
+      (fun (n, _) -> if n = "profile" then None else Some n)
+      res.Coverage.incomplete
+  in
+  (* R006: the scan's both-oblivious pair proves the race on every
+     non-residual spec; the residual replays (minus crashed ones) are
+     cross-checked to have elicited it too. *)
+  let survivors =
+    List.filter_map
+      (fun ((sp : Steal_spec.t), locs) ->
+        if List.mem sp.Steal_spec.name crashed then None
+        else Some (table_by Fun.id locs))
+      res.Coverage.per_spec
+  in
+  let racy_everywhere loc = List.for_all (fun s -> Hashtbl.mem s loc) survivors in
+  let spec_independent =
+    List.filter
+      (fun loc -> is_racy loc && racy_everywhere loc)
+      (Symbolic.always_racy_locs sym)
+  in
+  let always = table_by Fun.id spec_independent in
+  let unconfirmed =
+    List.filter (fun loc -> not (is_racy loc)) (Symbolic.racy_locs sym)
+  in
+  let label loc =
+    match Hashtbl.find_opt labels loc with
+    | None | Some (_, ("" | "?")) -> (
+        match Hashtbl.find_opt reports loc with
+        | Some r -> r.Report.subject_label
+        | None -> Printf.sprintf "loc%d" loc)
+    | Some (_, l) -> l
+  in
+  let n_residual = List.length sym.Symbolic.residual in
+  let scanned =
+    List.map (fun (ls : Coverage.loc_scan) -> ls.Coverage.ls_loc)
+      sym.Symbolic.scan.Coverage.scan_racy
+    @ List.map fst sym.Symbolic.scan.Coverage.scan_clean
+  in
+  let all_locs = List.sort_uniq compare (scanned @ res.Coverage.racy_locs) in
+  let rows =
+    List.map
+      (fun loc ->
+        let verdict =
+          if is_racy loc then
+            let witness =
+              match Hashtbl.find_opt witnesses loc with
+              | Some (_, sp) -> sp.Steal_spec.name
+              | None -> "?" (* unreachable: racy locs come from per_spec *)
+            in
+            let first_strand, second_strand, pair =
+              match Hashtbl.find_opt pairs loc with
+              | Some { Coverage.ls_first = x; ls_second = y; _ } ->
+                  ( x.Engine.a_strand,
+                    y.Engine.a_strand,
+                    access_kind_str x ^ "/" ^ access_kind_str y )
+              | None -> (
+                  (* steal-dependent: the witness endpoints live in the
+                     replay's report, not the no-steal IR *)
+                  match Hashtbl.find_opt reports loc with
+                  | Some r ->
+                      ( -1,
+                        r.Report.second_strand,
+                        Report.access_str r.Report.first_access
+                        ^ "/"
+                        ^ Report.access_str r.Report.second_access )
+                  | None -> (-1, -1, "?"))
+            in
+            Racy
+              {
+                witness;
+                first_strand;
+                second_strand;
+                pair;
+                always = Hashtbl.mem always loc;
+              }
+          else
+            Clean
+              {
+                cert = Option.map snd (Hashtbl.find_opt certs loc);
+                cleared_by = n_residual;
+              }
+        in
+        { r_loc = loc; r_label = label loc; r_verdict = verdict })
+      all_locs
+  in
+  {
+    program = name;
+    prof = res.Coverage.prof;
+    n_specs = res.Coverage.n_specs;
+    n_replays = res.Coverage.n_run;
+    n_skipped = res.Coverage.n_skipped;
+    n_residual;
+    racy_locs = res.Coverage.racy_locs;
+    reports = res.Coverage.reports;
+    rows;
+    spec_independent;
+    unconfirmed;
+    truncated = not (Symbolic.complete sym);
+    incomplete = res.Coverage.incomplete;
+    complete = res.Coverage.complete;
+    res;
+  }
+
+(* One recording feeds everything before the replays: the IR, the scan
+   (on the IR's own parse-tree index) and, through [~scan], the sweep's
+   choice of replays. The budgets start at entry, so the recording and
+   the scan count against the deadline and the sweep gets what is left. *)
 let verify ?reach ?max_pairs ?jobs ?max_events ?deadline ?with_obs ~name
     program =
-  match Ir.of_program program with
+  let abs_deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline in
+  let phase_record = Obs.phase "record" and phase_scan = Obs.phase "scan" in
+  match
+    Obs.timed phase_record (fun () ->
+        Ir.of_program ?max_events ?deadline:abs_deadline program)
+  with
   | Error f -> Error f
   | Ok ir ->
+      let scan =
+        Obs.timed phase_scan (fun () ->
+            Coverage.scan_trace ?max_pairs ~ix:ir.Ir.ix ir.Ir.trace)
+      in
+      let remaining = Option.map (fun dl -> dl -. Unix.gettimeofday ()) abs_deadline in
       let res =
-        Coverage.exhaustive_check ~symbolic:true ?max_pairs ?reach ?jobs
-          ?max_events ?deadline ?with_obs program
+        Coverage.exhaustive_check ~scan ?reach ?jobs ?max_events
+          ?deadline:remaining ?with_obs program
       in
-      let sym = Symbolic.analyze ?max_pairs ~prof:res.Coverage.prof ir in
-      let crashed =
-        List.filter_map
-          (fun (n, _) -> if n = "profile" then None else Some n)
-          res.Coverage.incomplete
-      in
-      (* R006: the scan's both-oblivious pair proves the race on every
-         non-residual spec; the residual replays (minus crashed ones) are
-         cross-checked to have elicited it too. *)
-      let racy_everywhere loc =
-        List.for_all
-          (fun ((sp : Steal_spec.t), locs) ->
-            List.mem sp.Steal_spec.name crashed || List.mem loc locs)
-          res.Coverage.per_spec
-      in
-      let spec_independent =
-        List.filter
-          (fun loc -> List.mem loc res.Coverage.racy_locs && racy_everywhere loc)
-          (Symbolic.always_racy_locs sym)
-      in
-      let unconfirmed =
-        List.filter
-          (fun loc -> not (List.mem loc res.Coverage.racy_locs))
-          (Symbolic.racy_locs sym)
-      in
-      let label loc =
-        match Ir.loc_label ir loc with
-        | "" | "?" -> (
-            match
-              List.find_opt (fun r -> r.Report.subject = loc) res.Coverage.reports
-            with
-            | Some r -> r.Report.subject_label
-            | None -> Printf.sprintf "loc%d" loc)
-        | l -> l
-      in
-      let n_residual = List.length sym.Symbolic.residual in
-      let scanned =
-        List.map (fun (ls : Coverage.loc_scan) -> ls.Coverage.ls_loc)
-          sym.Symbolic.scan.Coverage.scan_racy
-        @ List.map fst sym.Symbolic.scan.Coverage.scan_clean
-      in
-      let all_locs =
-        List.sort_uniq compare (scanned @ res.Coverage.racy_locs)
-      in
-      let rows =
+      let front =
         List.map
-          (fun loc ->
-            let verdict =
-              if List.mem loc res.Coverage.racy_locs then
-                let witness =
-                  match Coverage.witness_spec res loc with
-                  | Some sp -> sp.Steal_spec.name
-                  | None -> "?" (* unreachable: racy locs come from per_spec *)
-                in
-                let first_strand, second_strand, pair =
-                  match Symbolic.witness_pair sym loc with
-                  | Some (x, y) ->
-                      ( x.Engine.a_strand,
-                        y.Engine.a_strand,
-                        access_kind_str x ^ "/" ^ access_kind_str y )
-                  | None -> (
-                      (* steal-dependent: the witness endpoints live in the
-                         replay's report, not the no-steal IR *)
-                      match
-                        List.find_opt
-                          (fun r -> r.Report.subject = loc)
-                          res.Coverage.reports
-                      with
-                      | Some r ->
-                          ( -1,
-                            r.Report.second_strand,
-                            Report.access_str r.Report.first_access
-                            ^ "/"
-                            ^ Report.access_str r.Report.second_access )
-                      | None -> (-1, -1, "?"))
-                in
-                Racy
-                  {
-                    witness;
-                    first_strand;
-                    second_strand;
-                    pair;
-                    always = List.mem loc spec_independent;
-                  }
-              else
-                Clean
-                  { cert = Symbolic.certificate sym loc; cleared_by = n_residual }
-            in
-            { r_loc = loc; r_label = label loc; r_verdict = verdict })
-          all_locs
+          (fun p -> (Obs.phase_name p, Obs.phase_seconds p))
+          [ phase_record; phase_scan ]
       in
-      Ok
-        {
-          program = name;
-          prof = res.Coverage.prof;
-          n_specs = res.Coverage.n_specs;
-          n_replays = res.Coverage.n_run;
-          n_skipped = res.Coverage.n_skipped;
-          n_residual;
-          racy_locs = res.Coverage.racy_locs;
-          reports = res.Coverage.reports;
-          rows;
-          spec_independent;
-          unconfirmed;
-          truncated = not (Symbolic.complete sym);
-          incomplete = res.Coverage.incomplete;
-          complete = res.Coverage.complete;
-          res;
-        }
+      let obs =
+        Option.map
+          (fun o -> { o with Coverage.obs_phases = front @ o.Coverage.obs_phases })
+          res.Coverage.obs
+      in
+      let sym = Symbolic.of_scan ~prof:res.Coverage.prof scan in
+      Ok (assemble ~name ir sym { res with Coverage.obs })
 
 (* ---------- renderers ---------- *)
 

@@ -2,7 +2,7 @@
 
     Joins the {!Symbolic} whole-family verdict with the sweep that
     replays exactly {!Symbolic.replay_specs}
-    ([Coverage.exhaustive_check ~symbolic:true]): every reported race is
+    ([Coverage.exhaustive_check ~scan]): every reported race is
     backed by a replay-confirmed witness steal specification (the first
     spec, in canonical family order, whose replay elicited it — the
     lexicographic minimum of the family under that order), every clean
@@ -49,10 +49,16 @@ type t = {
 }
 
 (** [verify ~name program] runs the symbolic verification pipeline: one
-    profiling run, one recorded IR run, the scan, and replays of exactly
-    the witness specs. [Error] if the IR run crashes (contained) — use the
-    enumerated sweep for crashing programs. Parameters as in
-    [Coverage.exhaustive_check]. *)
+    recorded no-steal run (the IR), one pair scan on the IR's own index,
+    one profiling run, and replays of exactly the witness specs — the
+    program executes [2 + n_replays] times. [Error] if the recording
+    crashes or blows [max_events] / [deadline] (contained) — use the
+    enumerated sweep for crashing programs. The deadline runs from entry:
+    the recording and the scan count against it and the sweep gets the
+    rest. With [with_obs], [res.obs] reports the ["record"] and ["scan"]
+    phases ahead of the sweep's. Other parameters as in
+    [Coverage.exhaustive_check]; [max_pairs] as in
+    [Coverage.scan_trace]. *)
 val verify :
   ?reach:Rader_reach.Reach.backend ->
   ?max_pairs:int ->

@@ -239,19 +239,26 @@ type scan = {
           skip decision resting on scan completeness) is void *)
 }
 
-let scan_trace ?(max_pairs = 100_000) (trace : Trace.t) =
-  let ix = Rader_dag.Sp_tree.index (Trace.sp_tree trace) in
-  let by_loc = Hashtbl.create 64 in
-  List.iter
-    (fun (a : Engine.access) ->
-      let prev =
-        try Hashtbl.find by_loc a.Engine.a_loc with Not_found -> []
-      in
-      Hashtbl.replace by_loc a.Engine.a_loc (a :: prev))
-    trace.Trace.accesses;
+let scan_trace ?(max_pairs = 100_000) ?ix (trace : Trace.t) =
+  let ix =
+    match ix with
+    | Some ix -> ix
+    | None -> Rader_dag.Sp_tree.index (Trace.sp_tree trace)
+  in
+  (* accesses grouped by location, ascending, each group in serial order
+     (the sort is stable) *)
   let locs =
-    List.sort compare
-      (Hashtbl.fold (fun l accs acc -> (l, List.rev accs) :: acc) by_loc [])
+    List.stable_sort
+      (fun (a : Engine.access) b -> Int.compare a.Engine.a_loc b.Engine.a_loc)
+      trace.Trace.accesses
+    |> List.fold_left
+         (fun groups (a : Engine.access) ->
+           match groups with
+           | (loc, accs) :: rest when loc = a.Engine.a_loc ->
+               (loc, a :: accs) :: rest
+           | _ -> (a.Engine.a_loc, [ a ]) :: groups)
+         []
+    |> List.rev_map (fun (loc, accs) -> (loc, List.rev accs))
   in
   let truncated = ref false in
   let racy = ref [] in
@@ -344,7 +351,6 @@ type result = {
   n_specs : int;
   n_pruned : int;
   n_skipped : int;
-  sym : scan option;
   n_run : int;
   racy_locs : int list;
   reports : Report.t list;
@@ -378,8 +384,7 @@ type spec_outcome =
   | Not_run
 
 let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
-    ?(with_obs = false) ?(prune = false) ?(symbolic = false) ?max_pairs ?reach
-    program =
+    ?(with_obs = false) ?(prune = false) ?scan ?reach program =
   let abs_deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline in
   let past_deadline () =
     match abs_deadline with
@@ -399,22 +404,12 @@ let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
   let prof_counters = Option.map Obs.since prof_snap in
   let specs = all_specs ~k:prof.k ~d:prof.d in
   let n_specs = List.length specs in
-  (* The symbolic fast path needs one extra recorded no-steal run; like
-     pruning it is sound only against a complete profile, and a crashing
-     program voids it too (fall back to the enumerated sweep). *)
-  let sym =
-    if symbolic && prof_failure = None then
-      match
-        Obs.timed phase_profile (fun () -> symbolic_scan ?max_pairs program)
-      with
-      | Ok s -> Some s
-      | Error _ -> None
-    else None
-  in
-  (* Pruning is sound only against a complete relevance profile: if the
-     profiling run crashed, keep the whole family. *)
+  (* Pruning and the symbolic fast path are sound only against a complete
+     relevance profile: if the profiling run crashed, keep the whole
+     family. *)
+  let scan = if prof_failure = None then scan else None in
   let specs, n_pruned, n_skipped =
-    match sym with
+    match scan with
     | Some s ->
         (* Symbolic selection: every spec outside the residual set is
            provably verdict-identical to [Steal_spec.none] (the relevance
@@ -562,7 +557,6 @@ let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
     n_specs;
     n_pruned;
     n_skipped;
-    sym;
     n_run = !n_run;
     racy_locs = List.sort_uniq compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []);
     reports = List.rev !reports;

@@ -92,7 +92,7 @@ val all_specs : k:int -> d:int -> Rader_runtime.Steal_spec.t list
     recomputes that verdict from one recorded run with parse-tree Lemma-4
     queries — no replay, no detector. Together with {!spec_relevant}
     (every spec outside the residual set replays byte-identically to
-    [none]) it lets {!exhaustive_check}[ ~symbolic:true] cover the whole
+    [none]) it lets {!exhaustive_check}[ ~scan] cover the whole
     §7 family with replays only for the no-steal witness and the residual
     specs — and with {e zero} replays when the scan is clean and the
     residual set empty. See DESIGN.md §14. *)
@@ -129,8 +129,12 @@ type scan = {
 
 (** [scan_trace trace] computes the symbolic no-steal verdict from a
     recorded [Steal_spec.none] trace. [max_pairs] (default 100_000) bounds
-    the per-location pair scan; blowing it sets [scan_truncated]. *)
-val scan_trace : ?max_pairs:int -> Trace.t -> scan
+    the per-location pair scan; blowing it sets [scan_truncated]. [ix] is
+    the parse-tree index of [trace] (built from [Trace.sp_tree trace] when
+    absent): pass the one the caller already holds to skip rebuilding it.
+    Each pair costs O(1) ({!Rader_dag.Sp_tree.parallel}). *)
+val scan_trace :
+  ?max_pairs:int -> ?ix:Rader_dag.Sp_tree.indexed -> Trace.t -> scan
 
 (** [symbolic_scan program] records one no-steal run and scans it.
     [Error] if the program crashed (contained). *)
@@ -165,13 +169,9 @@ type result = {
   n_pruned : int;
       (** specs dropped by [~prune] as provably redundant (0 without it) *)
   n_skipped : int;
-      (** specs the [~symbolic] fast path proved redundant without
+      (** specs the [~scan] fast path proved redundant without
           replaying (0 without it); includes [Steal_spec.none] itself when
           the scan proved the no-steal execution race-free *)
-  sym : scan option;
-      (** the symbolic scan, when [~symbolic] ran one (present even if
-          truncated; [None] when the scan's recorded run crashed and the
-          sweep fell back to enumeration) *)
   n_run : int;  (** specs actually attempted (≤ [n_specs] under budgets) *)
   racy_locs : int list;  (** union over all runs, sorted *)
   reports : Report.t list;  (** deduplicated by location *)
@@ -225,16 +225,15 @@ type result = {
     in [incomplete] (their verdicts are already covered by the no-steal
     replay). If the profiling run crashed, pruning is disabled for that
     sweep. Default false.
-    @param symbolic compute the no-steal verdict symbolically (one extra
-    recorded run, see {!symbolic_scan}) and replay {e only} the witness
-    specs: the no-steal spec when the scan found (or, truncated, could
-    have missed) a race, plus the residual relevant specs. [racy_locs]
-    and [reports] stay byte-identical to the enumerated sweep — enforced
-    by property tests — while skipped specs count in [n_skipped]. A clean
-    scan over an empty residual set replays {e nothing}. Subsumes
-    [~prune]. Disabled (full fall-back, [sym = None] or [n_skipped = 0])
-    when the profiling or scan run crashes. Default false.
-    @param max_pairs per-location pair budget for the [~symbolic] scan.
+    @param scan the symbolic no-steal verdict of [program] (see
+    {!scan_trace}; the caller records the run and scans it): replay
+    {e only} the witness specs — the no-steal spec when the scan found
+    (or, truncated, could have missed) a race, plus the residual relevant
+    specs. [racy_locs] and [reports] stay byte-identical to the
+    enumerated sweep — enforced by property tests — while skipped specs
+    count in [n_skipped]. A clean scan over an empty residual set replays
+    {e nothing}. Subsumes [~prune]. Ignored (full fall-back,
+    [n_skipped = 0]) when the profiling run crashes.
     @param reach precedence backend for the per-worker SP+ detectors
     (default [Dset]); verdicts are backend-independent, only the cost
     model changes. *)
@@ -245,8 +244,7 @@ val exhaustive_check :
   ?jobs:int ->
   ?with_obs:bool ->
   ?prune:bool ->
-  ?symbolic:bool ->
-  ?max_pairs:int ->
+  ?scan:scan ->
   ?reach:Rader_reach.Reach.backend ->
   (Rader_runtime.Engine.ctx -> 'a) ->
   result

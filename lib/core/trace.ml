@@ -21,7 +21,7 @@ let of_engine eng =
   in
   let accesses = Engine.accesses eng in
   let locs =
-    List.sort_uniq compare (List.map (fun a -> a.Engine.a_loc) accesses)
+    List.sort_uniq Int.compare (List.map (fun a -> a.Engine.a_loc) accesses)
   in
   {
     dag;
@@ -220,68 +220,85 @@ let equal a b =
 
 (* ---------- canonical SP parse tree reconstruction (paper Fig. 4) ---------- *)
 
+(* A frame being reconstructed: its finished sync-block trees and the
+   items of the block in progress, both newest first. *)
+type open_frame = {
+  fid : int;
+  mutable blocks : Sp_tree.t list;
+  mutable current : Sp_tree.item list;
+}
+
 let sp_tree t =
   let n = Dag.n_strands t.dag in
   for i = 0 to n - 1 do
     if (Dag.strand t.dag i).Dag.kind = Dag.Reduce then
       invalid_arg "Trace.sp_tree: performance dag with reduce strands (record under Steal_spec.none)"
   done;
-  (* strands per frame, in serial order (ids ascending) *)
-  let strands_of = Hashtbl.create 64 in
-  for i = n - 1 downto 0 do
-    let f = (Dag.strand t.dag i).Dag.frame in
-    let prev = try Hashtbl.find strands_of f with Not_found -> [] in
-    Hashtbl.replace strands_of f (i :: prev)
+  (* Recorded frame ids are creation order: frame 0 is the root and every
+     other frame's parent was created before it. *)
+  let frames = Array.of_list t.frames in
+  let nf = Array.length frames in
+  (match t.frames with
+  | (0, -1, _, _) :: _ -> ()
+  | _ -> invalid_arg "Trace.sp_tree: no root frame");
+  Array.iteri
+    (fun i (fid, parent, _, _) ->
+      if fid <> i || (i > 0 && (parent < 0 || parent >= i)) then
+        invalid_arg "Trace.sp_tree: frames not numbered in creation order")
+    frames;
+  let opened = Array.make nf false in
+  let open_frame fid =
+    opened.(fid) <- true;
+    { fid; blocks = []; current = [] }
+  in
+  let close_block fr =
+    if fr.current <> [] then begin
+      fr.blocks <- Sp_tree.block_tree (List.rev fr.current) :: fr.blocks;
+      fr.current <- []
+    end
+  in
+  let finish fr =
+    close_block fr;
+    Sp_tree.function_tree (List.rev fr.blocks)
+  in
+  (* Strand ids are serial order, so each frame's subtree is a contiguous
+     run of strands: walk them once with a stack of open frames. A frame
+     closes when a strand outside its subtree arrives, and its tree joins
+     its parent's block in progress there — at its serial position. A
+     strand labelled "sync" begins a new block of its own frame. *)
+  let stack = ref [ open_frame 0 ] in
+  let close_top () =
+    match !stack with
+    | fr :: (parent :: _ as rest) ->
+        let _, _, spawned, _ = frames.(fr.fid) in
+        let tree = finish fr in
+        parent.current <-
+          (if spawned then Sp_tree.Spawned tree else Sp_tree.Called tree)
+          :: parent.current;
+        stack := rest
+    | _ -> invalid_arg "Trace.sp_tree: strands out of serial order"
+  in
+  for s = 0 to n - 1 do
+    let st = Dag.strand t.dag s in
+    let f = st.Dag.frame in
+    if f < 0 || f >= nf then invalid_arg "Trace.sp_tree: unknown frame id";
+    let owner =
+      if opened.(f) then f
+      else
+        let _, parent, _, _ = frames.(f) in
+        parent
+    in
+    while (List.hd !stack).fid <> owner do
+      close_top ()
+    done;
+    if not opened.(f) then stack := open_frame f :: !stack;
+    let fr = List.hd !stack in
+    if String.equal st.Dag.label "sync" && fr.current <> [] then close_block fr;
+    fr.current <- Sp_tree.Strand s :: fr.current
   done;
-  (* children per frame, in creation (= serial) order *)
-  let children_of = Hashtbl.create 64 in
-  List.iter
-    (fun (fid, parent, spawned, _) ->
-      if parent >= 0 then begin
-        let prev = try Hashtbl.find children_of parent with Not_found -> [] in
-        Hashtbl.replace children_of parent ((fid, spawned) :: prev)
-      end)
-    t.frames;
-  let first_strand fid =
-    match Hashtbl.find_opt strands_of fid with
-    | Some (s :: _) -> s
-    | _ -> invalid_arg "Trace.sp_tree: frame without strands"
-  in
-  let rec frame_tree fid =
-    let strands = try Hashtbl.find strands_of fid with Not_found -> [] in
-    let children =
-      List.rev (try Hashtbl.find children_of fid with Not_found -> [])
-    in
-    (* interleave own strands and child subtrees by serial position *)
-    let items =
-      List.merge
-        (fun a b -> compare (fst a) (fst b))
-        (List.map (fun s -> (s, `Strand s)) strands)
-        (List.map (fun (c, sp) -> (first_strand c, `Child (c, sp))) children)
-    in
-    (* split into sync blocks: a strand labelled "sync" begins a new block *)
-    let blocks = ref [] and current = ref [] in
-    List.iter
-      (fun (_, item) ->
-        (match item with
-        | `Strand s when (Dag.strand t.dag s).Dag.label = "sync" && !current <> [] ->
-            blocks := List.rev !current :: !blocks;
-            current := []
-        | _ -> ());
-        let entry =
-          match item with
-          | `Strand s -> Sp_tree.Strand s
-          | `Child (c, true) -> Sp_tree.Spawned (frame_tree c)
-          | `Child (c, false) -> Sp_tree.Called (frame_tree c)
-        in
-        current := entry :: !current)
-      items;
-    if !current <> [] then blocks := List.rev !current :: !blocks;
-    Sp_tree.function_tree (List.map Sp_tree.block_tree (List.rev !blocks))
-  in
-  let root =
-    match t.frames with
-    | (fid, -1, _, _) :: _ -> fid
-    | _ -> invalid_arg "Trace.sp_tree: no root frame"
-  in
-  frame_tree root
+  if not (Array.for_all Fun.id opened) then
+    invalid_arg "Trace.sp_tree: frame without strands";
+  while List.tl !stack <> [] do
+    close_top ()
+  done;
+  finish (List.hd !stack)

@@ -49,5 +49,9 @@ val equal : t -> t -> bool
     chained by the S spine; a block item composes in parallel exactly when
     it is a spawned child's subtree. Leaves are the trace's strand ids.
     Only meaningful for traces recorded under [Steal_spec.none] (the user
-    dag); @raise Invalid_argument if the trace contains reduce strands. *)
+    dag). One pass over the strands in serial order, O(strands + frames).
+    @raise Invalid_argument if the trace contains reduce strands, or if
+    its frames are not those of a recorded serial execution: frame ids
+    in creation order from root 0, every frame with a strand, each
+    frame's subtree one contiguous run of strands. *)
 val sp_tree : t -> Rader_dag.Sp_tree.t

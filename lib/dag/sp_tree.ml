@@ -36,13 +36,24 @@ type indexed = {
   parent : int array; (* node id -> parent node id, -1 at root *)
   is_p : bool array;
   depth : int array;
-  leaf_node : (int, int) Hashtbl.t; (* strand id -> node id *)
+  leaf_node : int array; (* strand id -> node id, -1 if not a leaf *)
+  english : int array; (* strand id -> rank in English order *)
+  hebrew : int array; (* strand id -> rank in Hebrew order *)
 }
 
+(* English order visits both children of every node left to right (the
+   serial order); Hebrew order visits a P node's right child first. Two
+   leaves are parallel iff the orders disagree on them: at their LCA the
+   left one comes first in English order, and also first in Hebrew order
+   exactly when the LCA is an S node (the SP-order labelling of Bender et
+   al., SPAA'04, that [Sp_order] maintains online). *)
 let index t =
-  let count = ref 0 in
+  let count = ref 0 and max_leaf = ref (-1) in
   let rec count_nodes = function
-    | Leaf _ -> incr count
+    | Leaf s ->
+        if s < 0 then invalid_arg "Sp_tree.index: negative leaf strand id";
+        incr count;
+        if s > !max_leaf then max_leaf := s
     | S (a, b) | P (a, b) ->
         incr count;
         count_nodes a;
@@ -53,34 +64,50 @@ let index t =
   let parent = Array.make n (-1) in
   let is_p = Array.make n false in
   let depth = Array.make n 0 in
-  let leaf_node = Hashtbl.create 64 in
-  let next = ref 0 in
+  let leaf_node = Array.make (!max_leaf + 1) (-1) in
+  let english = Array.make (!max_leaf + 1) (-1) in
+  let hebrew = Array.make (!max_leaf + 1) (-1) in
+  let next = ref 0 and rank = ref 0 in
   let rec go t p d =
     let id = !next in
     incr next;
     parent.(id) <- p;
     depth.(id) <- d;
-    (match t with
+    match t with
     | Leaf s ->
-        if Hashtbl.mem leaf_node s then
+        if leaf_node.(s) >= 0 then
           invalid_arg "Sp_tree.index: duplicate leaf strand id";
-        Hashtbl.replace leaf_node s id
+        leaf_node.(s) <- id;
+        english.(s) <- !rank;
+        incr rank
     | S (a, b) ->
         go a id (d + 1);
         go b id (d + 1)
     | P (a, b) ->
         is_p.(id) <- true;
         go a id (d + 1);
-        go b id (d + 1));
-    ()
+        go b id (d + 1)
   in
   go t (-1) 0;
-  { parent; is_p; depth; leaf_node }
+  rank := 0;
+  let rec go_hebrew = function
+    | Leaf s ->
+        hebrew.(s) <- !rank;
+        incr rank
+    | S (a, b) ->
+        go_hebrew a;
+        go_hebrew b
+    | P (a, b) ->
+        go_hebrew b;
+        go_hebrew a
+  in
+  go_hebrew t;
+  { parent; is_p; depth; leaf_node; english; hebrew }
 
 let node_of ix u =
-  match Hashtbl.find_opt ix.leaf_node u with
-  | Some n -> n
-  | None -> invalid_arg "Sp_tree: unknown leaf strand"
+  if u >= 0 && u < Array.length ix.leaf_node && ix.leaf_node.(u) >= 0 then
+    ix.leaf_node.(u)
+  else invalid_arg "Sp_tree: unknown leaf strand"
 
 (* Walk both nodes up to their LCA, applying [visit] to every internal node
    stepped onto (i.e., every proper ancestor of a start node up to and
@@ -100,26 +127,26 @@ let walk_to_lca ix a b visit =
     visit !a;
     b := ix.parent.(!b);
     visit !b
-  done;
-  !a
-
-let lca_kind ix u v =
-  if u = v then invalid_arg "Sp_tree.lca_kind: identical leaves";
-  let lca = walk_to_lca ix (node_of ix u) (node_of ix v) (fun _ -> ()) in
-  if ix.is_p.(lca) then `P else `S
+  done
 
 let all_s_path ix u v =
   if u = v then true
   else begin
     let ok = ref true in
-    let _lca =
-      walk_to_lca ix (node_of ix u) (node_of ix v) (fun n ->
-          if ix.is_p.(n) then ok := false)
-    in
+    walk_to_lca ix (node_of ix u) (node_of ix v) (fun n ->
+        if ix.is_p.(n) then ok := false);
     !ok
   end
 
-let parallel ix u v = u <> v && lca_kind ix u v = `P
+(* [english_rank ix u] also validates [u]: a leaf has both ranks. *)
+let english_rank ix u =
+  if u >= 0 && u < Array.length ix.english && ix.english.(u) >= 0 then
+    ix.english.(u)
+  else invalid_arg "Sp_tree: unknown leaf strand"
+
+let parallel ix u v =
+  u <> v
+  && (english_rank ix u < english_rank ix v) <> (ix.hebrew.(u) < ix.hebrew.(v))
 
 let to_dot ?(leaf_attrs = fun _ -> []) t =
   let g = Rader_support.Dot.create "sp_parse_tree" in

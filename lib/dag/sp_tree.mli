@@ -36,17 +36,16 @@ val function_tree : t list -> t
 (** [leaves t] is the leaf strand ids in left-to-right (= serial) order. *)
 val leaves : t -> int list
 
-(** Preprocessed form supporting O(depth) path queries. *)
+(** Preprocessed form: O(1) parallelism queries from per-strand English
+    and Hebrew ranks (the SP-order labelling of Bender et al., SPAA'04),
+    O(depth) path queries from parent links. *)
 type indexed
 
-(** [index t] preprocesses the tree. @raise Invalid_argument if a strand id
-    appears in two leaves. *)
+(** [index t] preprocesses the tree in O(size). Strand ids index arrays,
+    so they should be small and dense, as recorded strand ids are.
+    @raise Invalid_argument if a strand id is negative or appears in two
+    leaves. *)
 val index : t -> indexed
-
-(** [lca_kind ix u v] is [`S] or [`P]: the kind of the least common ancestor
-    of leaves [u] and [v]. @raise Invalid_argument for unknown leaves or
-    [u = v]. *)
-val lca_kind : indexed -> int -> int -> [ `S | `P ]
 
 (** [all_s_path ix u v] is true iff every internal node on the tree path
     from leaf [u] to leaf [v] (LCA included) is an S node — by Lemma 2,
@@ -54,7 +53,9 @@ val lca_kind : indexed -> int -> int -> [ `S | `P ]
 val all_s_path : indexed -> int -> int -> bool
 
 (** [parallel ix u v] is true iff the LCA of [u] and [v] is a P node — by
-    Feng & Leiserson's Lemma 4, exactly when [u ‖ v]. *)
+    Feng & Leiserson's Lemma 4, exactly when [u ‖ v]. O(1): the English
+    and Hebrew orders disagree on [u] and [v] exactly then.
+    @raise Invalid_argument for unknown leaves when [u <> v]. *)
 val parallel : indexed -> int -> int -> bool
 
 (** [to_dot t] renders the parse tree in Graphviz format (S nodes as

@@ -139,6 +139,32 @@ let test_sp_tree_rejects_performance_dag () =
   | _ -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ()
 
+(* A serial execution numbers strands depth-first, so a child frame's
+   strands form one contiguous run. A trace that interleaves them is not
+   a serial execution and has no canonical parse tree. *)
+let test_sp_tree_rejects_interleaved_frames () =
+  let dag = Rader_dag.Dag.create () in
+  List.iter
+    (fun frame ->
+      ignore
+        (Rader_dag.Dag.add_strand dag ~frame ~kind:Rader_dag.Dag.User ~view:0
+           ~label:""))
+    [ 0; 1; 0; 1 ];
+  let tr =
+    {
+      Trace.dag;
+      accesses = [];
+      merges = [];
+      reducer_reads = [];
+      spawns = [];
+      frames = [ (0, -1, false, Tool.User_fn); (1, 0, true, Tool.User_fn) ];
+      loc_labels = [];
+    }
+  in
+  match Trace.sp_tree tr with
+  | _ -> Alcotest.fail "expected rejection"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "trace"
     [
@@ -154,5 +180,7 @@ let () =
           Alcotest.test_case "SP-tree reconstruction" `Quick test_sp_tree_reconstruction;
           Alcotest.test_case "SP-tree rejects performance dag" `Quick
             test_sp_tree_rejects_performance_dag;
+          Alcotest.test_case "SP-tree rejects interleaved frames" `Quick
+            test_sp_tree_rejects_interleaved_frames;
         ] );
     ]

@@ -14,9 +14,10 @@
    - R006: a spec-independent race is flagged both by
      [Symbolic.always_racy_locs] and by the lint rule when fed the
      verification result;
-   - golden: rendered verify table/JSON for one clean and one racy demo
-     are pinned as fixtures (regen: RADER_GOLDEN_REGEN=$PWD/test/golden
-     dune runtest). *)
+   - golden: rendered verify table/JSON for one clean and one racy demo,
+     a truncated scan and a reducer-free program with hundreds of
+     locations are pinned as fixtures (regen:
+     RADER_GOLDEN_REGEN=$PWD/test/golden dune runtest). *)
 
 open Rader_runtime
 open Rader_core
@@ -155,6 +156,48 @@ let test_zero_replays () =
   checkb "family nonempty" true (w.Witness.n_specs > 0);
   checkb "not truncated" false w.Witness.truncated
 
+(* The front end executes the program twice: the uninstrumented profile
+   and the one recording that both the IR and the scan are built from. A
+   certified family adds no replay. *)
+let test_two_executions () =
+  let runs = ref 0 in
+  let w =
+    verify_ok ~name:"read-only" (fun ctx ->
+        incr runs;
+        read_only_prog ctx)
+  in
+  check "replays" 0 w.Witness.n_replays;
+  check "program executions" 2 !runs
+
+(* The recording honours the event budget: a 300k-iteration loop under
+   [~max_events:1000] stops after at most a thousand iterations with the
+   contained budget diagnostic, instead of being recorded in full. *)
+let test_recording_budget () =
+  let iterations = ref 0 in
+  let loop ctx =
+    let c = Cell.make_in ctx ~label:"acc" 0 in
+    for i = 1 to 300_000 do
+      incr iterations;
+      Cell.write ctx c i
+    done;
+    Cell.read ctx c
+  in
+  (match Witness.verify ~max_events:1000 ~name:"loop" loop with
+  | Error (Diag.Budget_exceeded (Diag.Max_events 1000)) -> ()
+  | Error f -> Alcotest.failf "unexpected failure: %s" (Diag.to_string f)
+  | Ok _ -> Alcotest.fail "verify ignored the event budget");
+  checkb
+    (Printf.sprintf "iterations bounded (ran %d)" !iterations)
+    true (!iterations <= 1000);
+  (* a deadline that expired before entry cancels the recording before
+     the loop starts *)
+  iterations := 0;
+  (match Witness.verify ~deadline:(-1.0) ~name:"loop" loop with
+  | Error (Diag.Budget_exceeded (Diag.Deadline _)) -> ()
+  | Error f -> Alcotest.failf "unexpected failure: %s" (Diag.to_string f)
+  | Ok _ -> Alcotest.fail "verify ignored the deadline");
+  check "no iteration past the deadline" 0 !iterations
+
 let test_truncated_fallback () =
   (* a 1-pair budget truncates the scan; soundness demands the no-steal
      replay be kept and the verdict stay correct *)
@@ -230,8 +273,20 @@ let golden_case name render () =
           fname
       end
 
-let verify_table name () = Witness.to_table (verify_ok ~name (demo name))
-let verify_json name () = Witness.to_json (verify_ok ~name (demo name))
+let verify_table ?max_pairs name () =
+  Witness.to_table (verify_ok ?max_pairs ~name (demo name))
+
+let verify_json ?max_pairs name () =
+  Witness.to_json (verify_ok ?max_pairs ~name (demo name))
+
+(* A reducer-free program with 320 locations: every row comes from the
+   scan's certificates, none from a replay. *)
+let small_stencil =
+  (Rader_benchsuite.Bm_oblivious.stencil ~seed:1 ~n:160 ~rounds:2 ~grain:16)
+    .Rader_benchsuite.Bench_def.cilk
+
+let stencil_render render () =
+  render (verify_ok ~name:"stencil" small_stencil)
 
 let goldens =
   [
@@ -239,6 +294,12 @@ let goldens =
     ("verify_fig1-fixed__json", verify_json "fig1-fixed");
     ("verify_fig1-buggy__table", verify_table "fig1-buggy");
     ("verify_fig1-buggy__json", verify_json "fig1-buggy");
+    (* a truncated scan: the racy row's endpoints come from the replay's
+       report, not from the scan *)
+    ("verify_racy-read_max-pairs-7__table", verify_table ~max_pairs:7 "racy-read");
+    ("verify_racy-read_max-pairs-7__json", verify_json ~max_pairs:7 "racy-read");
+    ("verify_stencil-160__table", stencil_render Witness.to_table);
+    ("verify_stencil-160__json", stencil_render Witness.to_json);
   ]
 
 let properties =
@@ -265,6 +326,13 @@ let () =
             test_zero_replays;
           Alcotest.test_case "truncated scan falls back" `Quick
             test_truncated_fallback;
+        ] );
+      ( "front end",
+        [
+          Alcotest.test_case "profile + one recording" `Quick
+            test_two_executions;
+          Alcotest.test_case "recording honours budgets" `Quick
+            test_recording_budget;
         ] );
       ( "r006",
         [ Alcotest.test_case "spec-independent races" `Quick test_spec_independent ] );
