@@ -22,146 +22,148 @@ let doc_alts = "dset|depa"
    [i+1] and packed MSB-first into 62-bit words. Gamma codes are
    prefix-free, so one fingerprint's bit string is a prefix of another's
    iff its path is an ancestor path — and the first differing bit sits
-   inside the gamma code of the first diverging child, which a word XOR
-   plus an in-word decode recovers in O(1) per word.
+   inside the gamma code of the first diverging child.
 
    Codes never straddle words: a code that does not fit the current
    word's remaining bits starts at bit 0 of a fresh word (the tail of the
-   old word is zero padding), and [word_lvl.(j)] records the path level
-   of the first code starting in word [j], so any word can be decoded
-   from its own bit 0 without touching earlier words. Fingerprints are
-   immutable; extension copies the word array (one or two words for every
-   benchmark in the suite) — which is also what makes concurrent readers
-   safe: a query never mutates, and never observes a half-built code. *)
+   old word is zero padding). A fingerprint is an int slice [a.(o) ..]:
+
+   - [a.(o)]: header — path depth (number of codes) [lsl 32], number of
+     words [lsl 8], bits used in the last word;
+   - per word [j], three ints: the packed codes at [a.(o+1+3j)], a
+     code-start mask (the bit where each code begins) at [a.(o+2+3j)],
+     and the level of the word's first code at [a.(o+3+3j)].
+
+   The start mask and first level make any word self-describing, so
+   [divergence] needs no scan: the MSB of the XOR of the first differing
+   words locates the first differing bit, a popcount of the start bits
+   up to it gives the diverging level, and one decode recovers the
+   ordinal there. *)
 
 let word_bits = 62
 
-type fp = {
-  words : int array;
-  word_lvl : int array; (* word -> level of the first code starting there *)
-  nbits : int; (* position where the next code would start *)
-  ncodes : int; (* path depth *)
-}
+(* A 31-bit field: gamma codes are at most [word_bits] long, so ordinals
+   stay below 2^31, and [divergence] packs [(level lsl 31) lor ordinal]. *)
+let ord_bits = 31
+let ord_mask = (1 lsl ord_bits) - 1
 
-let fp_root = { words = [||]; word_lvl = [||]; nbits = 0; ncodes = 0 }
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
-let bits_len v =
-  let n = ref 0 and v = ref v in
-  while !v <> 0 do
-    incr n;
-    v := !v lsr 1
-  done;
-  !n
+(* [x] with every bit below its highest set bit set too, for [x < 2^62]. *)
+let smear x =
+  let x = x lor (x lsr 1) in
+  let x = x lor (x lsr 2) in
+  let x = x lor (x lsr 4) in
+  let x = x lor (x lsr 8) in
+  let x = x lor (x lsr 16) in
+  x lor (x lsr 32)
 
-let fp_extend fp ~ord =
+(* Index of the highest set bit of [x], for [0 < x < 2^62]. *)
+let msb x = popcount (smear x) - 1
+
+let fp_ncodes h = h lsr 32
+let fp_nwords h = (h lsr 8) land 0xFF_FFFF
+let fp_len h = 1 + (3 * fp_nwords h)
+
+(* The root's (empty) fingerprint: a header with no codes and no words. *)
+let fp_root = [| 0 |]
+
+(* Append ordinal [ord]'s code to the fingerprint at [a.(0)]; [a] must
+   have room for one more word. *)
+let fp_push a ~ord =
   let v = ord + 1 in
-  let l = bits_len v in
-  let clen = (2 * l) - 1 in
+  let clen = (2 * msb v) + 1 in
   if clen > word_bits then invalid_arg "Reach: child ordinal out of range";
-  let nw = Array.length fp.words in
-  let j = fp.nbits / word_bits and off = fp.nbits mod word_bits in
-  if j < nw && off + clen <= word_bits then begin
-    let words = Array.copy fp.words in
-    words.(j) <- words.(j) lor (v lsl (word_bits - off - clen));
-    (* word_lvl is immutable and unchanged: share it *)
-    { words; word_lvl = fp.word_lvl; nbits = fp.nbits + clen; ncodes = fp.ncodes + 1 }
+  let h = a.(0) in
+  let nc = fp_ncodes h and nw = fp_nwords h and used = h land 0xFF in
+  if nw > 0 && used + clen <= word_bits then begin
+    let w = (3 * nw) - 2 and sh = word_bits - used - clen in
+    a.(w) <- a.(w) lor (v lsl sh);
+    a.(w + 1) <- a.(w + 1) lor (1 lsl (sh + clen - 1));
+    a.(0) <- ((nc + 1) lsl 32) lor (nw lsl 8) lor (used + clen)
   end
   else begin
-    let words = Array.make (nw + 1) 0 in
-    Array.blit fp.words 0 words 0 nw;
-    words.(nw) <- v lsl (word_bits - clen);
-    let word_lvl = Array.make (nw + 1) 0 in
-    Array.blit fp.word_lvl 0 word_lvl 0 nw;
-    word_lvl.(nw) <- fp.ncodes;
-    { words; word_lvl; nbits = (nw * word_bits) + clen; ncodes = fp.ncodes + 1 }
+    let w = (3 * nw) + 1 in
+    a.(w) <- v lsl (word_bits - clen);
+    a.(w + 1) <- 1 lsl (word_bits - 1);
+    a.(w + 2) <- nc;
+    a.(0) <- ((nc + 1) lsl 32) lor ((nw + 1) lsl 8) lor clen
   end
 
-(* Ordinal encoded by code [idx] of [fp]. Requires [idx < fp.ncodes]. *)
-let code_at fp idx =
-  let wl = fp.word_lvl in
-  let lo = ref 0 and hi = ref (Array.length wl - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if wl.(mid) <= idx then lo := mid else hi := mid - 1
-  done;
-  let w = fp.words.(!lo) in
-  let t = ref wl.(!lo) and off = ref 0 in
-  let res = ref 0 in
-  (try
-     while true do
-       let z = ref 0 in
-       while (w lsr (word_bits - 1 - (!off + !z))) land 1 = 0 do
-         incr z
-       done;
-       let l = !z + 1 in
-       let e = !off + (2 * l) - 1 in
-       if !t = idx then begin
-         res := (w lsr (word_bits - e)) land ((1 lsl l) - 1);
-         raise Exit
-       end;
-       off := e;
-       incr t
-     done
-   with Exit -> ());
-  !res - 1
+(* Cut the fingerprint at [a.(0)] back to its one-code-shorter prefix
+   with header [h], zeroing the dropped code's bits so the next [fp_push]
+   can OR into a clean tail. *)
+let fp_pop a h =
+  a.(0) <- h;
+  let nw = fp_nwords h in
+  if nw > 0 then begin
+    let w = (3 * nw) - 2 in
+    let keep = lnot ((1 lsl (word_bits - (h land 0xFF))) - 1) in
+    a.(w) <- a.(w) land keep;
+    a.(w + 1) <- a.(w + 1) land keep
+  end
 
-type div = Prefix | Diverge of { level : int; uord : int }
+(* A fresh immutable fingerprint: [fp] extended by ordinal [ord]. *)
+let fp_extend fp ~ord =
+  let len = fp_len fp.(0) in
+  let a = Array.make (len + 3) 0 in
+  Array.blit fp 0 a 0 len;
+  fp_push a ~ord;
+  a
 
-(* [divergence u v] relates recorded path [u] to current path [v]:
-   [Prefix] iff [u]'s codes are a prefix of [v]'s (ancestor-or-self), else
-   the first diverging level plus [u]'s child ordinal there. Also returns
-   the number of words examined, for the cost counters. *)
-let divergence u v =
-  let nu = Array.length u.words and nv = Array.length v.words in
-  let n = if nu < nv then nu else nv in
+(* Ordinal of the code starting at the single set bit [s] of word [w]:
+   the code is [z] zeros then the [z+1]-bit value, so its last bit sits
+   as far below the leading 1 as the leading 1 sits below [s]. *)
+let decode w s =
+  let t = w land ((s lsl 1) - 1) in
+  let k = msb t in
+  (t lsr ((2 * k) - popcount (s - 1))) - 1
+
+(* [divergence a oa b ob] relates path [a] (the slice at [a.(oa)]) to
+   path [b]: [-1] iff [a]'s codes are a prefix of [b]'s (ancestor-or-
+   self), else [(level lsl ord_bits) lor ord] for the first level where
+   the paths differ and [a]'s child ordinal there. Counts one query and
+   the words compared. *)
+let divergence a oa b ob =
+  let ha = a.(oa) and hb = b.(ob) in
+  let na = fp_nwords ha and nb = fp_nwords hb in
+  let n = if na < nb then na else nb in
   let j = ref 0 in
-  while !j < n && u.words.(!j) = v.words.(!j) do
+  while !j < n && a.(oa + 1 + (3 * !j)) = b.(ob + 1 + (3 * !j)) do
     incr j
   done;
-  let touched = if !j < n then !j + 1 else max 1 !j in
-  if !j = n then
-    if u.ncodes <= v.ncodes then (Prefix, touched)
-    else (Diverge { level = v.ncodes; uord = code_at u v.ncodes }, touched)
+  let j = !j in
+  if Obs.enabled () then
+    Obs.bump_reach_query ~words:(if j < n then j + 1 else max 1 j);
+  if j = n then
+    let cb = fp_ncodes hb in
+    if fp_ncodes ha <= cb then -1
+    else
+      (* [b] is a strict prefix of [a], and equal words mean [a]'s next
+         code did not fit [b]'s last word: it opens word [n] *)
+      (cb lsl ord_bits) lor decode a.(oa + 1 + (3 * n)) (1 lsl (word_bits - 1))
   else begin
-    let j = !j in
-    (* offset (MSB-first) of the first differing bit *)
-    let db =
-      let b = ref (-1) and x = ref (u.words.(j) lxor v.words.(j)) in
-      while !x <> 0 do
-        incr b;
-        x := !x lsr 1
-      done;
-      word_bits - 1 - !b
-    in
-    let w = u.words.(j) in
-    let t = ref u.word_lvl.(j) and off = ref 0 in
-    let res = ref Prefix in
-    (try
-       while true do
-         if !t >= u.ncodes then raise Exit (* all of [u] matched: prefix *)
-         else if j + 1 < Array.length u.word_lvl && u.word_lvl.(j + 1) = !t then begin
-           (* [u]'s code [t] spilled to the next word while [v]'s fit
-              here, so the two codes differ in length, hence in value *)
-           res := Diverge { level = !t; uord = code_at u !t };
-           raise Exit
-         end;
-         let z = ref 0 in
-         while (w lsr (word_bits - 1 - (!off + !z))) land 1 = 0 do
-           incr z
-         done;
-         let l = !z + 1 in
-         let e = !off + (2 * l) - 1 in
-         if e > db then begin
-           res :=
-             Diverge
-               { level = !t; uord = ((w lsr (word_bits - e)) land ((1 lsl l) - 1)) - 1 };
-           raise Exit
-         end;
-         off := e;
-         incr t
-       done
-     with Exit -> ());
-    (!res, touched)
+    let p = oa + 1 + (3 * j) in
+    let wa = a.(p) in
+    (* start bits at or before the first differing bit: codes before it
+       are common, so at most the last one belongs to one path only *)
+    let upto = lnot (smear (wa lxor b.(ob + 1 + (3 * j))) lsr 1) in
+    let starts = (a.(p + 1) lor b.(ob + 2 + (3 * j))) land upto in
+    let level = a.(p + 2) + popcount starts - 1 in
+    if level >= fp_ncodes ha then -1 (* [a] ended where [b] went on *)
+    else begin
+      let s = starts land (- starts) in
+      let ord =
+        if a.(p + 1) land s <> 0 then decode wa s
+        else (* [a]'s code did not fit here: it opens word [j+1] *)
+          decode a.(p + 3) (1 lsl (word_bits - 1))
+      in
+      (level lsl ord_bits) lor ord
+    end
   end
 
 (* ---------------------------------------------------------------------- *)
@@ -178,10 +180,8 @@ let divergence u v =
    and every access captures its frame, block, sequence number, view
    region and chain-spawn stamp. Records are written once, by the frame's
    creator, before any other worker can see them, so queries from
-   concurrent domains race with nothing — the same immutability argument
-   that makes the [depa] backend's fingerprints safe under concurrent
-   SP-tree extension, and the reason the mutating [dset] machinery is
-   unusable online.
+   concurrent domains race with nothing — the reason the mutating [dset]
+   machinery is unusable online.
 
    For a fully strict program, two points [a] (serially earlier) and [b]
    are logically parallel iff, at their least common ancestor frame [L],
@@ -193,7 +193,7 @@ let divergence u v =
 
 module Fp = struct
   type frame = {
-    f_fp : fp;
+    f_fp : int array; (* fingerprint slice at offset 0, never mutated *)
     f_parent : frame option;
     f_depth : int;
     f_spawned : bool;  (* creation edge: spawned (vs called) child *)
@@ -296,25 +296,26 @@ module Fp = struct
       let lo, hi = if a_first then (a, b) else (b, a) in
       Serial { a_before_b = a_first; spawns_between_lb = hi.p_cum - lo.p_cum }
     else begin
-      let d, words = divergence fa.f_fp fb.f_fp in
-      if Obs.enabled () then Obs.bump_reach_query ~words;
-      match d with
-      | Prefix when fa.f_depth <= fb.f_depth ->
+      let d = divergence fa.f_fp 0 fb.f_fp 0 in
+      if d < 0 then
+        if fa.f_depth <= fb.f_depth then
           (* [fa] is an ancestor of [fb]: the LCA is [fa] itself. *)
           let e = ancestor_at fb (fa.f_depth + 1) in
           relate_inframe ~inframe_first:true a e b
-      | Prefix ->
+        else
           (* Equal-length distinct paths cannot happen (one frame record
              per path); [fb] is an ancestor of [fa]. *)
           let e = ancestor_at fa (fb.f_depth + 1) in
           relate_inframe ~inframe_first:false b e a
-      | Diverge { level; uord = _ } when level >= fb.f_depth ->
+      else
+        let level = d lsr ord_bits in
+        if level >= fb.f_depth then
           (* [divergence] is asymmetric: [fb] a strict ancestor of [fa]
-             comes back as a divergence at [fb]'s own depth, not as
-             [Prefix]. *)
+             comes back as a divergence at [fb]'s own depth, not as a
+             prefix. *)
           let e = ancestor_at fa (fb.f_depth + 1) in
           relate_inframe ~inframe_first:false b e a
-      | Diverge { level; uord = _ } ->
+        else begin
           let ea = ancestor_at fa (level + 1) in
           let eb = ancestor_at fb (level + 1) in
           (* Distinct children of one parent have distinct sequence
@@ -332,6 +333,7 @@ module Fp = struct
                 a_before_b = a_first;
                 spawns_between_lb = pt_late.p_cum - e_early.f_cum_entry;
               }
+        end
     end
 
   (* [serial_before a b]: [a] strictly precedes [b] in the depth-first
@@ -639,161 +641,262 @@ module Sp = struct
       if Uf.kind_at st.uf r = kp then Parallel (Uf.view_at st.uf r) else Serial
     end
 
-  (* -------- depa backend: fingerprints + view epochs -------- *)
+  (* -------- depa backend: fingerprints + view epochs --------
 
-  type zframe = {
-    mutable zfid : int;
-    mutable zfp : fp;
-    mutable entry_vid : int;
-    mutable ord : int; (* child ordinal in the parent; -1 for the root *)
-    mutable nchildren : int; (* next child ordinal *)
-    mutable base_ord : int; (* [nchildren] at the last sync *)
-    child_ep : int Dynarr.t; (* ordinal - base_ord -> epoch, -1 if serial *)
-    ep : int Dynarr.t; (* live view epochs, increasing bottom to top *)
-    vd : int Dynarr.t; (* view ids, parallel to [ep] *)
-  }
+     A recorded frame is classified from its fingerprint and the live
+     stack alone: the divergence of its path from the current path names
+     the lowest common live ancestor [a] and the recorded frame's child
+     ordinal there; [a]'s per-block records say whether that child joined
+     [a] serially (called, or returned before [a]'s last sync) or is still
+     parallel, and in which view epoch. The P-bag vid discipline becomes
+     {e view epochs}: every P-bag instance (frame entry, steal, post-sync
+     refresh) gets a fresh epoch, a parallel child records the top epoch
+     it returned into, and reduce pops the top epoch, so a recorded
+     epoch's surviving view is the largest still-live epoch below it.
+
+     Everything is flat int stacks, like the dset arm's: per live frame
+     [zfid]/[zvid]/[znext]/[zbase]/[zhdr]/[zbit] plus the start of its
+     segment in two global stacks — [cep] (one entry per child returned
+     since the last sync: the epoch it returned into, -1 if called) and
+     [ep]/[evid]/[ebit] (the frame's live view epochs, increasing bottom
+     to top, with their view ids). The current path is one fingerprint
+     buffer, pushed on enter and popped on return; a frame's fingerprint
+     is copied into [arena] only when it is noted, which is also when it
+     becomes classifiable.
+
+     Change reporting is exact, mirroring the dset arm's emptiness
+     algebra: [zbit] is set when the frame's S set would be non-empty (a
+     noted frame of its subtree joined it), [ebit] when an epoch's P bag
+     would be. A return can only move the noted frames of the returning
+     subtree, a sync only those of its block's parallel children (the
+     ones in its single epoch), and a reduce only those whose survivor
+     is the popped epoch — so each reports exactly that bit, and events
+     between noted frames leave [Sp_hot]'s memo alone. Under eager
+     noting every frame is noted at entry, as dset inserts it. *)
 
   type zstate = {
+    zlazy : bool;
     mutable next_epoch : int;
-    zstack : zframe Dynarr.t;
-    zpool : zframe Dynarr.t; (* recycled records: frames are LIFO *)
-    ftab : fp option Dynarr.t; (* frame id -> fingerprint *)
+    (* live-frame stack *)
+    mutable zfid : int array;
+    mutable zvid : int array; (* entry view id *)
+    mutable znext : int array; (* next child ordinal *)
+    mutable zbase : int array; (* [znext] at the last sync *)
+    mutable zhdr : int array; (* fingerprint header of the frame's path *)
+    mutable zbit : int array; (* 1 iff a noted frame joined the S set *)
+    mutable zcb : int array; (* start of the frame's [cep] segment *)
+    mutable zeb : int array; (* start of the frame's epoch segment *)
+    mutable zdepth : int;
+    (* children returned since their frame's last sync, all live frames *)
+    mutable cep : int array;
+    mutable nc : int;
+    (* view epochs of all live frames *)
+    mutable ep : int array;
+    mutable evid : int array;
+    mutable ebit : int array; (* 1 iff a noted frame joined the P bag *)
+    mutable ne : int;
+    mutable path : int array; (* current path: fingerprint slice at 0 *)
+    (* frame id -> offset of its fingerprint in [arena], -1 if un-noted *)
+    mutable ftab : int array;
+    mutable fhi : int; (* high-water mark of noted ids, for reset *)
+    mutable arena : int array;
+    mutable na : int;
   }
 
-  let fresh_epoch st =
-    let e = st.next_epoch in
-    st.next_epoch <- e + 1;
-    e
+  let z_create ~lazy_note =
+    {
+      zlazy = lazy_note;
+      next_epoch = 0;
+      zfid = Array.make 64 0;
+      zvid = Array.make 64 0;
+      znext = Array.make 64 0;
+      zbase = Array.make 64 0;
+      zhdr = Array.make 64 0;
+      zbit = Array.make 64 0;
+      zcb = Array.make 64 0;
+      zeb = Array.make 64 0;
+      zdepth = 0;
+      cep = Array.make 64 0;
+      nc = 0;
+      ep = Array.make 64 0;
+      evid = Array.make 64 0;
+      ebit = Array.make 64 0;
+      ne = 0;
+      path = Array.make 64 0;
+      ftab = Array.make 1024 (-1);
+      fhi = 0;
+      arena = Array.make 1024 0;
+      na = 0;
+    }
 
-  let z_alloc st =
-    if Dynarr.is_empty st.zpool then
-      {
-        zfid = -1;
-        zfp = fp_root;
-        entry_vid = 0;
-        ord = -1;
-        nchildren = 0;
-        base_ord = 0;
-        child_ep = Dynarr.create ();
-        ep = Dynarr.create ();
-        vd = Dynarr.create ();
-      }
-    else begin
-      let g = Dynarr.pop st.zpool in
-      Dynarr.clear g.child_ep;
-      Dynarr.clear g.ep;
-      Dynarr.clear g.vd;
-      g
-    end
+  let z_push_epoch st ~vid =
+    if st.ne >= Array.length st.ep then begin
+      let n = st.ne + 1 in
+      st.ep <- grow_stack st.ep 0 n;
+      st.evid <- grow_stack st.evid 0 n;
+      st.ebit <- grow_stack st.ebit 0 n
+    end;
+    st.ep.(st.ne) <- st.next_epoch;
+    st.evid.(st.ne) <- vid;
+    st.ebit.(st.ne) <- 0;
+    st.next_epoch <- st.next_epoch + 1;
+    st.ne <- st.ne + 1
+
+  (* Copy the current path into the arena as the top frame's fingerprint. *)
+  let z_note_top st ~frame =
+    let len = fp_len st.path.(0) in
+    if st.na + len > Array.length st.arena then
+      st.arena <- grow_stack st.arena 0 (st.na + len);
+    Array.blit st.path 0 st.arena st.na len;
+    if frame >= Array.length st.ftab then
+      st.ftab <- grow_stack st.ftab (-1) (frame + 1);
+    st.ftab.(frame) <- st.na;
+    if frame >= st.fhi then st.fhi <- frame + 1;
+    st.na <- st.na + len;
+    st.zbit.(st.zdepth - 1) <- 1
 
   let z_enter st ~frame =
-    let zfp, vid, ord =
-      if Dynarr.is_empty st.zstack then (fp_root, 0, -1)
+    let i = st.zdepth in
+    if i >= Array.length st.zfid then begin
+      let n = i + 1 in
+      st.zfid <- grow_stack st.zfid 0 n;
+      st.zvid <- grow_stack st.zvid 0 n;
+      st.znext <- grow_stack st.znext 0 n;
+      st.zbase <- grow_stack st.zbase 0 n;
+      st.zhdr <- grow_stack st.zhdr 0 n;
+      st.zbit <- grow_stack st.zbit 0 n;
+      st.zcb <- grow_stack st.zcb 0 n;
+      st.zeb <- grow_stack st.zeb 0 n
+    end;
+    let vid =
+      if i = 0 then begin
+        st.path.(0) <- 0;
+        0
+      end
       else begin
-        let f = Dynarr.top st.zstack in
-        let ord = f.nchildren in
-        f.nchildren <- ord + 1;
-        (fp_extend f.zfp ~ord, Dynarr.top f.vd, ord)
+        let ord = st.znext.(i - 1) in
+        st.znext.(i - 1) <- ord + 1;
+        let len = fp_len st.path.(0) + 3 in
+        if len > Array.length st.path then st.path <- grow_stack st.path 0 len;
+        fp_push st.path ~ord;
+        st.evid.(st.ne - 1)
       end
     in
-    let g = z_alloc st in
-    g.zfid <- frame;
-    g.zfp <- zfp;
-    g.entry_vid <- vid;
-    g.ord <- ord;
-    g.nchildren <- 0;
-    g.base_ord <- 0;
-    Dynarr.push g.ep (fresh_epoch st);
-    Dynarr.push g.vd vid;
-    Dynarr.push st.zstack g;
-    Dynarr.ensure st.ftab (frame + 1) None;
-    Dynarr.set st.ftab frame (Some zfp)
+    st.zdepth <- i + 1;
+    st.zfid.(i) <- frame;
+    st.zvid.(i) <- vid;
+    st.znext.(i) <- 0;
+    st.zbase.(i) <- 0;
+    st.zhdr.(i) <- st.path.(0);
+    st.zbit.(i) <- 0;
+    st.zcb.(i) <- st.nc;
+    st.zeb.(i) <- st.ne;
+    z_push_epoch st ~vid;
+    if not st.zlazy then z_note_top st ~frame
+
+  (* First shadow recording of the (live, top) frame; idempotent. *)
+  let z_note st ~frame =
+    if frame >= Array.length st.ftab || st.ftab.(frame) < 0 then begin
+      assert (st.zfid.(st.zdepth - 1) = frame);
+      z_note_top st ~frame
+    end
 
   let z_return st ~frame ~parallel =
-    let g = Dynarr.pop st.zstack in
-    assert (g.zfid = frame);
-    if not (Dynarr.is_empty st.zstack) then begin
-      let f = Dynarr.top st.zstack in
-      (* Children run one at a time and in ordinal order, so the record
-         for ordinal [g.ord] lands exactly at the end of [child_ep]. *)
-      assert (g.ord - f.base_ord = Dynarr.length f.child_ep);
-      Dynarr.push f.child_ep (if parallel then Dynarr.top f.ep else -1);
+    let i = st.zdepth - 1 in
+    assert (st.zfid.(i) = frame);
+    st.zdepth <- i;
+    st.ne <- st.zeb.(i);
+    st.nc <- st.zcb.(i);
+    let bit = st.zbit.(i) in
+    if i > 0 then begin
+      fp_pop st.path st.zhdr.(i - 1);
+      (* Children run one at a time and in ordinal order, so this child's
+         record lands exactly at the end of the parent's segment. *)
+      assert (st.znext.(i - 1) - 1 - st.zbase.(i - 1) = st.nc - st.zcb.(i - 1));
+      if st.nc >= Array.length st.cep then
+        st.cep <- grow_stack st.cep 0 (st.nc + 1);
+      if parallel then begin
+        let top = st.ne - 1 in
+        st.cep.(st.nc) <- st.ep.(top);
+        st.ebit.(top) <- st.ebit.(top) lor bit
+      end
+      else begin
+        st.cep.(st.nc) <- -1;
+        st.zbit.(i - 1) <- st.zbit.(i - 1) lor bit
+      end;
+      st.nc <- st.nc + 1;
       if Obs.enabled () then Obs.bump_reach_epoch ~steps:1
     end;
-    Dynarr.push st.zpool g;
-    (* popping the stack changes the LCA walk for any recorded frame —
-       conservatively report that classifications may have moved *)
-    true
+    i > 0 && bit = 1
 
   let z_sync st ~frame =
-    let f = Dynarr.top st.zstack in
-    assert (f.zfid = frame);
-    assert (Dynarr.length f.ep = 1);
-    f.base_ord <- f.nchildren;
-    Dynarr.clear f.child_ep;
-    Dynarr.clear f.ep;
-    Dynarr.clear f.vd;
-    (* like the seed's post-sync refresh: the S bag's vid is always the
+    let i = st.zdepth - 1 in
+    assert (st.zfid.(i) = frame);
+    let k = st.zeb.(i) in
+    assert (st.ne = k + 1);
+    let bit = st.ebit.(k) in
+    st.zbit.(i) <- st.zbit.(i) lor bit;
+    st.zbase.(i) <- st.znext.(i);
+    st.nc <- st.zcb.(i);
+    (* like the seed's post-sync refresh: a fresh epoch carrying the
        frame's entry vid (union keeps the destination payload) *)
-    Dynarr.push f.ep (fresh_epoch st);
-    Dynarr.push f.vd f.entry_vid;
+    st.ne <- k;
+    z_push_epoch st ~vid:st.zvid.(i);
     if Obs.enabled () then Obs.bump_reach_epoch ~steps:1;
-    true
+    bit = 1
 
   let z_steal st ~frame ~region =
-    let f = Dynarr.top st.zstack in
-    assert (f.zfid = frame);
-    Dynarr.push f.ep (fresh_epoch st);
-    Dynarr.push f.vd region;
+    assert (st.zfid.(st.zdepth - 1) = frame);
+    z_push_epoch st ~vid:region;
     if Obs.enabled () then Obs.bump_reach_epoch ~steps:1
 
   let z_reduce st ~frame =
-    let f = Dynarr.top st.zstack in
-    assert (f.zfid = frame);
-    assert (Dynarr.length f.ep >= 2);
-    ignore (Dynarr.pop f.ep);
-    ignore (Dynarr.pop f.vd);
+    assert (st.zfid.(st.zdepth - 1) = frame);
+    let k = st.ne - 1 in
+    assert (k > st.zeb.(st.zdepth - 1));
+    st.ne <- k;
+    let bit = st.ebit.(k) in
+    st.ebit.(k - 1) <- st.ebit.(k - 1) lor bit;
     if Obs.enabled () then Obs.bump_reach_epoch ~steps:1;
-    true
+    bit = 1
 
-  (* View id surviving for recorded epoch [e] in frame [a]: the largest
-     still-live epoch <= e (reduce pops epochs from the top, so the views
-     a popped epoch's members merged into is exactly the one below). *)
-  let z_survivor a e =
-    let lo = ref 0 and hi = ref (Dynarr.length a.ep - 1) and steps = ref 1 in
+  (* View id surviving for recorded epoch [e] of live frame [a]: the
+     largest still-live epoch <= e (reduce pops epochs from the top, so
+     the view a popped epoch's members merged into is the one below). *)
+  let z_survivor st a e =
+    let lo = ref st.zeb.(a)
+    and hi = ref ((if a + 1 < st.zdepth then st.zeb.(a + 1) else st.ne) - 1)
+    and steps = ref 1 in
     while !lo < !hi do
       incr steps;
       let mid = (!lo + !hi + 1) / 2 in
-      if Dynarr.get a.ep mid <= e then lo := mid else hi := mid - 1
+      if st.ep.(mid) <= e then lo := mid else hi := mid - 1
     done;
     if Obs.enabled () then Obs.bump_reach_epoch ~steps:!steps;
-    Dynarr.get a.vd !lo
+    st.evid.(!lo)
 
   let z_classify st u =
-    if u >= Dynarr.length st.ftab then Serial
+    if u >= Array.length st.ftab || st.ftab.(u) < 0 then Serial
     else
-      match Dynarr.get st.ftab u with
-      | None -> Serial
-      | Some ufp -> (
-          let v = Dynarr.top st.zstack in
-          let d, words = divergence ufp v.zfp in
-          if Obs.enabled () then Obs.bump_reach_query ~words;
-          match d with
-          | Prefix -> Serial (* ancestor-or-self of the current frame *)
-          | Diverge { level; uord } ->
-              (* lowest common ancestor of [u] and the current point: it is
-                 on the live stack at depth [level] *)
-              let a = Dynarr.get st.zstack level in
-              if uord < a.base_ord then Serial (* joined before [a]'s last sync *)
-              else begin
-                let idx = uord - a.base_ord in
-                (* the diverging child cannot be [a]'s running child (that
-                   one is on the current path), so its return is recorded *)
-                assert (idx < Dynarr.length a.child_ep);
-                match Dynarr.get a.child_ep idx with
-                | -1 -> Serial (* called child: its subtree joined a.S *)
-                | e -> Parallel (z_survivor a e)
-              end)
+      let d = divergence st.arena st.ftab.(u) st.path 0 in
+      if d < 0 then Serial (* ancestor-or-self of the current frame *)
+      else begin
+        (* the diverging level is the live depth of [a], the lowest
+           common ancestor of [u] and the current point *)
+        let a = d lsr ord_bits in
+        let idx = (d land ord_mask) - st.zbase.(a) in
+        if idx < 0 then Serial (* joined before [a]'s last sync *)
+        else begin
+          (* the diverging child cannot be [a]'s running child (that one
+             is on the current path), so its return is recorded *)
+          assert (
+            let seg_end = if a + 1 < st.zdepth then st.zcb.(a + 1) else st.nc in
+            st.zcb.(a) + idx < seg_end);
+          match st.cep.(st.zcb.(a) + idx) with
+          | -1 -> Serial (* called child: its subtree joined a.S *)
+          | e -> Parallel (z_survivor st a e)
+        end
+      end
 
   (* -------- dispatch -------- *)
 
@@ -801,16 +904,7 @@ module Sp = struct
 
   let create ?(lazy_note = false) = function
     | Dset -> Sp_dset (d_create ~lazy_note)
-    | Depa ->
-        (* [lazy_note] is irrelevant here: the depa frame table is filled
-           at enter and queries are already mutation-free O(1). *)
-        Sp_depa
-          {
-            next_epoch = 0;
-            zstack = Dynarr.create ();
-            zpool = Dynarr.create ();
-            ftab = Dynarr.create ();
-          }
+    | Depa -> Sp_depa (z_create ~lazy_note)
 
   let backend = function Sp_dset _ -> Dset | Sp_depa _ -> Depa
 
@@ -820,10 +914,13 @@ module Sp = struct
         st.depth <- 0;
         st.np <- 0
     | Sp_depa st ->
+        Array.fill st.ftab 0 st.fhi (-1);
+        st.fhi <- 0;
+        st.na <- 0;
         st.next_epoch <- 0;
-        Dynarr.iter (fun g -> Dynarr.push st.zpool g) st.zstack;
-        Dynarr.clear st.zstack;
-        Dynarr.clear st.ftab
+        st.zdepth <- 0;
+        st.nc <- 0;
+        st.ne <- 0
 
   let on_frame_enter t ~frame =
     match t with Sp_dset st -> d_enter st ~frame | Sp_depa st -> z_enter st ~frame
@@ -848,11 +945,11 @@ module Sp = struct
     match t with Sp_dset st -> d_classify st u | Sp_depa st -> z_classify st u
 
   let note t ~frame =
-    match t with Sp_dset st -> d_note st ~frame | Sp_depa _ -> ()
+    match t with Sp_dset st -> d_note st ~frame | Sp_depa st -> z_note st ~frame
 
   let cur_view = function
     | Sp_dset st -> d_top_vid st
-    | Sp_depa st -> Dynarr.top (Dynarr.top st.zstack).vd
+    | Sp_depa st -> st.evid.(st.ne - 1)
 end
 
 (* ---------------------------------------------------------------------- *)

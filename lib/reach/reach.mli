@@ -14,21 +14,23 @@
       verbatim (same operations in the same order, so Obs counters and
       verdicts are byte-identical to the seed);
     - {!Depa} — DePa-style fingerprint order maintenance (Westrick, Wang
-      & Acar, 2022). Every frame gets an immutable {e fork-path
-      fingerprint} at entry: the γ-coded sequence of child ordinals from
-      the root, packed MSB-first into 62-bit words. A precedence query
-      compares the recorded frame's fingerprint with the current frame's
-      word by word, finds the diverging level, and reads the answer from
-      the lowest common live ancestor's O(1) per-block state — worst case
-      O(⌈depth/w⌉) with {e no} amortized rebalancing, no path
-      compression, and no mutation at query time (which is what makes the
-      queries safe to run concurrently; see DESIGN.md §12). The P-bag
-      vid discipline is re-expressed as {e view epochs}: every P-bag
-      instance (frame entry, steal push, post-sync refresh) gets a fresh
-      epoch; a frame records, per returned child, the top epoch its
-      subtree merged into; reduce pops the top epoch, so a recorded
-      epoch's surviving view is the largest still-live epoch below it
-      (one short binary search over the outstanding-steal stack).
+      & Acar, 2022). A frame's {e fork-path fingerprint} is the γ-coded
+      sequence of child ordinals from the root, packed MSB-first into
+      62-bit words with a code-start mask per word. The current path is
+      one buffer, pushed on enter and popped on return; a frame's
+      fingerprint is copied out when the frame is first recorded. A
+      precedence query finds the first differing word, locates the
+      diverging level with one XOR, popcount and decode, and reads the
+      answer from the lowest common live ancestor's O(1) per-block state
+      — worst case O(⌈depth/w⌉) with {e no} amortized rebalancing, no
+      path compression, and no mutation at query time (see DESIGN.md
+      §12). The P-bag vid discipline is re-expressed as {e view epochs}:
+      every P-bag instance (frame entry, steal push, post-sync refresh)
+      gets a fresh epoch; a frame records, per returned child, the top
+      epoch its subtree merged into; reduce pops the top epoch, so a
+      recorded epoch's surviving view is the largest still-live epoch
+      below it (one short binary search over the outstanding-steal
+      stack).
 
     Verdict equivalence between the backends is enforced by the golden
     fingerprints, the generated-program cross-checks and a dedicated
@@ -134,13 +136,14 @@ module Sp : sig
       opened it, or the enclosing frame's entry view). *)
   type cls = Serial | Parallel of int
 
-  (** [lazy_note] (default false) defers inserting each frame into its
-      own S set until {!note} — classification of noted frames is
+  (** [lazy_note] (default false) defers the per-frame work until
+      {!note}: inserting the frame into its own S set ([Dset]), copying
+      its fingerprint ([Depa]). Classification of noted frames is
       unchanged, but callers must then {!note} every frame id they later
       pass to {!classify} while that frame is the current one. The hot
       detector cores use this: only shadow-recorded frames are ever
       classified, so spawn-heavy programs that never touch instrumented
-      memory do no disjoint-set work at all. No effect on [Depa]. *)
+      memory do no per-frame precedence work at all. *)
   val create : ?lazy_note:bool -> backend -> t
 
   val backend : t -> backend
@@ -155,12 +158,12 @@ module Sp : sig
       frame's subtree joins the parent's top P bag (stays parallel until
       the enclosing sync) or the parent's S bag.
 
-      [on_frame_return], [on_sync] and [on_reduce] return [true] when the
-      event may have changed the classification of some recorded frame
-      (for the dset backend: a payload-rewriting union actually happened;
-      empty-source unions are pure no-ops and return [false]). Callers
-      memoizing [classify] results need to invalidate exactly when one of
-      these returns [true] — see [Sp_hot]'s generation counter. *)
+      [on_frame_return], [on_sync] and [on_reduce] return [true] exactly
+      when the dset bag the event unions from is non-empty (empty-source
+      unions are pure no-ops), under both backends; [false] guarantees
+      that no noted frame's classification changed. Callers memoizing
+      [classify] results need to invalidate exactly when one of these
+      returns [true] — see [Sp_hot]'s generation counter. *)
   val on_frame_return : t -> frame:int -> parallel:bool -> bool
 
   val on_sync : t -> frame:int -> bool
@@ -174,7 +177,8 @@ module Sp : sig
 
   (** Under [lazy_note], record that the current (top) frame's id is
       about to be stored in a shadow space: inserts it into its own S
-      set. Idempotent; a no-op under the eager default and on [Depa]. *)
+      set ([Dset]) or copies its fingerprint ([Depa]). Idempotent; a
+      no-op under the eager default. *)
   val note : t -> frame:int -> unit
 
   (** View id of the current strand (the top P bag of the top frame). *)

@@ -17,8 +17,9 @@ module Shadow = Rader_memory.Shadow
      no set work at all;
    - a two-slot classification memo keyed by a structural generation
      counter, bumped only when the backend reports that an event actually
-     rewrote reachability state (a payload-carrying union; empty-bag
-     returns and syncs are no-ops): within one strand the SP relation is
+     moved a noted frame (a payload-carrying union under dset, a noted
+     subtree or epoch under depa; empty-bag returns and syncs are
+     no-ops under both): within one strand the SP relation is
      constant, so a span of accesses over the same recorded frame costs
      one reachability query, and pure-control frame churn between spans
      costs none. *)
@@ -117,10 +118,10 @@ let frame_enter t ~frame ~kind =
   t.depth <- t.depth + 1
 
 (* Returns, syncs and reduces invalidate the classify memo only when the
-   backend reports a real structural change (a payload-rewriting union in
-   the dset forest): a pure-control frame returning with empty bags
-   rewrites nothing, so every cached classification recomputes
-   identically and the memo survives. *)
+   backend reports a real structural change (see [Reach.Sp]): a
+   pure-control frame returning with empty bags moves no noted frame, so
+   every cached classification recomputes identically and the memo
+   survives. *)
 let frame_return t ~frame ~spawned =
   let i = t.depth - 1 in
   t.depth <- i;
@@ -186,21 +187,20 @@ let check t ~loc ~frame ~view_aware ~first_frame ~first_is_write
     end
 
 (* Shadow update: keep the recorded access unless it is serial with the
-   current strand, or this is a reduce strand overwriting an entry of its
-   own view (which the reduce serializes with). *)
-let may_update t ~view_aware recorded =
-  let pv = classify t recorded in
-  pv < 0
-  || view_aware
-     && t.kinds.(t.depth - 1) = reduce_code
-     && pv = Reach.Sp.cur_view t.reach
+   current strand, even when the current strand is a reduce of its view
+   (paper Fig. 6 overwrites that entry; DESIGN.md §5). For accesses
+   w < r < x in serial order, w ∥ r and r ∥ x imply w ∥ x, and from r on
+   w and r share one view, so keeping w loses no race r would catch —
+   whereas a view-oblivious x joined after the reduce r but parallel to
+   an unsynced w races with w only. *)
+let may_update t recorded = classify t recorded < 0
 
 let read t ~frame ~loc ~view_aware =
   check t ~loc ~frame ~view_aware
     ~first_frame:(Shadow.get t.writer loc)
     ~first_is_write:true ~second_is_write:false;
   let r = Shadow.get t.reader loc in
-  if may_update t ~view_aware r then begin
+  if may_update t r then begin
     Reach.Sp.note t.reach ~frame;
     Shadow.set t.reader loc frame
   end
@@ -212,7 +212,7 @@ let write t ~frame ~loc ~view_aware =
   let w = Shadow.get t.writer loc in
   check t ~loc ~frame ~view_aware ~first_frame:w ~first_is_write:true
     ~second_is_write:true;
-  if may_update t ~view_aware w then begin
+  if may_update t w then begin
     Reach.Sp.note t.reach ~frame;
     Shadow.set t.writer loc frame
   end

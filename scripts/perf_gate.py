@@ -5,7 +5,9 @@ Compares a freshly produced BENCH_rader.json (fast mode) against the
 committed BENCH_seed.json baseline on the ratios the hot-path overhaul
 (DESIGN.md S15) is accountable for: fib and knapsack under the
 check_updates / check_reductions steal specs, measured as overhead vs
-the empty tool (`fig8_overhead_vs_empty_tool`).
+the empty tool — once under the default dset reachability backend
+(`fig8_overhead_vs_empty_tool`) and once under depa
+(`s9_reach_backends.<bench>.<config>.fig8_depa`, DESIGN.md S12).
 
 The gate is on the RATIO, not wall-clock, so a uniformly slower CI
 runner does not trip it; what trips it is detector- or engine-side work
@@ -27,7 +29,12 @@ import sys
 
 GATED_BENCHES = ("fib", "knapsack")
 GATED_CONFIGS = ("check_updates", "check_reductions")
-FIG8_KEY = "fig8_overhead_vs_empty_tool"
+# (label, path prefix, path suffix): the gated value of a bench/config
+# pair is doc[prefix...][bench][config][suffix...]
+GATED_METRICS = (
+    ("dset", ("fig8_overhead_vs_empty_tool",), ()),
+    ("depa", ("s9_reach_backends",), ("fig8_depa",)),
+)
 
 
 def load(path):
@@ -39,18 +46,18 @@ def load(path):
         sys.exit(2)
 
 
-def gated_ratio(doc, path, bench, config):
+def gated_ratio(doc, path, keys):
+    name = ".".join(keys)
     try:
-        val = doc[FIG8_KEY][bench][config]
+        val = doc
+        for key in keys:
+            val = val[key]
     except (KeyError, TypeError):
-        print(
-            f"perf-gate: {path} has no {FIG8_KEY}.{bench}.{config}",
-            file=sys.stderr,
-        )
+        print(f"perf-gate: {path} has no {name}", file=sys.stderr)
         sys.exit(2)
     if not isinstance(val, (int, float)) or val <= 0:
         print(
-            f"perf-gate: {path} {bench}.{config} is not a positive number: {val!r}",
+            f"perf-gate: {path} {name} is not a positive number: {val!r}",
             file=sys.stderr,
         )
         sys.exit(2)
@@ -86,25 +93,30 @@ def main():
         f"perf-gate: Fig. 8 overhead vs empty tool, "
         f"tolerance +{args.tolerance:.0%} over {args.seed}"
     )
-    print(f"{'benchmark':<10} {'config':<18} {'seed':>7} {'new':>7} {'limit':>7}  verdict")
-    for bench in GATED_BENCHES:
-        for config in GATED_CONFIGS:
-            s = gated_ratio(seed, args.seed, bench, config)
-            n = gated_ratio(new, args.new, bench, config)
-            limit = s * (1.0 + args.tolerance)
-            ok = n <= limit
-            print(
-                f"{bench:<10} {config:<18} {s:>7.3f} {n:>7.3f} {limit:>7.3f}  "
-                f"{'ok' if ok else 'REGRESSION'}"
-            )
-            if not ok:
-                failures.append((bench, config, s, n, limit))
+    print(
+        f"{'benchmark':<10} {'config':<18} {'reach':<6} "
+        f"{'seed':>7} {'new':>7} {'limit':>7}  verdict"
+    )
+    for label, prefix, suffix in GATED_METRICS:
+        for bench in GATED_BENCHES:
+            for config in GATED_CONFIGS:
+                keys = prefix + (bench, config) + suffix
+                s = gated_ratio(seed, args.seed, keys)
+                n = gated_ratio(new, args.new, keys)
+                limit = s * (1.0 + args.tolerance)
+                ok = n <= limit
+                print(
+                    f"{bench:<10} {config:<18} {label:<6} {s:>7.3f} {n:>7.3f} "
+                    f"{limit:>7.3f}  {'ok' if ok else 'REGRESSION'}"
+                )
+                if not ok:
+                    failures.append((bench, config, label, s, n, limit))
 
     if failures:
         print(file=sys.stderr)
-        for bench, config, s, n, limit in failures:
+        for bench, config, label, s, n, limit in failures:
             print(
-                f"perf-gate: {bench} {config} regressed: {n:.3f} > "
+                f"perf-gate: {bench} {config} ({label}) regressed: {n:.3f} > "
                 f"{limit:.3f} (seed {s:.3f} + {args.tolerance:.0%})",
                 file=sys.stderr,
             )

@@ -162,6 +162,40 @@ let prop_sp_plus_iff_oracle =
           else true)
         (extra_spec :: specs_for_sp_plus))
 
+(* A shrunk counterexample to the shadow-update rule of paper Fig. 6,
+   which let a reduce strand overwrite a parallel entry of its own view.
+   Under this spec reduce frame 9 overwrote the write to r0's view by
+   update frame 3, which the root has not yet synced, so the root's
+   view-oblivious [get r0] missed its race on that view. *)
+let test_reduce_keeps_parallel_entry () =
+  let p =
+    {
+      G.body =
+        G.
+          [
+            Spawn [ Spawn [ Read 0 ]; Update 0 ];
+            Pfor (2, [ Update 0 ]);
+            Read 0;
+            Read 0;
+            Get_reducer 0;
+          ];
+      n_cells = 4;
+      reducers = Array.make 2 { G.update_touches = None; reduce_touches = None };
+    }
+  in
+  let spec = Steal_spec.random ~seed:0 ~density:0.03 () in
+  List.iter
+    (fun reach ->
+      let eng = Engine.create ~spec ~record:true () in
+      let d = Sp_plus.attach ~reach eng in
+      ignore (Engine.run eng (G.interpret p));
+      let truth = Oracle.determinacy_races eng in
+      Alcotest.(check (list int)) "oracle finds r0's view" [ 4 ] truth;
+      Alcotest.(check (list int))
+        ("sp+ = oracle under " ^ Rader_reach.Reach.show reach)
+        truth (Sp_plus.racy_locs d))
+    Rader_reach.Reach.all
+
 (* Peer-Set verdicts are a property of the user dag, so they must not
    depend on the steal specification (auxiliary view-management frames are
    transparent to the algorithm). *)
@@ -301,4 +335,12 @@ let () =
         prop_peer_set_quiescent_reads_clean;
       ]
   in
-  Alcotest.run "property" [ ("detectors-vs-oracles", suite) ]
+  Alcotest.run "property"
+    [
+      ("detectors-vs-oracles", suite);
+      ( "fixed-cases",
+        [
+          Alcotest.test_case "reduce keeps a parallel entry of its view" `Quick
+            test_reduce_keeps_parallel_entry;
+        ] );
+    ]

@@ -12,6 +12,7 @@ open Rader_core
 module Reach = Rader_reach.Reach
 module G = Rader_testkit.Gen_program
 module Dynarr = Rader_support.Dynarr
+module Obs = Rader_obs.Obs
 
 let qtest ?(count = 150) name gen prop =
   QCheck2.Test.make ~name ~count ~print:G.print gen prop
@@ -116,6 +117,325 @@ let prop_sp_backends_agree =
       match mirror_run p spec with
       | None -> true
       | Some msg -> QCheck2.Test.fail_reportf "backends disagree: %s" msg)
+
+(* Generated programs stay a few levels deep with small fan-out, so their
+   fingerprints fit one word. Synthetic event walks reach the multi-word
+   layout: deep call chains, and bursts of empty children that push
+   ordinals into the hundreds (13-bit codes), so codes spill into fresh
+   words at every offset. Both eager backends must report the same
+   changes and classify sampled frames identically throughout. *)
+let synthetic_walk seed =
+  let rng = Random.State.make [| seed |] in
+  let a = Reach.Sp.create Reach.Dset and b = Reach.Sp.create Reach.Depa in
+  let failure = ref None in
+  let fail msg = if !failure = None then failure := Some msg in
+  let both f = f a; f b in
+  (* a structural hook: both backends must report the same change *)
+  let hook name f = if f a <> f b then fail (name ^ ": change reports differ") in
+  let next = ref 0 and live = ref [] and steals = ref [] and seen = Dynarr.create () in
+  let enter () =
+    let frame = !next in
+    incr next;
+    both (fun r -> Reach.Sp.on_frame_enter r ~frame);
+    live := frame :: !live;
+    steals := 0 :: !steals;
+    Dynarr.push seen frame
+  in
+  let reduce_all frame =
+    for _ = 1 to List.hd !steals do
+      hook "reduce" (fun r -> Reach.Sp.on_reduce r ~frame)
+    done;
+    steals := 0 :: List.tl !steals
+  in
+  let leave ~parallel =
+    match !live with
+    | frame :: rest ->
+        reduce_all frame;
+        hook "sync" (fun r -> Reach.Sp.on_sync r ~frame);
+        hook "return" (fun r -> Reach.Sp.on_frame_return r ~frame ~parallel);
+        live := rest;
+        steals := List.tl !steals
+    | [] -> ()
+  in
+  let check step =
+    let n = Dynarr.length seen in
+    for _ = 1 to 8 do
+      let f = Dynarr.get seen (Random.State.int rng n) in
+      let ca = Reach.Sp.classify a f and cb = Reach.Sp.classify b f in
+      if ca <> cb then
+        fail
+          (Printf.sprintf "step %d, frame %d: %s vs %s" step f (show_cls ca)
+             (show_cls cb))
+    done
+  in
+  enter ();
+  for step = 1 to 3000 do
+    let depth = List.length !live in
+    (match Random.State.int rng 10 with
+    | 0 | 1 | 2 when depth < 60 -> enter ()
+    | 3 when depth > 1 -> leave ~parallel:(Random.State.bool rng)
+    | 4 ->
+        (* a burst of empty children raises the next ordinal *)
+        for _ = 1 to Random.State.int rng 80 do
+          enter ();
+          leave ~parallel:(Random.State.bool rng)
+        done
+    | 5 ->
+        let frame = List.hd !live in
+        both (fun r -> Reach.Sp.on_steal r ~frame ~region:step);
+        steals := (List.hd !steals + 1) :: List.tl !steals
+    | 6 when List.hd !steals > 0 ->
+        let frame = List.hd !live in
+        hook "reduce" (fun r -> Reach.Sp.on_reduce r ~frame);
+        steals := (List.hd !steals - 1) :: List.tl !steals
+    | 7 ->
+        let frame = List.hd !live in
+        reduce_all frame;
+        hook "sync" (fun r -> Reach.Sp.on_sync r ~frame)
+    | _ -> ());
+    if Reach.Sp.cur_view a <> Reach.Sp.cur_view b then
+      fail (Printf.sprintf "step %d: cur_view differs" step);
+    check step
+  done;
+  !failure
+
+let prop_sp_backends_agree_deep =
+  QCheck2.Test.make ~name:"Reach.Sp: dset = depa on deep, wide walks" ~count:60
+    ~print:string_of_int QCheck2.Gen.int
+    (fun seed ->
+      match synthetic_walk seed with
+      | None -> true
+      | Some msg -> QCheck2.Test.fail_reportf "backends disagree: %s" msg)
+
+(* [Fp.relate] on arbitrary pairs of frames of a random deep, wide tree,
+   against an oracle that finds the lowest common ancestor by walking
+   parent links instead of comparing fingerprints. Unlike the serial
+   backend, which only ever meets earlier siblings, either side here can
+   hold the longer code at the diverging level, so every layout case of
+   the fingerprint comparison is reached. Points sit at frame entry. *)
+type tree_node = {
+  fr : Reach.Fp.frame;
+  parent : int; (* index of the parent node, -1 at the root *)
+  depth : int;
+  seq : int; (* creation edge: the parent's child ordinal *)
+  block : int;
+  spawned : bool;
+  mutable children : int;
+  mutable cur_block : int; (* the node's own sync block *)
+}
+
+let fp_tree_relate seed =
+  let rng = Random.State.make [| seed |] in
+  let nodes = Dynarr.create () in
+  let node fr ~parent ~depth ~seq ~block ~spawned =
+    Dynarr.push nodes
+      { fr; parent; depth; seq; block; spawned; children = 0; cur_block = 0 }
+  in
+  node (Reach.Fp.root ()) ~parent:(-1) ~depth:0 ~seq:0 ~block:0 ~spawned:false;
+  let add_child p =
+    let pn = Dynarr.get nodes p in
+    let ord = pn.children and block = pn.cur_block and spawned = Random.State.bool rng in
+    pn.children <- ord + 1;
+    node
+      (Reach.Fp.child pn.fr ~ord ~spawned ~block ~seq:ord ~rid_entry:0 ~cum_entry:0)
+      ~parent:p ~depth:(pn.depth + 1) ~seq:ord ~block ~spawned;
+    Dynarr.length nodes - 1
+  in
+  let cur = ref 0 in
+  for _ = 1 to 600 do
+    match Random.State.int rng 6 with
+    | 0 | 1 when (Dynarr.get nodes !cur).depth < 70 -> cur := add_child !cur
+    | 2 ->
+        for _ = 1 to Random.State.int rng 120 do
+          ignore (add_child !cur)
+        done
+    | 3 ->
+        let cn = Dynarr.get nodes !cur in
+        cn.cur_block <- cn.cur_block + 1
+    | 4 -> cur := max 0 (Dynarr.get nodes !cur).parent
+    | _ -> cur := Random.State.int rng (Dynarr.length nodes)
+  done;
+  let n = Dynarr.length nodes in
+  let get = Dynarr.get nodes in
+  (* [i]'s ancestor at depth [d] *)
+  let rec up i d = if (get i).depth > d then up (get i).parent d else i in
+  let expected i j =
+    let ni = get i and nj = get j in
+    if up j ni.depth = i then `Serial true
+    else if up i nj.depth = j then `Serial false
+    else begin
+      let rec lca x y = if x = y then x else lca (get x).parent (get y).parent in
+      let d = min ni.depth nj.depth in
+      let l = lca (up i d) (up j d) in
+      let ld = (get l).depth in
+      let ei = get (up i (ld + 1)) and ej = get (up j (ld + 1)) in
+      let i_first = ei.seq < ej.seq in
+      let early, late = if i_first then (ei, ej) else (ej, ei) in
+      if early.spawned && early.block = late.block then `Parallel i_first
+      else `Serial i_first
+    end
+  in
+  let point i =
+    { Reach.Fp.p_frame = (get i).fr; p_block = 0; p_seq = 0; p_rid = 0; p_cum = 0 }
+  in
+  let failure = ref None in
+  for _ = 1 to 2000 do
+    let i = Random.State.int rng n and j = Random.State.int rng n in
+    if i <> j && !failure = None then begin
+      let got =
+        match Reach.Fp.relate (point i) (point j) with
+        | Reach.Fp.Parallel { a_before_b; _ } -> `Parallel a_before_b
+        | Reach.Fp.Serial { a_before_b; _ } -> `Serial a_before_b
+      in
+      if got <> expected i j then
+        failure :=
+          Some
+            (Printf.sprintf "nodes %d (depth %d) and %d (depth %d)" i
+               (get i).depth j (get j).depth)
+    end
+  done;
+  !failure
+
+let prop_fp_relate_deep =
+  QCheck2.Test.make ~name:"Fp.relate = parent-walk LCA on deep, wide trees" ~count:60
+    ~print:string_of_int QCheck2.Gen.int
+    (fun seed ->
+      match fp_tree_relate seed with
+      | None -> true
+      | Some msg -> QCheck2.Test.fail_reportf "relate disagrees: %s" msg)
+
+(* The same mirror under [~lazy_note:true], as the SP+ hot path runs it:
+   every accessing frame is noted, and only noted frames are compared.
+   Each structural hook must also be exact: both backends report a change
+   at the same events, and an event reported as no change (including
+   every enter and steal) leaves every noted frame's classification as it
+   was — the contract [Sp_hot]'s memo relies on. *)
+let lazy_mirror_run p spec =
+  let backends =
+    Array.map (Reach.Sp.create ~lazy_note:true) [| Reach.Dset; Reach.Depa |]
+  in
+  let noted = Hashtbl.create 16 and order = Dynarr.create () in
+  let failure = ref None in
+  let fail msg = if !failure = None then failure := Some msg in
+  (* live frames: classification is defined while there is one *)
+  let depth = ref 0 in
+  let classes r =
+    if !depth = 0 then []
+    else Dynarr.fold_left (fun acc f -> Reach.Sp.classify r f :: acc) [] order
+  in
+  let show l = String.concat " " (List.rev_map show_cls l) in
+  (* [ev] applies one event to a backend and says whether it reported a
+     change ([false] for enter and steal, which must never move one) *)
+  let structural name ev =
+    let changed =
+      Array.map
+        (fun r ->
+          let before = classes r in
+          let c = ev r in
+          let after = classes r in
+          if (not c) && after <> before then
+            fail
+              (Printf.sprintf "%s (%s) reported no change: %s -> %s" name
+                 (Reach.show (Reach.Sp.backend r)) (show before) (show after));
+          c)
+        backends
+    in
+    if changed.(0) <> changed.(1) then
+      fail (Printf.sprintf "%s: dset reports %b, depa %b" name changed.(0) changed.(1));
+    let ca = classes backends.(0) and cb = classes backends.(1) in
+    if ca <> cb then fail (Printf.sprintf "%s: %s vs %s" name (show ca) (show cb));
+    if !depth > 0 then begin
+      let va = Reach.Sp.cur_view backends.(0) and vb = Reach.Sp.cur_view backends.(1) in
+      if va <> vb then fail (Printf.sprintf "%s: cur_view %d vs %d" name va vb)
+    end
+  in
+  let access ~frame =
+    Array.iter (fun r -> Reach.Sp.note r ~frame) backends;
+    if not (Hashtbl.mem noted frame) then begin
+      Hashtbl.add noted frame ();
+      Dynarr.push order frame
+    end
+  in
+  let tool =
+    Tool.extern
+      {
+        Tool.hooks_null with
+        Tool.on_frame_enter =
+          (fun ~frame ~parent:_ ~spawned:_ ~kind:_ ->
+            incr depth;
+            structural "enter" (fun r ->
+                Reach.Sp.on_frame_enter r ~frame;
+                false));
+        on_frame_return =
+          (fun ~frame ~parent:_ ~spawned ~kind ->
+            let parallel = kind = Tool.Reduce_fn || spawned in
+            if !depth > 1 then begin
+              structural "return" (fun r -> Reach.Sp.on_frame_return r ~frame ~parallel);
+              decr depth
+            end
+            else begin
+              (* the root's: nothing is left to classify against *)
+              depth := 0;
+              Array.iter
+                (fun r ->
+                  if Reach.Sp.on_frame_return r ~frame ~parallel then
+                    fail "root return reported a change")
+                backends
+            end);
+        on_sync = (fun ~frame -> structural "sync" (fun r -> Reach.Sp.on_sync r ~frame));
+        on_steal =
+          (fun ~frame ~region ->
+            structural "steal" (fun r ->
+                Reach.Sp.on_steal r ~frame ~region;
+                false));
+        on_reduce =
+          (fun ~frame ~into_region:_ ~from_region:_ ->
+            structural "reduce" (fun r -> Reach.Sp.on_reduce r ~frame));
+        on_read = (fun ~frame ~loc:_ ~view_aware:_ -> access ~frame);
+        on_write = (fun ~frame ~loc:_ ~view_aware:_ -> access ~frame);
+      }
+  in
+  let eng = Engine.create ~spec () in
+  Engine.set_tool eng tool;
+  ignore (Engine.run eng (G.interpret p));
+  !failure
+
+let prop_sp_lazy_backends_agree =
+  qtest_spec ~count:400 "Reach.Sp lazy: dset = depa, exact change reports"
+    QCheck2.Gen.(pair (G.gen ~with_reducers:true ~racy:true) gen_spec)
+    (fun (p, spec) ->
+      List.for_all
+        (fun spec ->
+          match lazy_mirror_run p spec with
+          | None -> true
+          | Some msg -> QCheck2.Test.fail_reportf "lazy mirror: %s" msg)
+        [ Steal_spec.none; spec ])
+
+(* Exact change reporting end to end: [Sp_hot]'s classification memo
+   misses, and so queries the backend, at the same accesses under both
+   backends — depa's fingerprint queries equal dset's bag finds. *)
+let sp_plus_queries reach p spec =
+  let (), c =
+    Obs.with_enabled (fun () ->
+        let eng = Engine.create ~spec () in
+        ignore (Sp_plus.attach ~reach eng);
+        ignore (Engine.run eng (G.interpret p)))
+  in
+  match reach with Reach.Dset -> c.Obs.bag_finds | Reach.Depa -> c.Obs.reach_fp_queries
+
+let prop_memo_parity =
+  qtest_spec ~count:300 "SP+: depa fingerprint queries = dset bag finds"
+    QCheck2.Gen.(pair (G.gen ~with_reducers:true ~racy:true) gen_spec)
+    (fun (p, spec) ->
+      List.for_all
+        (fun spec ->
+          let finds = sp_plus_queries Reach.Dset p spec
+          and queries = sp_plus_queries Reach.Depa p spec in
+          if finds <> queries then
+            QCheck2.Test.fail_reportf "spec %s: %d bag finds vs %d fingerprint queries"
+              spec.Steal_spec.name finds queries
+          else true)
+        [ Steal_spec.none; spec ])
 
 (* End-to-end: SP+ verdicts (reports rendered to strings, racy loc sets)
    are byte-identical between backends, under the serial schedule and
@@ -224,6 +544,10 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [
         prop_sp_backends_agree;
+        prop_sp_backends_agree_deep;
+        prop_fp_relate_deep;
+        prop_sp_lazy_backends_agree;
+        prop_memo_parity;
         prop_sp_plus_verdicts_identical;
         prop_peer_verdicts_identical;
         prop_sp_order_oracles_identical;
