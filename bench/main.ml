@@ -430,7 +430,7 @@ let s4_parallel_sweep () =
   in
   (* Engine reuse: the same batch of spec replays with a fresh
      engine+detector per spec vs one pair recycled through
-     Engine.reset / Sp_plus.reset. *)
+     Engine.reset ~tool / Sp_plus.reset. *)
   let spec =
     Steal_spec.at_local_indices ~policy:Steal_spec.Reduce_eagerly [ 2; 4 ]
   in
@@ -452,7 +452,7 @@ let s4_parallel_sweep () =
         let eng = Engine.create () in
         let det = Sp_plus.attach eng in
         for _ = 1 to reuse_iters do
-          Engine.reset ~spec eng;
+          Engine.reset ~tool:(Sp_plus.tool det) ~spec eng;
           Sp_plus.reset det;
           (match Engine.run_result eng sweep_program with
           | Ok _ -> ()

@@ -110,9 +110,8 @@ let reach_arg =
            disjoint-set bags (the default) — or $(b,depa) — DePa-style \
            strand fingerprints answering queries in worst-case O(1). \
            Verdicts are byte-identical either way; only the cost model \
-           changes. Applies to the $(b,sp+), $(b,peerset) and \
-           $(b,sporder) detectors ($(b,sporder) keeps its own \
-           order-maintenance labels when the flag is absent).")
+           changes. Applies to the $(b,sp+) and $(b,peerset) detectors; \
+           the baseline detectors keep their own machinery and ignore it.")
 
 (* ---------- observability options (check / coverage) ---------- *)
 
@@ -197,7 +196,7 @@ let do_check program scale seed spec_str density detector reach max_events
         let d = Sp_bags.attach eng in
         fun () -> Sp_bags.races d
     | `Sporder ->
-        let d = Sp_order.attach ?reach eng in
+        let d = Sp_order.attach eng in
         fun () -> Sp_order.races d
     | `Offsetspan ->
         let d = Offset_span.attach eng in
@@ -783,7 +782,6 @@ let do_online program scale seed runs workers stripes density reach max_events
         Rader_sched.Online.workers;
         seed = run_seed;
         density;
-        reach = Reach.Depa;
         stripes;
         max_events;
         deadline;

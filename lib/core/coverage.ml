@@ -436,12 +436,12 @@ let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
   in
   let specs = Array.of_list specs in
   (* Fan the replays out across domains. Each worker owns one engine +
-     detector pair and recycles it per spec (Engine.reset / Sp_plus.reset)
-     instead of reallocating; each replay's verdicts are returned as a
-     self-contained outcome, so workers never share mutable state. Under
-     [with_obs] each replay also carries its own counter delta — replays
-     are deterministic, so the deltas (and their spec-order sum) are
-     independent of which worker ran them. *)
+     detector pair and recycles it per spec (Engine.reset ~tool /
+     Sp_plus.reset) instead of reallocating; each replay's verdicts are
+     returned as a self-contained outcome, so workers never share mutable
+     state. Under [with_obs] each replay also carries its own counter
+     delta — replays are deterministic, so the deltas (and their
+     spec-order sum) are independent of which worker ran them. *)
   let outcomes, _ =
     Obs.timed phase_replay (fun () ->
         Parallel_sweep.map ~jobs ~stop:past_deadline
@@ -457,7 +457,8 @@ let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
                doomed replay whose events would skew the obs summary. *)
             if past_deadline () then Not_run
             else begin
-            Engine.reset ~spec:specs.(i) ?max_events ?deadline:abs_deadline eng;
+            Engine.reset ~tool:(Sp_plus.tool det) ~spec:specs.(i) ?max_events
+              ?deadline:abs_deadline eng;
             Sp_plus.reset det;
             let t0_us = if with_obs then Obs.now_us () else 0.0 in
             let snap = if with_obs then Some (Obs.snapshot ()) else None in

@@ -1,52 +1,13 @@
 module Engine = Rader_runtime.Engine
 module Tool = Rader_runtime.Tool
-module Peer_hot = Rader_runtime.Peer_hot
-module Reach = Rader_reach.Reach
+include Rader_runtime.Peer_hot
 
-(* Bags, spawn counts, the reader shadows and the Lemma-3 comparison live
-   in [Rader_runtime.Peer_hot] (single-match dispatch from the [Tool]
-   variant); this module is the cold-path wrapper building [Report]
-   records in the race callback. *)
+let create ?reach eng =
+  create ?backend:reach ~strand:(fun () -> Engine.current_strand eng) ()
 
-type t = {
-  eng : Engine.t;
-  hot : Peer_hot.t;
-  collector : Report.collector;
-}
-
-let create ?(reach = Reach.Dset) eng =
-  let hot = Peer_hot.create ~backend:reach () in
-  let d = { eng; hot; collector = Report.collector () } in
-  Peer_hot.set_on_race hot (fun ~reducer ~first_frame ~second_frame ->
-      Report.report d.collector
-        {
-          Report.kind = Report.View_read_race;
-          subject = reducer;
-          subject_label = Printf.sprintf "reducer #%d" reducer;
-          first_frame;
-          first_access = Report.Reducer_read;
-          second_frame;
-          second_access = Report.Reducer_read;
-          second_strand = Engine.current_strand d.eng;
-          second_view_aware = false;
-          detail = "reducer-reads have different peer sets";
-        });
-  d
-
-let backend d = Peer_hot.backend d.hot
-
-let tool d = Tool.peer_set d.hot
+let tool = Tool.peer_set
 
 let attach ?reach eng =
   let d = create ?reach eng in
   Engine.set_tool eng (tool d);
   d
-
-let reset d =
-  Peer_hot.reset d.hot;
-  Report.clear d.collector;
-  Engine.set_tool d.eng (tool d)
-
-let races d = Report.races d.collector
-
-let found d = Report.count d.collector > 0

@@ -1,57 +1,24 @@
-(** The Peer-Set algorithm (paper §3, Fig. 3).
+(** Peer-Set (paper §3, Fig. 3) bound to an engine.
 
-    Detects {e view-read races}: two reducer-reads (create / set-value /
-    get-value) of the same reducer executed at strands with different peer
-    sets, which makes the value observed dependent on scheduling. The
-    algorithm follows the serial execution, maintaining for every function
-    instantiation [F] on the call stack the ancestor-spawn count [F.as],
-    the local-spawn count [F.ls], and three bags of completed-descendant
-    ids in a fast disjoint-set structure:
+    The algorithm, its state and its reports are
+    {!Rader_runtime.Peer_hot}, documented there. This shim adds the part
+    that needs {!Rader_runtime.Engine}: strand ids in reports come from
+    the engine, and {!attach} installs the detector as the engine's
+    tool. *)
 
-    - [F.SS]: descendants with the same peer set as [F]'s first strand;
-    - [F.SP]: descendants with the same peer set as the last continuation
-      strand [F] executed (empty if [F] has not spawned since its last
-      sync);
-    - [F.P]: all other completed descendants.
+type t = Rader_runtime.Peer_hot.t
 
-    A shadow map [reader(h)] keeps the last reader of reducer [h] and its
-    spawn count. A reducer-read races with the previous one iff the
-    previous reader sits in a P bag or the spawn counts differ
-    (paper Lemma 3 / Theorem 4).
-
-    The bag bookkeeping lives behind the pluggable
-    {!Rader_reach.Reach.Peer} precedence backend: [Dset] (the default) is
-    the disjoint-set machinery above, [Depa] answers the same P-bag
-    membership question from the live stack and per-frame SP generations
-    in worst-case O(1). Verdicts are identical.
-
-    The detector is correct for the serial execution ([Steal_spec.none]);
-    run it without steals, as Rader does for the Check-view-read-race
-    configuration. Cost: O(T α(x, x)) for x reducers (Theorem 1) under
-    [Dset], O(T) under [Depa]. *)
-
-type t
-
-(** [create eng] makes a detector bound to [eng] (for strand ids and
-    labels in reports). Install with [Engine.set_tool eng (tool d)] or use
-    {!attach}. *)
+(** [create eng] makes a detector bound to [eng]; install it with
+    [Engine.set_tool eng (tool d)] or use {!attach}. *)
 val create : ?reach:Rader_reach.Reach.backend -> Rader_runtime.Engine.t -> t
 
-(** [tool d] is the detector's event interface. *)
 val tool : t -> Rader_runtime.Tool.t
-
-(** [attach eng] creates a detector and installs it on [eng]. *)
 val attach : ?reach:Rader_reach.Reach.backend -> Rader_runtime.Engine.t -> t
-
-(** [backend d] is the precedence backend [d] was created with. *)
 val backend : t -> Rader_reach.Reach.backend
 
-(** [reset d] empties all detector state while keeping grown arenas and
-    re-installs [d] as its engine's tool (mirrors {!Sp_plus.reset}). *)
+(** [reset d] empties [d] but does not touch the engine (see
+    {!Sp_plus.reset}). *)
 val reset : t -> unit
 
-(** [races d] is the view-read races found so far, one per reducer. *)
 val races : t -> Report.t list
-
-(** [found d] is true iff any race was detected. *)
 val found : t -> bool

@@ -1,7 +1,6 @@
 module Engine = Rader_runtime.Engine
 module Tool = Rader_runtime.Tool
 module Om = Rader_support.Om
-module Reach = Rader_reach.Reach
 module Shadow = Rader_memory.Shadow
 module Dynarr = Rader_support.Dynarr
 
@@ -16,32 +15,10 @@ type fstate = {
                                           spawned child; -1 if none *)
 }
 
-(* Two ways to answer "is the recorded access parallel with the current
-   strand?":
-
-   - [Labels]: the SPAA'04 English/Hebrew order-maintenance lists this
-     module exists to reproduce (the default).
-   - [Fingerprints]: the shared [Reach.Sp] precedence oracle, queried at
-     frame granularity. Frame granularity suffices here: SP-order's
-     shadow entries are always serially earlier than the current strand,
-     and a past frame relates uniformly to the current point — live
-     ancestors are serial with it, completed frames are serial or
-     parallel as a whole (their strands all sit in the same S/P bag).
-     What does NOT transfer is the per-strand label pair itself — the
-     Hebrew order totally orders strands within one frame, which the
-     frame-level oracle cannot see — so the [Labels] oracle stays both
-     the default and the reference implementation, and the strand-level
-     order queries are exactly the part that cannot reuse [Reach].
-     SP-order is reducer-unaware, so the oracle runs with
-     [parallel = spawned] at returns and never sees steal/reduce events
-     (KS/KP classification is steal- and reduce-invariant). *)
-type oracle = Labels | Fingerprints of Reach.Sp.t
-
 type t = {
   eng : Engine.t;
   english : Om.t;
   hebrew : Om.t;
-  oracle : oracle;
   stack : fstate Dynarr.t;
   reader_h : Shadow.t; (* loc -> Hebrew label of last recorded reader *)
   writer_h : Shadow.t;
@@ -50,15 +27,11 @@ type t = {
   writer_frame : Shadow.t;
 }
 
-let create ?reach eng =
+let create eng =
   {
     eng;
     english = Om.create ();
     hebrew = Om.create ();
-    oracle =
-      (match reach with
-      | None -> Labels
-      | Some b -> Fingerprints (Reach.Sp.create b));
     stack = Dynarr.create ();
     reader_h = Shadow.create ();
     writer_h = Shadow.create ();
@@ -69,7 +42,7 @@ let create ?reach eng =
 
 let top d = Dynarr.top d.stack
 
-let labels_enter d ~frame ~spawned =
+let on_frame_enter d ~frame ~spawned =
   if Dynarr.is_empty d.stack then
     Dynarr.push d.stack
       {
@@ -102,7 +75,7 @@ let labels_enter d ~frame ~spawned =
       }
   end
 
-let labels_return d ~frame ~spawned =
+let on_frame_return d ~frame ~spawned =
   let g = Dynarr.pop d.stack in
   assert (g.fid = frame);
   if not (Dynarr.is_empty d.stack) then begin
@@ -117,7 +90,7 @@ let labels_return d ~frame ~spawned =
     else f.cur_h <- Om.insert_after d.hebrew g.cur_h
   end
 
-let labels_sync d ~frame =
+let on_sync d ~frame =
   let f = top d in
   assert (f.fid = frame);
   (* The post-sync strand is in series with everything in the block. In
@@ -129,42 +102,18 @@ let labels_sync d ~frame =
       (if f.first_child_last_h = -1 then f.cur_h else f.first_child_last_h);
   f.first_child_last_h <- -1
 
-let on_frame_enter d ~frame ~spawned =
-  match d.oracle with
-  | Labels -> labels_enter d ~frame ~spawned
-  | Fingerprints r -> Reach.Sp.on_frame_enter r ~frame
-
-let on_frame_return d ~frame ~spawned =
-  match d.oracle with
-  | Labels -> labels_return d ~frame ~spawned
-  | Fingerprints r -> ignore (Reach.Sp.on_frame_return r ~frame ~parallel:spawned)
-
-let on_sync d ~frame =
-  match d.oracle with
-  | Labels -> labels_sync d ~frame
-  | Fingerprints r -> ignore (Reach.Sp.on_sync r ~frame)
-
 (* The recorded access is serially — hence English- — before the current
    strand, so it is logically parallel iff the current strand is
-   Hebrew-before it (Labels), or iff its frame classifies as parallel
-   with the current point (Fingerprints). False when nothing is
-   recorded. *)
-let recorded_parallel d sh_h sh_f loc =
-  match d.oracle with
-  | Labels ->
-      let h = Shadow.get sh_h loc in
-      h <> Shadow.absent && Om.precedes d.hebrew (top d).cur_h h
-  | Fingerprints r ->
-      let pf = Shadow.get sh_f loc in
-      pf <> Shadow.absent && Reach.Sp.classify r pf <> Reach.Sp.Serial
+   Hebrew-before it. False when nothing is recorded. *)
+let recorded_parallel d sh_h loc =
+  let h = Shadow.get sh_h loc in
+  h <> Shadow.absent && Om.precedes d.hebrew (top d).cur_h h
 
 (* Shadow update follows the pseudotransitivity discipline: keep the
    recorded access unless it is serial with (or absent for) the current
    strand. *)
 let record d sh_h sh_f loc ~frame =
-  (match d.oracle with
-  | Labels -> Shadow.set sh_h loc (top d).cur_h
-  | Fingerprints _ -> ());
+  Shadow.set sh_h loc (top d).cur_h;
   Shadow.set sh_f loc frame
 
 let report d ~loc ~first_frame ~first_access ~second_access ~frame =
@@ -183,19 +132,19 @@ let report d ~loc ~first_frame ~first_access ~second_access ~frame =
     }
 
 let on_read d ~frame ~loc =
-  if recorded_parallel d d.writer_h d.writer_frame loc then
+  if recorded_parallel d d.writer_h loc then
     report d ~loc
       ~first_frame:(Shadow.get d.writer_frame loc)
       ~first_access:Report.Write ~second_access:Report.Read ~frame;
-  if not (recorded_parallel d d.reader_h d.reader_frame loc) then
+  if not (recorded_parallel d d.reader_h loc) then
     record d d.reader_h d.reader_frame loc ~frame
 
 let on_write d ~frame ~loc =
-  if recorded_parallel d d.reader_h d.reader_frame loc then
+  if recorded_parallel d d.reader_h loc then
     report d ~loc
       ~first_frame:(Shadow.get d.reader_frame loc)
       ~first_access:Report.Read ~second_access:Report.Write ~frame;
-  let wpar = recorded_parallel d d.writer_h d.writer_frame loc in
+  let wpar = recorded_parallel d d.writer_h loc in
   if wpar then
     report d ~loc
       ~first_frame:(Shadow.get d.writer_frame loc)
@@ -217,8 +166,8 @@ let tool d =
       on_write = (fun ~frame ~loc ~view_aware:_ -> on_write d ~frame ~loc);
     }
 
-let attach ?reach eng =
-  let d = create ?reach eng in
+let attach eng =
+  let d = create eng in
   Engine.set_tool eng (tool d);
   d
 

@@ -22,25 +22,12 @@
     Like SP-bags, SP-order is {e not} reducer-aware: run it on
     reducer-free programs (or as the "what existing detectors do"
     comparison on programs with reducers). Checks are O(1); maintaining
-    the orders is amortized polylogarithmic per strand.
-
-    {2 Reachability-backend reuse}
-
-    [create ?reach] optionally swaps the order-maintenance lists for the
-    shared {!Rader_reach.Reach.Sp} precedence oracle ([Dset] bags or
-    [Depa] fingerprints), queried at frame granularity — sufficient
-    because a past shadow frame relates uniformly (all-serial or
-    all-parallel) to the current strand. The strand-level English/Hebrew
-    {e labels} themselves are the one part that cannot reuse [Reach]:
-    they totally order strands {e within} a frame, below the oracle's
-    granularity. Omitting [reach] (the default) keeps the original
-    label machinery — it is the SPAA'04 reproduction this module exists
-    for. Verdicts are identical either way (property-tested). *)
+    the orders is amortized polylogarithmic per strand. *)
 
 type t
 
-val create : ?reach:Rader_reach.Reach.backend -> Rader_runtime.Engine.t -> t
+val create : Rader_runtime.Engine.t -> t
 val tool : t -> Rader_runtime.Tool.t
-val attach : ?reach:Rader_reach.Reach.backend -> Rader_runtime.Engine.t -> t
+val attach : Rader_runtime.Engine.t -> t
 val races : t -> Report.t list
 val found : t -> bool

@@ -1,69 +1,15 @@
 module Engine = Rader_runtime.Engine
 module Tool = Rader_runtime.Tool
-module Sp_hot = Rader_runtime.Sp_hot
-module Reach = Rader_reach.Reach
+include Rader_runtime.Sp_hot
 
-(* The per-event state of SP+ — the S/P/vid precedence core, the
-   frame-kind stack and the reader/writer shadow spaces — lives in
-   [Rader_runtime.Sp_hot] so the [Tool] variant dispatches into it with a
-   single match. This module is the cold-path policy wrapper: it owns the
-   report collector and turns the raw-int race callback into [Report]
-   records (labels, strand ids, detail strings), plus the attach/reset
-   lifecycle. *)
+let create ?reach eng =
+  create ?backend:reach ~label:(Engine.loc_label eng)
+    ~strand:(fun () -> Engine.current_strand eng)
+    ()
 
-type t = {
-  eng : Engine.t;
-  hot : Sp_hot.t;
-  collector : Report.collector;
-}
-
-let access_of_write w = if w then Report.Write else Report.Read
-
-let create ?(reach = Reach.Dset) eng =
-  let hot = Sp_hot.create ~backend:reach () in
-  let d = { eng; hot; collector = Report.collector () } in
-  Sp_hot.set_on_race hot
-    (fun ~loc ~first_frame ~first_is_write ~second_frame ~second_is_write
-         ~view_aware ~pv ~cur ->
-      Report.report d.collector
-        {
-          Report.kind = Report.Determinacy_race;
-          subject = loc;
-          subject_label = Engine.loc_label d.eng loc;
-          first_frame;
-          first_access = access_of_write first_is_write;
-          second_frame;
-          second_access = access_of_write second_is_write;
-          second_strand = Engine.current_strand d.eng;
-          second_view_aware = view_aware;
-          detail =
-            (if view_aware then
-               Printf.sprintf "parallel views %d vs %d" pv cur
-             else "");
-        });
-  d
-
-let backend d = Sp_hot.backend d.hot
-
-let tool d = Tool.sp_plus d.hot
+let tool = Tool.sp_plus
 
 let attach ?reach eng =
   let d = create ?reach eng in
   Engine.set_tool eng (tool d);
   d
-
-(* Recycle the detector alongside an [Engine.reset]: the precedence
-   backend, the frame stack, both shadow spaces and the report collector
-   are emptied but keep their grown arenas, and the detector re-arms
-   itself as its engine's tool (the reset engine reverted to
-   [Tool.null]). *)
-let reset d =
-  Sp_hot.reset d.hot;
-  Report.clear d.collector;
-  Engine.set_tool d.eng (tool d)
-
-let races d = Report.races d.collector
-
-let found d = Report.count d.collector > 0
-
-let racy_locs d = Report.racy_subjects d.collector

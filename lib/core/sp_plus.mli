@@ -1,54 +1,26 @@
-(** The SP+ algorithm (paper §5–§6, Fig. 6).
+(** SP+ (paper §5–§6, Fig. 6) bound to an engine.
 
-    Detects determinacy races in Cilk computations {e that use reducers},
-    executed serially under a steal specification that fixes which
-    continuations are stolen and which reduce operations run when. SP+
-    extends SP-bags in two ways:
+    The algorithm, its state and its reports are
+    {!Rader_runtime.Sp_hot}, documented there. This shim adds the part
+    that needs {!Rader_runtime.Engine}, which sits above the detector
+    cores: report labels and strand ids come from the engine, and
+    {!attach} installs the detector as the engine's tool. *)
 
-    - Each function instantiation [F] keeps, instead of one P bag, a
-      {e stack} of P bags, each tagged with a view ID ([vid]): executing a
-      stolen continuation pushes a fresh P bag with the new view's id, and
-      every runtime [Reduce] pops the top P bag and unions it into the one
-      below (the destination's vid survives) — imitating how the runtime
-      creates views at steals and destroys dominated views at reduces.
+type t = Rader_runtime.Sp_hot.t
 
-    - Accesses by {e view-aware} strands (update / reduce /
-      create-identity code) only race with parallel accesses whose
-      recorded P bag carries a {e different} vid — logically parallel
-      strands operating on the same view are in series through the reduce
-      tree. A reduce strand may also overwrite a shadow entry whose bag
-      shares its vid, since the reduce serializes with those strands.
-
-    The S/P/vid bookkeeping itself lives behind the pluggable
-    {!Rader_reach.Reach.Sp} precedence backend: [Dset] (the default) is
-    the bag/disjoint-set machinery above, [Depa] answers the same queries
-    from fork-path fingerprints in worst-case O(1) per query. Verdicts are
-    identical; only the cost model changes.
-
-    Correct for the execution named by the steal specification
-    (paper §6); cost O((T + Mτ) α(v, v)) for M steals and reduce cost τ
-    (Theorem 5) under [Dset], O(T + Mτ) under [Depa]. Combine with
-    {!Coverage} for the §7 guarantee. *)
-
-type t
-
+(** [create eng] makes a detector bound to [eng]; install it with
+    [Engine.set_tool eng (tool d)] or use {!attach}. *)
 val create : ?reach:Rader_reach.Reach.backend -> Rader_runtime.Engine.t -> t
+
 val tool : t -> Rader_runtime.Tool.t
 val attach : ?reach:Rader_reach.Reach.backend -> Rader_runtime.Engine.t -> t
-
-(** [backend d] is the precedence backend [d] was created with. *)
 val backend : t -> Rader_reach.Reach.backend
 
-(** [reset d] empties all detector state (precedence backend, frame
-    stack, shadow spaces, collected reports) while keeping the grown
-    arenas, and re-installs [d] as its engine's tool. Call right after
-    [Engine.reset] on the same engine to replay another steal
-    specification without reallocating — one [attach]+[reset] pair per
-    spec is observationally identical to a fresh engine+detector pair. *)
+(** [reset d] is {!Rader_runtime.Sp_hot.reset}: it empties [d] but does
+    not touch the engine, so recycle both with
+    [Engine.reset ~tool:(tool d) eng; reset d]. *)
 val reset : t -> unit
 
 val races : t -> Report.t list
 val found : t -> bool
-
-(** [racy_locs d] is the sorted list of distinct racy location ids. *)
 val racy_locs : t -> int list

@@ -457,8 +457,6 @@ module Uf = struct
   (* Root payload accessors (valid at roots, like the former pk/pv). *)
   let kind_at t r = t.a.((stride * r) + 2)
   let view_at t r = t.a.((stride * r) + 3)
-  let set_kind t r k = t.a.((stride * r) + 2) <- k
-  let set_view t r v = t.a.((stride * r) + 3) <- v
 
   let reset t =
     let i = ref 0 in
@@ -482,22 +480,20 @@ module Sp = struct
      (innermost frame's on top; [fpbase] records where each frame's
      segment starts).
 
-     [lazy_note] defers inserting a frame into its own S set until the
-     first time its id is actually recorded in a shadow space ([note]).
-     Un-noted frames are never classified (only shadow contents are), and
-     a frame is only noted while live — when its S set can only have
-     absorbed other sets, never moved — so a noted frame joins exactly
-     the set the eager discipline would have it in and every verdict is
-     unchanged, while spawn-heavy programs whose frames never touch
-     instrumented memory (fib, knapsack skeletons) do no disjoint-set
-     work at all. *)
+     A frame enters its own S set only the first time its id is actually
+     recorded in a shadow space ([note]). Un-noted frames are never
+     classified (only shadow contents are), and a frame is only noted
+     while live — when its S set can only have absorbed other sets, never
+     moved — so a noted frame joins exactly the set it would have joined
+     had it been inserted at entry, while spawn-heavy programs whose
+     frames never touch instrumented memory (fib, knapsack skeletons) do
+     no disjoint-set work at all. *)
 
   let ks = 0
   let kp = 1
 
   type dstate = {
     uf : Uf.t;
-    lazy_note : bool;
     (* live-frame stack *)
     mutable ffid : int array;
     mutable fvid : int array; (* entry view id = the S bag's payload vid *)
@@ -510,10 +506,9 @@ module Sp = struct
     mutable np : int;
   }
 
-  let d_create ~lazy_note =
+  let d_create () =
     {
       uf = Uf.create ();
-      lazy_note;
       ffid = Array.make 64 0;
       fvid = Array.make 64 0;
       fsroot = Array.make 64 0;
@@ -540,13 +535,7 @@ module Sp = struct
     st.ffid.(i) <- frame;
     st.fvid.(i) <- vid;
     st.fpbase.(i) <- st.np;
-    if st.lazy_note then st.fsroot.(i) <- -1
-    else begin
-      Uf.insert st.uf frame;
-      Uf.set_kind st.uf frame ks;
-      Uf.set_view st.uf frame vid;
-      st.fsroot.(i) <- frame
-    end;
+    st.fsroot.(i) <- -1;
     if st.np >= Array.length st.proot then begin
       st.proot <- grow_stack st.proot 0 (st.np + 1);
       st.pvid <- grow_stack st.pvid 0 (st.np + 1)
@@ -559,10 +548,10 @@ module Sp = struct
       Obs.bump_bag_make ()
     end
 
-  (* First shadow recording of the (live, top) frame under [lazy_note]:
-     insert it into its own S set now. No root payload changes, so no
-     other frame's classification is affected; a second call is a no-op
-     because the id is already present. *)
+  (* First shadow recording of the (live, top) frame: insert it into its
+     own S set now. No root payload changes, so no other frame's
+     classification is affected; a second call is a no-op because the id
+     is already present. *)
   let d_note st ~frame =
     if not (Uf.mem st.uf frame) then begin
       let i = st.depth - 1 in
@@ -671,11 +660,9 @@ module Sp = struct
      subtree, a sync only those of its block's parallel children (the
      ones in its single epoch), and a reduce only those whose survivor
      is the popped epoch — so each reports exactly that bit, and events
-     between noted frames leave [Sp_hot]'s memo alone. Under eager
-     noting every frame is noted at entry, as dset inserts it. *)
+     between noted frames leave [Sp_hot]'s memo alone. *)
 
   type zstate = {
-    zlazy : bool;
     mutable next_epoch : int;
     (* live-frame stack *)
     mutable zfid : int array;
@@ -703,9 +690,8 @@ module Sp = struct
     mutable na : int;
   }
 
-  let z_create ~lazy_note =
+  let z_create () =
     {
-      zlazy = lazy_note;
       next_epoch = 0;
       zfid = Array.make 64 0;
       zvid = Array.make 64 0;
@@ -791,8 +777,7 @@ module Sp = struct
     st.zbit.(i) <- 0;
     st.zcb.(i) <- st.nc;
     st.zeb.(i) <- st.ne;
-    z_push_epoch st ~vid;
-    if not st.zlazy then z_note_top st ~frame
+    z_push_epoch st ~vid
 
   (* First shadow recording of the (live, top) frame; idempotent. *)
   let z_note st ~frame =
@@ -902,9 +887,9 @@ module Sp = struct
 
   type t = Sp_dset of dstate | Sp_depa of zstate
 
-  let create ?(lazy_note = false) = function
-    | Dset -> Sp_dset (d_create ~lazy_note)
-    | Depa -> Sp_depa (z_create ~lazy_note)
+  let create = function
+    | Dset -> Sp_dset (d_create ())
+    | Depa -> Sp_depa (z_create ())
 
   let backend = function Sp_dset _ -> Dset | Sp_depa _ -> Depa
 
@@ -958,11 +943,11 @@ module Peer = struct
   (* -------- dset backend: the seed's three bags over the flat arena --------
 
      Same flattening as [Sp]: each live frame's SS/SP/P bags are root
-     indices in parallel int stacks, and [lazy_note] defers inserting a
-     frame into its own SS set until its first recorded reducer-read
-     ([note_read]) — only shadow-recorded reader frames are ever queried
-     by [parallel_read], and a live frame's SS set only absorbs others,
-     so verdicts are unchanged. *)
+     indices in parallel int stacks, and a frame enters its own SS set
+     only at its first recorded reducer-read ([note_read]) — only
+     shadow-recorded reader frames are ever queried by [parallel_read],
+     and a live frame's SS set only absorbs others, so verdicts are
+     unchanged. *)
 
   let kss = 0
   let ksp = 1
@@ -970,7 +955,6 @@ module Peer = struct
 
   type dstate = {
     uf : Uf.t;
-    lazy_note : bool;
     mutable pfid : int array;
     mutable panc : int array;
     mutable pls : int array;
@@ -980,10 +964,9 @@ module Peer = struct
     mutable depth : int;
   }
 
-  let d_create ~lazy_note =
+  let d_create () =
     {
       uf = Uf.create ();
-      lazy_note;
       pfid = Array.make 64 0;
       panc = Array.make 64 0;
       pls = Array.make 64 0;
@@ -1022,12 +1005,7 @@ module Peer = struct
     st.pfid.(i) <- frame;
     st.panc.(i) <- anc;
     st.pls.(i) <- 0;
-    if st.lazy_note then st.pss.(i) <- -1
-    else begin
-      Uf.insert st.uf frame;
-      Uf.set_kind st.uf frame kss;
-      st.pss.(i) <- frame
-    end;
+    st.pss.(i) <- -1;
     st.psp.(i) <- -1;
     st.pp.(i) <- -1;
     if Obs.enabled () then begin
@@ -1063,8 +1041,7 @@ module Peer = struct
       Uf.union_into st.uf ~src:st.psp.(i) ~dst:st.pp.(i) ~dkind:kp ~dvid:0;
     st.psp.(i) <- -1
 
-  (* Lazy first-read insertion (no-op when the frame is already present,
-     which is always the case under the eager discipline). *)
+  (* First-read insertion (a no-op when the frame is already present). *)
   let d_note st ~frame =
     if not (Uf.mem st.uf frame) then begin
       let i = st.depth - 1 in
@@ -1238,8 +1215,8 @@ module Peer = struct
 
   type t = Peer_dset of dstate | Peer_depa of pstate
 
-  let create ?(lazy_note = false) = function
-    | Dset -> Peer_dset (d_create ~lazy_note)
+  let create = function
+    | Dset -> Peer_dset (d_create ())
     | Depa ->
         Peer_depa
           { pstack = Dynarr.create (); ppool = Dynarr.create (); rtab = Dynarr.create () }

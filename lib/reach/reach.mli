@@ -124,9 +124,9 @@ end
 (** {2 SP+ precedence core}
 
     Owns the per-frame S/P classification state of the SP+ detector: the
-    caller (Sp_plus, Sp_order) keeps shadow spaces, frame kinds and report
-    collection, and forwards the engine's frame/sync/steal/reduce events
-    verbatim. Queries are anchored at the current (top) frame. *)
+    caller ([Rader_runtime.Sp_hot]) keeps shadow spaces, frame kinds and
+    report collection, and forwards the engine's frame/sync/steal/reduce
+    events verbatim. Queries are anchored at the current (top) frame. *)
 module Sp : sig
   type t
 
@@ -136,15 +136,14 @@ module Sp : sig
       opened it, or the enclosing frame's entry view). *)
   type cls = Serial | Parallel of int
 
-  (** [lazy_note] (default false) defers the per-frame work until
-      {!note}: inserting the frame into its own S set ([Dset]), copying
-      its fingerprint ([Depa]). Classification of noted frames is
-      unchanged, but callers must then {!note} every frame id they later
-      pass to {!classify} while that frame is the current one. The hot
-      detector cores use this: only shadow-recorded frames are ever
-      classified, so spawn-heavy programs that never touch instrumented
-      memory do no per-frame precedence work at all. *)
-  val create : ?lazy_note:bool -> backend -> t
+  (** Per-frame work is deferred until {!note}: inserting the frame into
+      its own S set ([Dset]), copying its fingerprint ([Depa]). Callers
+      must {!note} every frame id they later pass to {!classify} while
+      that frame is the current one; a frame never noted classifies
+      [Serial]. The SP+ core only classifies shadow-recorded frames, so
+      spawn-heavy programs that never touch instrumented memory do no
+      per-frame precedence work at all. *)
+  val create : backend -> t
 
   val backend : t -> backend
 
@@ -175,10 +174,9 @@ module Sp : sig
       [Shadow.absent] themselves, as the seed did). *)
   val classify : t -> int -> cls
 
-  (** Under [lazy_note], record that the current (top) frame's id is
-      about to be stored in a shadow space: inserts it into its own S
-      set ([Dset]) or copies its fingerprint ([Depa]). Idempotent; a
-      no-op under the eager default. *)
+  (** Record that the current (top) frame's id is about to be stored in
+      a shadow space: inserts it into its own S set ([Dset]) or copies
+      its fingerprint ([Depa]). Idempotent. *)
   val note : t -> frame:int -> unit
 
   (** View id of the current strand (the top P bag of the top frame). *)
@@ -193,11 +191,10 @@ end
 module Peer : sig
   type t
 
-  (** [lazy_note] (default false): defer inserting frames into their own
-      SS sets until their first {!note_read}. Only shadow-recorded reader
-      frames are ever queried by {!parallel_read}, so verdicts are
-      unchanged. No effect on [Depa]. *)
-  val create : ?lazy_note:bool -> backend -> t
+  (** Frames enter their own SS sets ([Dset]) only at their first
+      {!note_read}: only shadow-recorded reader frames are ever queried
+      by {!parallel_read}. *)
+  val create : backend -> t
 
   val backend : t -> backend
   val reset : t -> unit

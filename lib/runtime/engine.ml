@@ -80,7 +80,6 @@ type t = {
   rreads_log : (int * int) Dynarr.t;
   aux_log : (Tool.frame_kind * int * int) Dynarr.t;
   spawn_log : (int * int * int) Dynarr.t;
-  spawn_conts_log : (Steal_spec.cont_info * int * int) Dynarr.t;
   frames_log : (int * int * bool * Tool.frame_kind) Dynarr.t;
   reducer_merges :
     (ctx -> from_region:int -> into_region:int -> unit) Dynarr.t;
@@ -162,12 +161,6 @@ and online_ops = {
 
 let no_ost = Obj.repr ()
 
-(* Batching is off for a bare [Null] stack (nothing to deliver to — the
-   empty-tool baseline keeps the seed's per-access cost) and whenever an
-   [Extern] arm is present (external tools may observe interleaving, e.g.
-   the chaos harness counts events to pick an injection point). *)
-let spans_of_tool = function Tool.Null -> false | t -> Tool.spans_ok t
-
 let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     ?max_events ?deadline ?(clock = Unix.gettimeofday) () =
   {
@@ -185,7 +178,6 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     rreads_log = Dynarr.create ();
     aux_log = Dynarr.create ();
     spawn_log = Dynarr.create ();
-    spawn_conts_log = Dynarr.create ();
     frames_log = Dynarr.create ();
     reducer_merges = Dynarr.create ();
     pending_deps = [];
@@ -209,7 +201,7 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     c_reducer_reads = 0;
     online = None;
     contract_mu = Mutex.create ();
-    spans_on = spans_of_tool tool;
+    spans_on = Tool.spans_ok tool;
     pend_kind = 0;
     pend_frame = -1;
     pend_va = false;
@@ -223,7 +215,7 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
 let set_tool t tool =
   if t.state <> Fresh then err "Engine.set_tool: engine already running";
   t.tool <- tool;
-  t.spans_on <- spans_of_tool tool
+  t.spans_on <- Tool.spans_ok tool
 
 (* Recycle an engine for another run: every counter and log goes back to
    its [create] value, but the arenas behind the Dynarrs and the location
@@ -248,7 +240,6 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
   Dynarr.clear t.rreads_log;
   Dynarr.clear t.aux_log;
   Dynarr.clear t.spawn_log;
-  Dynarr.clear t.spawn_conts_log;
   Dynarr.clear t.frames_log;
   Dynarr.clear t.reducer_merges;
   t.pending_deps <- [];
@@ -271,7 +262,7 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
   t.c_writes <- 0;
   t.c_reducer_reads <- 0;
   t.online <- None;
-  t.spans_on <- spans_of_tool tool;
+  t.spans_on <- Tool.spans_ok tool;
   t.pend_kind <- 0
 
 let dag_kind_of_frame_kind = function
@@ -522,10 +513,8 @@ let serial_spawn ctx f =
   end;
   (* Continuation after a spawn depends only on the spawn strand. *)
   fr_continue t pf ~preds:[ spawn_strand ];
-  if t.record then begin
+  if t.record then
     Dynarr.push t.spawn_log (info.Steal_spec.spawn_index, spawn_strand, pf.cur_node);
-    Dynarr.push t.spawn_conts_log (info, spawn_strand, pf.cur_node)
-  end;
   fut
 
 let spawn ctx f =
@@ -727,7 +716,6 @@ let merges t = Dynarr.to_list t.merges_log
 let reducer_reads t = Dynarr.to_list t.rreads_log
 let aux_frames t = Dynarr.to_list t.aux_log
 let spawn_log t = Dynarr.to_list t.spawn_log
-let spawn_conts t = Dynarr.to_list t.spawn_conts_log
 let frames t = Dynarr.to_list t.frames_log
 
 (* -------- low-level hooks -------- *)

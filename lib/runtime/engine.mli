@@ -77,7 +77,9 @@ val set_tool : t -> Tool.t -> unit
     — the batching primitive behind the parallel coverage sweep, where one
     engine per worker domain replays hundreds of steal specifications.
     Contexts, futures, location ids and recorded traces obtained before
-    the reset are dangling and must not be used.
+    the reset are dangling and must not be used. Like [create], the tool
+    defaults to {!Tool.null}: pass [~tool] to keep a detector installed
+    (and reset the detector itself, e.g. [Sp_hot.reset]).
     @raise Cilk_error if called while the engine is running. *)
 val reset :
   ?tool:Tool.t ->
@@ -213,14 +215,6 @@ val aux_frames : t -> (Tool.frame_kind * int * int) list
     the work-stealing simulator needs to translate simulated steals back
     into a {!Steal_spec.t}. *)
 val spawn_log : t -> (int * int * int) list
-
-(** [spawn_conts t] is the same log with the full steal coordinates: for
-    every spawn in serial order,
-    [(cont_info, spawn_strand, continuation_strand)]. The [cont_info]
-    carries the (frame, depth, local_index, sync_block) coordinates a
-    steal-spec shape matches on — what the symbolic verifier needs to
-    name the witness spec that steals exactly this continuation. *)
-val spawn_conts : t -> (Steal_spec.cont_info * int * int) list
 
 (** [frames t] is, for every frame in creation order,
     [(frame, parent, spawned, kind)] ([parent = -1] for the root). *)

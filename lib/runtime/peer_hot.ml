@@ -2,44 +2,33 @@ module Reach = Rader_reach.Reach
 module Shadow = Rader_memory.Shadow
 module Obs = Rader_obs.Obs
 
-(* The Peer-Set detector's hot path: the precedence core (with lazy SS
-   insertion), the per-reducer reader/spawn-count shadows, and the Lemma-3
-   comparison. Report construction stays with the policy wrapper
-   ([Rader_core.Peer_set]) via [on_race].
-
-   Auxiliary (update/reduce/identity) frames are not Cilk functions in
-   the peer-set sense and cannot perform reducer-reads (the engine
-   forbids it); filtering them here makes the algorithm's verdicts
-   independent of the steal specification, since view-read races are
-   defined on the user dag. *)
-
-type on_race = reducer:int -> first_frame:int -> second_frame:int -> unit
-
 type t = {
   reach : Reach.Peer.t;
   reader : Shadow.t; (* reducer id -> last reader frame *)
   reader_sc : Shadow.t; (* reducer id -> spawn count of last reader *)
-  mutable on_race : on_race;
+  collector : Report.collector;
+  strand : unit -> int;
 }
 
-let no_race ~reducer:_ ~first_frame:_ ~second_frame:_ = ()
-
-let create ?(backend = Reach.Dset) () =
+let create ?(backend = Reach.Dset) ~strand () =
   {
-    reach = Reach.Peer.create ~lazy_note:true backend;
+    reach = Reach.Peer.create backend;
     reader = Shadow.create ();
     reader_sc = Shadow.create ();
-    on_race = no_race;
+    collector = Report.collector ();
+    strand;
   }
-
-let set_on_race t f = t.on_race <- f
 
 let backend t = Reach.Peer.backend t.reach
 
 let reset t =
   Reach.Peer.reset t.reach;
   Shadow.clear t.reader;
-  Shadow.clear t.reader_sc
+  Shadow.clear t.reader_sc;
+  Report.clear t.collector
+
+let races t = Report.races t.collector
+let found t = Report.count t.collector > 0
 
 let frame_enter t ~frame ~spawned ~kind =
   if kind = Frame_kind.User_fn then
@@ -63,7 +52,20 @@ let reducer_read t ~frame ~reducer =
       Reach.Peer.parallel_read t.reach ~reducer ~frame:last
       || Shadow.get t.reader_sc reducer <> sc
     in
-    if racy then t.on_race ~reducer ~first_frame:last ~second_frame:frame
+    if racy then
+      Report.report t.collector
+        {
+          Report.kind = Report.View_read_race;
+          subject = reducer;
+          subject_label = Printf.sprintf "reducer #%d" reducer;
+          first_frame = last;
+          first_access = Report.Reducer_read;
+          second_frame = frame;
+          second_access = Report.Reducer_read;
+          second_strand = t.strand ();
+          second_view_aware = false;
+          detail = "reducer-reads have different peer sets";
+        }
   end;
   Shadow.set t.reader reducer frame;
   Shadow.set t.reader_sc reducer sc;

@@ -1,20 +1,12 @@
 module Reach = Rader_reach.Reach
 module Shadow = Rader_memory.Shadow
 
-(* The SP+ detector's hot path, defunctionalized. This module owns
-   everything touched per event — the precedence core, the reader/writer
-   shadow spaces and the frame-kind stack — as flat state the [Tool]
-   variant dispatches into with a single match. Report construction is
-   cold and stays with the policy wrapper ([Rader_core.Sp_plus]), which
-   installs [on_race]; the callback carries only raw ints/bools so this
-   module needs no dependency on the report machinery.
+(* Two hot-path savings over the seed's closure-record detector:
 
-   Two hot-path savings over the seed's closure-record detector:
-
-   - the precedence core runs with [lazy_note]: frames enter the
-     disjoint-set forest only when their id is first recorded in a shadow
-     space, so programs whose frames never touch instrumented memory do
-     no set work at all;
+   - the precedence core notes lazily: frames enter the disjoint-set
+     forest (dset) or copy their fingerprint (depa) only when their id is
+     first recorded in a shadow space, so programs whose frames never
+     touch instrumented memory do no set work at all;
    - a two-slot classification memo keyed by a structural generation
      counter, bumped only when the backend reports that an event actually
      moved a noted frame (a payload-carrying union under dset, a noted
@@ -22,18 +14,10 @@ module Shadow = Rader_memory.Shadow
      no-ops under both): within one strand the SP relation is
      constant, so a span of accesses over the same recorded frame costs
      one reachability query, and pure-control frame churn between spans
-     costs none. *)
+     costs none.
 
-type on_race =
-  loc:int ->
-  first_frame:int ->
-  first_is_write:bool ->
-  second_frame:int ->
-  second_is_write:bool ->
-  view_aware:bool ->
-  pv:int ->
-  cur:int ->
-  unit
+   Reports are cold: [label] and [strand] are called only when a race is
+   found. *)
 
 type t = {
   reach : Reach.Sp.t;
@@ -53,12 +37,10 @@ type t = {
   mutable m1_gen : int;
   mutable m1_u : int;
   mutable m1_res : int;
-  mutable on_race : on_race;
+  collector : Report.collector;
+  label : int -> string;
+  strand : unit -> int;
 }
-
-let no_race ~loc:_ ~first_frame:_ ~first_is_write:_ ~second_frame:_
-    ~second_is_write:_ ~view_aware:_ ~pv:_ ~cur:_ =
-  ()
 
 let kind_code = function
   | Frame_kind.User_fn -> 0
@@ -68,9 +50,9 @@ let kind_code = function
 
 let reduce_code = 2
 
-let create ?(backend = Reach.Dset) () =
+let create ?(backend = Reach.Dset) ~label ~strand () =
   {
-    reach = Reach.Sp.create ~lazy_note:true backend;
+    reach = Reach.Sp.create backend;
     reader = Shadow.create ();
     writer = Shadow.create ();
     fids = Array.make 64 0;
@@ -83,10 +65,10 @@ let create ?(backend = Reach.Dset) () =
     m1_gen = -1;
     m1_u = -1;
     m1_res = -1;
-    on_race = no_race;
+    collector = Report.collector ();
+    label;
+    strand;
   }
-
-let set_on_race t f = t.on_race <- f
 
 let backend t = Reach.Sp.backend t.reach
 
@@ -94,8 +76,13 @@ let reset t =
   Reach.Sp.reset t.reach;
   Shadow.clear t.reader;
   Shadow.clear t.writer;
+  Report.clear t.collector;
   t.depth <- 0;
   t.gen <- t.gen + 1
+
+let races t = Report.races t.collector
+let found t = Report.count t.collector > 0
+let racy_locs t = Report.racy_subjects t.collector
 
 (* -------- structural events -------- *)
 
@@ -172,17 +159,39 @@ let classify t u =
     res
   end
 
+let access_of_write w = if w then Report.Write else Report.Read
+
+(* [pv]/[cur] are the recorded and current view ids, meaningful only when
+   the second access is view-aware (the race is then a cross-view one). *)
+let report t ~loc ~first_frame ~first_is_write ~second_frame ~second_is_write
+    ~view_aware ~pv ~cur =
+  Report.report t.collector
+    {
+      Report.kind = Report.Determinacy_race;
+      subject = loc;
+      subject_label = t.label loc;
+      first_frame;
+      first_access = access_of_write first_is_write;
+      second_frame;
+      second_access = access_of_write second_is_write;
+      second_strand = t.strand ();
+      second_view_aware = view_aware;
+      detail =
+        (if view_aware then Printf.sprintf "parallel views %d vs %d" pv cur
+         else "");
+    }
+
 let check t ~loc ~frame ~view_aware ~first_frame ~first_is_write
     ~second_is_write =
   let pv = classify t first_frame in
   if pv >= 0 then
     if not view_aware then
-      t.on_race ~loc ~first_frame ~first_is_write ~second_frame:frame
+      report t ~loc ~first_frame ~first_is_write ~second_frame:frame
         ~second_is_write ~view_aware ~pv ~cur:0
     else begin
       let cur = Reach.Sp.cur_view t.reach in
       if pv <> cur then
-        t.on_race ~loc ~first_frame ~first_is_write ~second_frame:frame
+        report t ~loc ~first_frame ~first_is_write ~second_frame:frame
           ~second_is_write ~view_aware ~pv ~cur
     end
 

@@ -27,7 +27,6 @@ type t =
   | Null
   | Sp_plus of Sp_hot.t
   | Peer_set of Peer_hot.t
-  | Both of t * t
   | Extern of hooks
 
 let null = Null
@@ -35,108 +34,72 @@ let sp_plus d = Sp_plus d
 let peer_set d = Peer_set d
 let extern h = Extern h
 
-(* Allocation-free for the common cases: chaining with [null] returns the
-   other tool physically unchanged (no wrapper closures, no wrapper
-   node), so [chain t null == t]. *)
-let chain a b =
-  match (a, b) with Null, t | t, Null -> t | a, b -> Both (a, b)
-
-let both = chain
-
 (* -------- event dispatch --------
 
    One match per event. The [Sp_plus]/[Peer_set] arms are direct calls
-   into the flat detector cores; [Both] recurses (tool stacks are tiny in
-   practice — two or three tools); [Extern] is the escape hatch carrying
+   into the flat detector cores; [Extern] is the escape hatch carrying
    the seed's closure record. *)
 
-let rec frame_enter t ~frame ~parent ~spawned ~kind =
+let frame_enter t ~frame ~parent ~spawned ~kind =
   match t with
   | Null -> ()
   | Sp_plus d -> Sp_hot.frame_enter d ~frame ~kind
   | Peer_set d -> Peer_hot.frame_enter d ~frame ~spawned ~kind
-  | Both (a, b) ->
-      frame_enter a ~frame ~parent ~spawned ~kind;
-      frame_enter b ~frame ~parent ~spawned ~kind
   | Extern h -> h.on_frame_enter ~frame ~parent ~spawned ~kind
 
-let rec frame_return t ~frame ~parent ~spawned ~kind =
+let frame_return t ~frame ~parent ~spawned ~kind =
   match t with
   | Null -> ()
   | Sp_plus d -> Sp_hot.frame_return d ~frame ~spawned
   | Peer_set d -> Peer_hot.frame_return d ~frame ~spawned ~kind
-  | Both (a, b) ->
-      frame_return a ~frame ~parent ~spawned ~kind;
-      frame_return b ~frame ~parent ~spawned ~kind
   | Extern h -> h.on_frame_return ~frame ~parent ~spawned ~kind
 
-let rec sync t ~frame =
+let sync t ~frame =
   match t with
   | Null -> ()
   | Sp_plus d -> Sp_hot.sync d ~frame
   | Peer_set d -> Peer_hot.sync d ~frame
-  | Both (a, b) ->
-      sync a ~frame;
-      sync b ~frame
   | Extern h -> h.on_sync ~frame
 
-let rec steal t ~frame ~region =
+let steal t ~frame ~region =
   match t with
   | Null | Peer_set _ -> ()
   | Sp_plus d -> Sp_hot.steal d ~frame ~region
-  | Both (a, b) ->
-      steal a ~frame ~region;
-      steal b ~frame ~region
   | Extern h -> h.on_steal ~frame ~region
 
-let rec reduce t ~frame ~into_region ~from_region =
+let reduce t ~frame ~into_region ~from_region =
   match t with
   | Null | Peer_set _ -> ()
   | Sp_plus d -> Sp_hot.reduce d ~frame
-  | Both (a, b) ->
-      reduce a ~frame ~into_region ~from_region;
-      reduce b ~frame ~into_region ~from_region
   | Extern h -> h.on_reduce ~frame ~into_region ~from_region
 
-let rec read t ~frame ~loc ~view_aware =
+let read t ~frame ~loc ~view_aware =
   match t with
   | Null | Peer_set _ -> ()
   | Sp_plus d -> Sp_hot.read d ~frame ~loc ~view_aware
-  | Both (a, b) ->
-      read a ~frame ~loc ~view_aware;
-      read b ~frame ~loc ~view_aware
   | Extern h -> h.on_read ~frame ~loc ~view_aware
 
-let rec write t ~frame ~loc ~view_aware =
+let write t ~frame ~loc ~view_aware =
   match t with
   | Null | Peer_set _ -> ()
   | Sp_plus d -> Sp_hot.write d ~frame ~loc ~view_aware
-  | Both (a, b) ->
-      write a ~frame ~loc ~view_aware;
-      write b ~frame ~loc ~view_aware
   | Extern h -> h.on_write ~frame ~loc ~view_aware
 
-let rec reducer_read t ~frame ~reducer =
+let reducer_read t ~frame ~reducer =
   match t with
   | Null | Sp_plus _ -> ()
   | Peer_set d -> Peer_hot.reducer_read d ~frame ~reducer
-  | Both (a, b) ->
-      reducer_read a ~frame ~reducer;
-      reducer_read b ~frame ~reducer
   | Extern h -> h.on_reducer_read ~frame ~reducer
 
-(* Span events: the engine only batches when [spans_ok] (no [Extern] arm
-   anywhere in the stack), so the [Extern] fallback loop below is
-   defensive — an external tool driven directly with a span sees the same
-   per-access calls it would have seen unbatched. *)
+(* Span events: the engine only batches when [spans_ok] (never for
+   [Extern]), so the [Extern] fallback loop below is defensive — an
+   external tool driven directly with a span sees the same per-access
+   calls it would have seen unbatched. *)
 
-let rec read_span t ~frame ~base ~len ~stride ~view_aware =
+let read_span t ~frame ~base ~len ~stride ~view_aware =
   match t with
   | Null | Peer_set _ -> ()
   | Sp_plus d -> Sp_hot.read_span d ~frame ~base ~len ~stride ~view_aware
-  | Both (a, b) ->
-      read_span a ~frame ~base ~len ~stride ~view_aware;
-      read_span b ~frame ~base ~len ~stride ~view_aware
   | Extern h ->
       let loc = ref base in
       for _ = 1 to len do
@@ -144,13 +107,10 @@ let rec read_span t ~frame ~base ~len ~stride ~view_aware =
         loc := !loc + stride
       done
 
-let rec write_span t ~frame ~base ~len ~stride ~view_aware =
+let write_span t ~frame ~base ~len ~stride ~view_aware =
   match t with
   | Null | Peer_set _ -> ()
   | Sp_plus d -> Sp_hot.write_span d ~frame ~base ~len ~stride ~view_aware
-  | Both (a, b) ->
-      write_span a ~frame ~base ~len ~stride ~view_aware;
-      write_span b ~frame ~base ~len ~stride ~view_aware
   | Extern h ->
       let loc = ref base in
       for _ = 1 to len do
@@ -158,10 +118,9 @@ let rec write_span t ~frame ~base ~len ~stride ~view_aware =
         loc := !loc + stride
       done
 
-let rec spans_ok = function
-  | Null | Sp_plus _ | Peer_set _ -> true
-  | Both (a, b) -> spans_ok a && spans_ok b
-  | Extern _ -> false
+let spans_ok = function
+  | Sp_plus _ | Peer_set _ -> true
+  | Null | Extern _ -> false
 
 (* The seed's all-closures view of any tool, for code that predates the
    variant (and for the differential dispatch-parity tests, which drive

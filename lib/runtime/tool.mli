@@ -23,13 +23,14 @@
       and [Identity_fn] frames.
 
     What changed is the representation: a tool is no longer a record of
-    eight closures but a {e variant of known tool stacks}, so the
+    eight closures but a {e variant} naming one detector, so the
     per-event dispatch is a single match into flat detector state
     ({!Sp_hot}, {!Peer_hot}) instead of two indirect calls through a
-    closure pair. The old all-closures shape survives as {!hooks} behind
-    the {!extern} constructor — the escape hatch for tests, tracers and
-    ad-hoc tools — and {!chain} is allocation-free when either side is
-    {!null}. *)
+    closure pair. An engine runs one tool. The old all-closures shape
+    survives as {!hooks} behind the {!extern} constructor — the escape
+    hatch for tests, tracers, the baseline detectors and the chaos
+    harness, which composes SP+ with its fault injector by wrapping
+    {!hooks_of} in one [Extern]. *)
 
 (** Why a frame was created (re-exported from {!Frame_kind} so detector
     cores can match on kinds without depending on this module). *)
@@ -52,16 +53,10 @@ type hooks = {
 (** The seed's closure-record tool shape, kept as the [Extern] escape
     hatch. *)
 
-(** A tool stack. Constructors are exposed so the engine can match (e.g.
-    to disable span batching when an [Extern] arm is present); build
-    values with {!null}, {!sp_plus}, {!peer_set}, {!extern} and
-    {!chain}. *)
-type t =
-  | Null
-  | Sp_plus of Sp_hot.t
-  | Peer_set of Peer_hot.t
-  | Both of t * t
-  | Extern of hooks
+(** The tool an engine dispatches to: nothing, one detector core, or
+    one closure record. Build values with {!null}, {!sp_plus},
+    {!peer_set} and {!extern}. *)
+type t
 
 (** [null] ignores every event — the "empty tool" baseline of Fig. 8. *)
 val null : t
@@ -75,13 +70,6 @@ val extern : hooks -> t
 (** [hooks_null] ignores every event; use [{ hooks_null with ... }] to
     build partial external tools. *)
 val hooks_null : hooks
-
-(** [chain a b] dispatches every event to [a] then [b]. Chaining with
-    {!null} returns the other tool physically ([chain a null == a]). *)
-val chain : t -> t -> t
-
-(** [both] is {!chain} (the seed's name for it). *)
-val both : t -> t -> t
 
 (** {2 Event dispatch} — used by the engine; one match per event. *)
 
@@ -109,14 +97,17 @@ val write_span :
   t -> frame:int -> base:int -> len:int -> stride:int -> view_aware:bool -> unit
 
 (** [spans_ok t] — may the engine batch consecutive same-strand accesses
-    into span events for this stack? False iff an [Extern] arm is present
-    (external tools may observe event interleaving, e.g. the chaos
-    harness). *)
+    into span events for this tool? True for the two detectors; false
+    for [Null] (the empty-tool baseline keeps the seed's per-access cost)
+    and for [Extern] (external tools may observe event interleaving, e.g.
+    the chaos harness counts events to pick an injection point). *)
 val spans_ok : t -> bool
 
 (** The all-closures view of a tool: every hook forwards to the variant
     dispatch. Used by the dispatch-parity tests to drive the same
-    detector state through the seed's closure-record path. *)
+    detector state through the seed's closure-record path, and by the
+    chaos harness to put SP+ and its fault injector behind one
+    [Extern]. *)
 val hooks_of : t -> hooks
 
 (** [is_view_aware_kind k] is true for [Update_fn], [Reduce_fn],

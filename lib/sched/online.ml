@@ -5,12 +5,12 @@ module Steal_trace = Rader_core.Steal_trace
 module Ws_deque = Rader_support.Ws_deque
 module Dynarr = Rader_support.Dynarr
 module Obs = Rader_obs.Obs
+module Loc = Rader_memory.Loc
 
 type config = {
   workers : int;
   seed : int;
   density : float;
-  reach : Rader_reach.Reach.backend;
   stripes : int option;
   max_events : int option;
   deadline : float option;
@@ -22,7 +22,6 @@ let default ?(workers = 2) ?(seed = 1) ?(density = 0.5) () =
     workers;
     seed;
     density;
-    reach = Rader_reach.Reach.Depa;
     stripes = None;
     max_events = None;
     deadline = None;
@@ -89,15 +88,19 @@ type ofr = {
 }
 
 (* One serially-ordered event on a frame. Mirrors exactly what consumes a
-   frame id or a strand id in the serial engine: a user child (fresh fid,
-   enter strand, subtree, implicit sync strand, then a continue strand on
-   this frame), an auxiliary frame (fresh fid + one strand; a continue
-   strand unless it is a reduce running inside a merge), or a sync
-   (unconditionally one strand, after the merge reduces). *)
+   frame, strand, location or reducer id in the serial engine: a user
+   child (fresh fid, enter strand, subtree, implicit sync strand, then a
+   continue strand on this frame), an auxiliary frame (fresh fid + one
+   strand; a continue strand unless it is a reduce running inside a
+   merge), a sync (unconditionally one strand, after the merge reduces),
+   an allocation of [n] locations starting at online id [base], or a
+   reducer registration under online id [rid]. *)
 and oitem =
   | It_user of ofr
   | It_aux of { continue : bool }
   | It_sync
+  | It_alloc of { base : int; n : int }
+  | It_reducer of int
 
 (* The [Obj.t] payload behind [Engine.ctx]: which frame, whether we are
    inside a view-aware auxiliary callback of it, and — if so — which
@@ -190,13 +193,13 @@ let with_slot st key ~fresh f =
 
 (* ---------- the runtime ---------- *)
 
-(* A race recorded during the run, with raw endpoint descriptors; the
-   (frame, strand) ids are resolved after all workers join, by replaying
-   the serial engine's numbering over the recorded item skeleton. *)
+(* A race recorded during the run, with raw endpoint descriptors and the
+   subject's online id; the serial (frame, strand, subject) ids are
+   resolved after all workers join, by replaying the serial engine's
+   numbering over the recorded item skeleton. *)
 type proto = {
   pr_kind : Report.race_kind;
   pr_subject : int;
-  pr_label : string;
   pr_first : ep;
   pr_first_access : Report.access_kind;
   pr_second : ep;
@@ -314,6 +317,17 @@ let steal_decision rt fr sord =
 
 let wid_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
+(* The frame whose code this domain is executing. Allocation and reducer
+   registration carry no context ([Cell.make eng], [Rvec] growth), so they
+   find their frame here; it is set wherever a worker starts or resumes a
+   frame's code: a child's start, the return from an inline child or a
+   call, and the resumption after [Spawned] or [Park]. Auxiliary callbacks
+   need nothing: they run inside their frame's code, on its executor, and
+   cannot spawn, call or sync. *)
+let cur_key : ofr option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let set_current fr = Domain.DLS.set cur_key (Some fr)
+
 let push_my rt task =
   let w = Domain.DLS.get wid_key in
   Ws_deque.push rt.deques.(w) task
@@ -337,7 +351,6 @@ let report_determinacy rt loc ~first ~first_access ~second ~second_access
     {
       pr_kind = Report.Determinacy_race;
       pr_subject = loc;
-      pr_label = Engine.loc_label rt.eng loc;
       pr_first = first;
       pr_first_access = first_access;
       pr_second = second;
@@ -350,7 +363,6 @@ let report_view_read rt reducer ~first ~second =
     {
       pr_kind = Report.View_read_race;
       pr_subject = reducer;
-      pr_label = Printf.sprintf "reducer #%d" reducer;
       pr_first = first;
       pr_first_access = Report.Reducer_read;
       pr_second = second;
@@ -543,7 +555,10 @@ let frame_sync rt ctx fr =
   Mutex.lock fr.lock;
   let pending = fr.outstanding > 0 in
   Mutex.unlock fr.lock;
-  if pending then Effect.perform (Park fr);
+  if pending then begin
+    Effect.perform (Park fr);
+    set_current fr
+  end;
   merge_regions rt ctx fr;
   (* the serial engine allocates a sync strand unconditionally, after the
      merge reduces *)
@@ -566,6 +581,7 @@ let require_user o what =
    children, nothing for inline ones). *)
 let child_main rt child fut f ~after =
   bump rt;
+  set_current child;
   let cctx = user_ctx rt child in
   let v = f cctx in
   frame_sync rt cctx child;
@@ -626,6 +642,7 @@ let spawn_impl : type a. rt -> Engine.ctx -> (Engine.ctx -> a) -> a Engine.futur
        continuation — its parks suspend the whole serial chain, which is
        the continuation's serial position anyway. *)
     child_main rt child fut f ~after:(fun () -> ());
+  set_current fr;
   fut
 
 let call_impl : type a. rt -> Engine.ctx -> (Engine.ctx -> a) -> a =
@@ -651,9 +668,11 @@ let call_impl : type a. rt -> Engine.ctx -> (Engine.ctx -> a) -> a =
   in
   Dynarr.push fr.items (It_user child);
   bump rt;
+  set_current child;
   let cctx = user_ctx rt child in
   let v = f cctx in
   frame_sync rt cctx child;
+  set_current fr;
   v
 
 let get_impl : type a. rt -> Engine.ctx -> a Engine.future -> a =
@@ -706,17 +725,28 @@ let emit_reducer_read_impl rt ctx red =
   if o.aux_kind = Tool.User_fn then
     peer_read rt red (point_of o) (o.fr.sc_entry + o.fr.ls) (ep_of o)
 
+(* Ids are handed out in arrival order; the item pushed on the current
+   frame lets the post-run walk renumber them in serial order. *)
+let current_frame () =
+  match Domain.DLS.get cur_key with
+  | Some fr -> fr
+  | None -> err "allocation outside any frame's code"
+
 let register_reducer_impl rt ~merge =
+  let fr = current_frame () in
   Mutex.lock rt.merges_mu;
   let id = Dynarr.length rt.merges in
   Dynarr.push rt.merges merge;
   Mutex.unlock rt.merges_mu;
+  Dynarr.push fr.items (It_reducer id);
   id
 
 let alloc_locs_impl rt ~label n =
+  let fr = current_frame () in
   Mutex.lock rt.alloc_mu;
   let base = Engine.raw_alloc_locs rt.eng ~label n in
   Mutex.unlock rt.alloc_mu;
+  Dynarr.push fr.items (It_alloc { base; n });
   base
 
 (* Resolve a region id against the frame's reachable regions: its current
@@ -773,7 +803,8 @@ let worker rt w first =
    subtree (ending in its implicit sync strand) precedes a "cont" strand
    on the parent; an auxiliary frame consumes a fresh frame id plus one
    strand, then a "cont" strand unless it was a reduce inside a merge;
-   every sync allocates one strand after its merge reduces. A depth-first
+   every sync allocates one strand after its merge reduces; locations
+   and reducer ids are handed out in allocation order. A depth-first
    walk applying those rules to [items] therefore reproduces the exact
    ids a serial replay of the recorded steal trace assigns (trace replays
    use the at-sync reduce policy, so no merges happen at steal time). *)
@@ -783,10 +814,13 @@ type serial_ids = {
       (* online fid -> strand after k recorded items, k = 0..n *)
   si_auxs : (int * int, int * int) Hashtbl.t;
       (* (online fid, item index) -> aux (serial fid, strand) *)
+  si_locs : int array;  (* online location id -> serial id *)
+  si_reducers : int array;  (* online reducer id -> serial id *)
 }
 
-let resolve_serial_ids root =
+let resolve_serial_ids root ~n_locs ~n_reducers =
   let next_fid = ref 0 and next_strand = ref 0 in
+  let next_loc = ref 0 and next_reducer = ref 0 in
   let fresh r =
     let v = !r in
     incr r;
@@ -797,6 +831,8 @@ let resolve_serial_ids root =
       si_fids = Hashtbl.create 64;
       si_segs = Hashtbl.create 64;
       si_auxs = Hashtbl.create 16;
+      si_locs = Array.make n_locs (-1);
+      si_reducers = Array.make n_reducers (-1);
     }
   in
   let rec dfs fr =
@@ -816,7 +852,16 @@ let resolve_serial_ids root =
             let astrand = fresh next_strand in
             Hashtbl.replace ids.si_auxs (fr.fid, i) (afid, astrand);
             if continue then fresh next_strand else seg.(i)
-        | It_sync -> fresh next_strand (* "sync" *))
+        | It_sync -> fresh next_strand (* "sync" *)
+        | It_alloc { base; n } ->
+            for k = 0 to n - 1 do
+              ids.si_locs.(base + k) <- !next_loc + k
+            done;
+            next_loc := !next_loc + n;
+            seg.(i)
+        | It_reducer rid ->
+            ids.si_reducers.(rid) <- fresh next_reducer;
+            seg.(i))
     done;
     Hashtbl.replace ids.si_segs fr.fid seg
   in
@@ -839,7 +884,15 @@ let base_detail = function
       "online: structurally parallel accesses, at least one a write"
   | Report.View_read_race -> "online: reducer-reads with different peer sets"
 
-let resolve_report ids p =
+let resolve_report rt ids p =
+  let subject, subject_label =
+    match p.pr_kind with
+    | Report.Determinacy_race ->
+        (ids.si_locs.(p.pr_subject), Engine.loc_label rt.eng p.pr_subject)
+    | Report.View_read_race ->
+        let r = ids.si_reducers.(p.pr_subject) in
+        (r, Printf.sprintf "reducer #%d" r)
+  in
   let detail = base_detail p.pr_kind in
   let first_frame, second_frame, second_strand, detail =
     match (ep_ids ids p.pr_first, ep_ids ids p.pr_second) with
@@ -848,8 +901,8 @@ let resolve_report ids p =
   in
   {
     Report.kind = p.pr_kind;
-    subject = p.pr_subject;
-    subject_label = p.pr_label;
+    subject;
+    subject_label;
     first_frame;
     first_access = p.pr_first_access;
     second_frame;
@@ -876,10 +929,6 @@ let run cfg program =
   if cfg.workers < 1 then invalid_arg "Online.run: workers must be >= 1";
   if not (cfg.density >= 0. && cfg.density <= 1.) then
     invalid_arg "Online.run: density must be in [0, 1]";
-  if cfg.reach <> Rader_reach.Reach.Depa then
-    invalid_arg
-      "Online.run: the dset backend is serially anchored (replay-only); \
-       online detection requires --reach depa";
   let n_stripes = stripe_count cfg in
   let eng = Engine.create () in
   let rt =
@@ -944,6 +993,7 @@ let run cfg program =
   in
   let root_task () =
     run_comp rt (fun () ->
+        set_current root;
         let ctx = user_ctx rt root in
         let v = program ctx in
         frame_sync rt ctx root;
@@ -970,6 +1020,8 @@ let run cfg program =
   in
   body 0 (Some root_task) ();
   Array.iter Domain.join others;
+  (* drop this domain's reference to the run's frame tree *)
+  Domain.DLS.set cur_key None;
   Engine.clear_online eng;
   let value =
     match rt.failure with
@@ -992,8 +1044,12 @@ let run cfg program =
       else
         (* all workers have joined: the item skeleton is complete and
            quiescent, so the numbering walk needs no locks *)
-        let ids = resolve_serial_ids root in
-        List.map (resolve_report ids) protos
+        let ids =
+          resolve_serial_ids root
+            ~n_locs:(Loc.count (Engine.loc_registry eng))
+            ~n_reducers:(Dynarr.length rt.merges)
+        in
+        List.map (resolve_report rt ids) protos
     in
     List.sort
       (fun a b ->

@@ -30,7 +30,7 @@
     retention argument makes the racy-location set independent of arrival
     order). Precedence queries go to the fingerprint oracle
     ([Reach.Fp.relate]) — queries mutate nothing, so workers race with
-    nothing; the [dset] backend is replay-only and rejected here. The SP+
+    nothing (the serially anchored [dset] bags are replay-only). The SP+
     view rule compares the earlier point's surviving region (the LCA
     child-edge entry region — exact under the at-sync reduce policy this
     runtime implements) with the later point's region; the Peer-Set rule
@@ -59,9 +59,6 @@ type config = {
   workers : int;  (** worker domains, >= 1 (1 = this domain only) *)
   seed : int;  (** seeds structural steal decisions and victim choice *)
   density : float;  (** probability a spawn's continuation is stolen *)
-  reach : Rader_reach.Reach.backend;
-      (** precedence backend; must be [Depa] (the [dset] oracle is
-          serially anchored and replay-only) *)
   stripes : int option;
       (** shadow-space lock stripes, rounded up to a power of two;
           [None] derives [max 64 (pow2 (workers * 16))]. Striping only
@@ -71,8 +68,8 @@ type config = {
   clock : (unit -> float) option;  (** default [Unix.gettimeofday] *)
 }
 
-(** [default ()] is 2 workers, seed 1, density 0.5, [Depa], derived
-    striping, no budgets. *)
+(** [default ()] is 2 workers, seed 1, density 0.5, derived striping, no
+    budgets. *)
 val default : ?workers:int -> ?seed:int -> ?density:float -> unit -> config
 
 type outcome = {
@@ -94,8 +91,8 @@ type outcome = {
 
 (** [run cfg program] executes [program] on [cfg.workers] domains (the
     calling domain is worker 0) with on-the-fly detection.
-    @raise Invalid_argument if [workers < 1], [density] is outside
-    [0..1], or [cfg.reach] is [Dset]. *)
+    @raise Invalid_argument if [workers < 1] or [density] is outside
+    [0..1]. *)
 val run : config -> (Engine.ctx -> int) -> outcome
 
 (** Canonical one-line rendering of a verdict's racy subjects, e.g.

@@ -9,7 +9,7 @@
      queue => Retry_after, never blocking the socket);
    - a pool of worker *domains* drains the queue; each worker owns one
      engine + SP+ detector pair and recycles it per request
-     (Engine.reset / Sp_plus.reset), so steady-state checking does no
+     (Engine.reset ~tool / Sp_plus.reset), so steady-state checking does no
      per-request arena allocation;
    - a supervisor thread joins dead workers and respawns them with fresh
      arenas under a restart budget (N restarts per rolling window);
@@ -209,7 +209,7 @@ let partial_deadline_verdict ~kind ~abs_deadline =
     }
 
 let serve_check (eng, det) prog ~spec ~max_events ~deadline =
-  Engine.reset ~spec ~max_events ~deadline eng;
+  Engine.reset ~tool:(Sp_plus.tool det) ~spec ~max_events ~deadline eng;
   Sp_plus.reset det;
   let verdict = Engine.run_result eng prog in
   let races = List.map Report.to_string (Sp_plus.races det) in

@@ -71,37 +71,47 @@ type outcome = {
 
 exception Chaos_injected
 
-(* Run [program] under SP+ with an optional extra (chaos) tool, through
-   the contained entry point. The detector is first in the composition so
-   it records each event before the chaos tool gets a chance to raise. *)
-let contained_run ?extra_tool ?max_events ?deadline ?clock ~spec program =
+(* Run [program] under SP+ through the contained entry point. An engine
+   runs one tool, so with a [tick] injector SP+ and the injector share one
+   [Extern] record: [tick] runs after SP+ on every frame entry, read and
+   write, so the detector records each event before the injector gets a
+   chance to raise. *)
+let contained_run ?tick ?max_events ?deadline ?clock ~spec program =
   let eng = Engine.create ~spec ?max_events ?deadline ?clock () in
   let d = Sp_plus.create eng in
   let tool =
-    match extra_tool with
+    match tick with
     | None -> Sp_plus.tool d
-    | Some t -> Tool.both (Sp_plus.tool d) t
+    | Some tick ->
+        let h = Tool.hooks_of (Sp_plus.tool d) in
+        Tool.extern
+          {
+            h with
+            Tool.on_frame_enter =
+              (fun ~frame ~parent ~spawned ~kind ->
+                h.Tool.on_frame_enter ~frame ~parent ~spawned ~kind;
+                tick ());
+            on_read =
+              (fun ~frame ~loc ~view_aware ->
+                h.Tool.on_read ~frame ~loc ~view_aware;
+                tick ());
+            on_write =
+              (fun ~frame ~loc ~view_aware ->
+                h.Tool.on_write ~frame ~loc ~view_aware;
+                tick ());
+          }
   in
   Engine.set_tool eng tool;
   let verdict = Engine.run_result eng program in
   ((match verdict with Ok _ -> None | Error f -> Some f), Sp_plus.races d)
 
-(* A tool that raises once the event counter reaches [n] — the moral
+(* An injector that raises once the event counter reaches [n] — the moral
    equivalent of the program under test dying at its n-th strand/access. *)
-let raising_tool n =
+let raising_tick n =
   let count = ref 0 in
-  let tick () =
+  fun () ->
     incr count;
     if !count >= n then raise Chaos_injected
-  in
-  Tool.extern
-    {
-      Tool.hooks_null with
-      Tool.on_frame_enter =
-        (fun ~frame:_ ~parent:_ ~spawned:_ ~kind:_ -> tick ());
-      on_read = (fun ~frame:_ ~loc:_ ~view_aware:_ -> tick ());
-      on_write = (fun ~frame:_ ~loc:_ ~view_aware:_ -> tick ());
-    }
 
 (* Prefix [program] with two spawned updates of a reducer over [monoid]
    under the all-steals schedule, so the second update runs in a freshly
@@ -128,7 +138,7 @@ let run_perturbed p program =
   match p with
   | Raise_in_strand n ->
       let diag, races =
-        contained_run ~extra_tool:(raising_tool n) ~spec:(Steal_spec.all ())
+        contained_run ~tick:(raising_tick n) ~spec:(Steal_spec.all ())
           program
       in
       (diag, races)
@@ -189,21 +199,11 @@ let run_perturbed p program =
          no flakiness *)
       let vc = Vclock.make ~start:1.0e9 in
       let count = ref 0 in
-      let stall_tool =
-        let tick () =
-          incr count;
-          if !count = n then Vclock.advance vc 60.0
-        in
-        Tool.extern
-          {
-            Tool.hooks_null with
-            Tool.on_frame_enter =
-              (fun ~frame:_ ~parent:_ ~spawned:_ ~kind:_ -> tick ());
-            on_read = (fun ~frame:_ ~loc:_ ~view_aware:_ -> tick ());
-            on_write = (fun ~frame:_ ~loc:_ ~view_aware:_ -> tick ());
-          }
+      let tick () =
+        incr count;
+        if !count = n then Vclock.advance vc 60.0
       in
-      contained_run ~extra_tool:stall_tool ~deadline:(1.0e9 +. 30.0)
+      contained_run ~tick ~deadline:(1.0e9 +. 30.0)
         ~clock:(Vclock.clock vc) ~spec:Steal_spec.none program
   | Sweep_deadline ->
       (* a deadline already in the past: the sweep must stop before its

@@ -7,20 +7,21 @@
    This suite drives randomly generated Cilk programs through both
    dispatch shapes under a family of steal specifications:
 
-   - the {e variant} leg attaches [Tool.chain (Sp_plus) (Peer_set)]
-     directly, so the engine uses monomorphic dispatch and batches
-     same-strand access runs into span events;
-   - the {e extern} leg wraps the very same tool value as
+   - the {e variant} leg attaches [Sp_plus.tool] to one engine and
+     [Peer_set.tool] to another (an engine runs one detector), so each
+     engine uses monomorphic dispatch and batches same-strand access runs
+     into span events;
+   - the {e extern} leg wraps each of those tool values as
      [Tool.extern (Tool.hooks_of tool)], forcing every event through the
      seed's closure record and disabling span batching.
 
-   Both legs must agree exactly on: the program result, every engine
-   counter, a structural fingerprint of the recorded trace (frames,
-   accesses, merges, reducer reads, spawns), both detectors' reports
-   (full strings, not just verdicts), SP+'s racy locations, and the Obs
-   operation totals (disjoint-set, shadow, reachability work) — the last
-   one proving the detectors do the same WORK, not merely reach the same
-   verdicts. *)
+   Both legs must agree exactly, engine by engine, on: the program
+   result, every engine counter, a structural fingerprint of the
+   recorded trace (frames, accesses, merges, reducer reads, spawns),
+   both detectors' reports (full strings, not just verdicts), SP+'s racy
+   locations, and each detector's Obs operation totals (disjoint-set,
+   shadow, reachability work) — the last one proving the detectors do
+   the same WORK, not merely reach the same verdicts. *)
 
 open Rader_runtime
 open Rader_core
@@ -39,10 +40,11 @@ let specs =
     Steal_spec.at_local_indices ~policy:Steal_spec.Reduce_eagerly [ 1; 2 ];
   ]
 
+(* Per engine (SP+'s, then Peer-Set's): result, counters, trace. *)
 type leg = {
-  l_result : int;
-  l_stats : Engine.stats;
-  l_trace : int;
+  l_result : int * int;
+  l_stats : Engine.stats * Engine.stats;
+  l_trace : int * int;
   l_sp_reports : string list;
   l_peer_reports : string list;
   l_sp_racy : int list;
@@ -57,26 +59,41 @@ let trace_fingerprint eng =
       Engine.reducer_reads eng,
       Engine.spawn_log eng )
 
-let run_leg ~extern p spec =
-  let eng = Engine.create ~spec ~record:true () in
-  let sp = Sp_plus.create eng in
-  let peer = Peer_set.create eng in
-  let tool = Tool.chain (Sp_plus.tool sp) (Peer_set.tool peer) in
-  let tool = if extern then Tool.extern (Tool.hooks_of tool) else tool in
-  Engine.set_tool eng tool;
+(* Run [p] on [eng] with [tool] installed, either directly or behind the
+   closure record; Obs keys get [name] as a prefix so the two detectors'
+   totals stay apart. *)
+let run_engine ~extern ~name eng tool p =
+  Engine.set_tool eng
+    (if extern then Tool.extern (Tool.hooks_of tool) else tool);
   Obs.set_enabled true;
   let before = Obs.snapshot () in
   let result = Engine.run eng (G.interpret p) in
   let obs = Obs.to_assoc (Obs.since before) in
   Obs.set_enabled false;
+  ( result,
+    Engine.stats eng,
+    trace_fingerprint eng,
+    List.map (fun (k, v) -> (name ^ "." ^ k, v)) obs )
+
+let run_leg ~extern p spec =
+  let sp_eng = Engine.create ~spec ~record:true () in
+  let sp = Sp_plus.create sp_eng in
+  let peer_eng = Engine.create ~spec ~record:true () in
+  let peer = Peer_set.create peer_eng in
+  let r1, s1, t1, o1 =
+    run_engine ~extern ~name:"sp+" sp_eng (Sp_plus.tool sp) p
+  in
+  let r2, s2, t2, o2 =
+    run_engine ~extern ~name:"peer-set" peer_eng (Peer_set.tool peer) p
+  in
   {
-    l_result = result;
-    l_stats = Engine.stats eng;
-    l_trace = trace_fingerprint eng;
+    l_result = (r1, r2);
+    l_stats = (s1, s2);
+    l_trace = (t1, t2);
     l_sp_reports = List.map Report.to_string (Sp_plus.races sp);
     l_peer_reports = List.map Report.to_string (Peer_set.races peer);
     l_sp_racy = Sp_plus.racy_locs sp;
-    l_obs = obs;
+    l_obs = o1 @ o2;
   }
 
 let first_obs_diff a b =
@@ -95,8 +112,9 @@ let prop_dispatch_parity =
           let e = run_leg ~extern:true p spec in
           let ctxt = spec.Steal_spec.name in
           if v.l_result <> e.l_result then
-            QCheck2.Test.fail_reportf "%s: result %d vs %d" ctxt v.l_result
-              e.l_result
+            QCheck2.Test.fail_reportf "%s: results (%d, %d) vs (%d, %d)" ctxt
+              (fst v.l_result) (snd v.l_result) (fst e.l_result)
+              (snd e.l_result)
           else if v.l_stats <> e.l_stats then
             QCheck2.Test.fail_reportf "%s: engine stats differ" ctxt
           else if v.l_trace <> e.l_trace then

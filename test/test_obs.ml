@@ -214,7 +214,7 @@ let test_reset_same_delta () =
   let delta_reused program =
     snd
       (Obs.with_enabled (fun () ->
-           Engine.reset ~spec eng;
+           Engine.reset ~tool:(Sp_plus.tool det) ~spec eng;
            Sp_plus.reset det;
            ignore (Engine.run_result eng program);
            ignore (Sp_plus.races det)))

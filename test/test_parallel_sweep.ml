@@ -251,7 +251,7 @@ let test_reset_round_trip () =
   let eng = Engine.create () in
   let det = Sp_plus.attach eng in
   let reused program =
-    Engine.reset ~spec eng;
+    Engine.reset ~tool:(Sp_plus.tool det) ~spec eng;
     Sp_plus.reset det;
     run_stats_and_races eng det program
   in

@@ -45,7 +45,9 @@ let show_cls = function
 
 (* Drive both Sp backends from one engine run and compare the full
    classification map (every frame seen so far, against the current
-   point) after every event. *)
+   point) after every event. Every frame is noted as it enters, so every
+   frame seen is classified; a frame never noted would classify [Serial]
+   under both backends and check nothing. *)
 let mirror_run p spec =
   let a = Reach.Sp.create Reach.Dset and b = Reach.Sp.create Reach.Depa in
   let seen = Dynarr.create () in
@@ -78,6 +80,8 @@ let mirror_run p spec =
         (fun ~frame ~parent:_ ~spawned:_ ~kind:_ ->
           Reach.Sp.on_frame_enter a ~frame;
           Reach.Sp.on_frame_enter b ~frame;
+          Reach.Sp.note a ~frame;
+          Reach.Sp.note b ~frame;
           Dynarr.push seen frame;
           incr depth;
           check "enter");
@@ -122,8 +126,9 @@ let prop_sp_backends_agree =
    fingerprints fit one word. Synthetic event walks reach the multi-word
    layout: deep call chains, and bursts of empty children that push
    ordinals into the hundreds (13-bit codes), so codes spill into fresh
-   words at every offset. Both eager backends must report the same
-   changes and classify sampled frames identically throughout. *)
+   words at every offset. With every frame noted as it enters, both
+   backends must report the same changes and classify sampled frames
+   identically throughout. *)
 let synthetic_walk seed =
   let rng = Random.State.make [| seed |] in
   let a = Reach.Sp.create Reach.Dset and b = Reach.Sp.create Reach.Depa in
@@ -136,7 +141,9 @@ let synthetic_walk seed =
   let enter () =
     let frame = !next in
     incr next;
-    both (fun r -> Reach.Sp.on_frame_enter r ~frame);
+    both (fun r ->
+        Reach.Sp.on_frame_enter r ~frame;
+        Reach.Sp.note r ~frame);
     live := frame :: !live;
     steals := 0 :: !steals;
     Dynarr.push seen frame
@@ -304,15 +311,15 @@ let prop_fp_relate_deep =
       | None -> true
       | Some msg -> QCheck2.Test.fail_reportf "relate disagrees: %s" msg)
 
-(* The same mirror under [~lazy_note:true], as the SP+ hot path runs it:
-   every accessing frame is noted, and only noted frames are compared.
+(* The same mirror noting as the SP+ hot path does: every accessing frame
+   is noted, and only noted frames are compared.
    Each structural hook must also be exact: both backends report a change
    at the same events, and an event reported as no change (including
    every enter and steal) leaves every noted frame's classification as it
    was — the contract [Sp_hot]'s memo relies on. *)
 let lazy_mirror_run p spec =
   let backends =
-    Array.map (Reach.Sp.create ~lazy_note:true) [| Reach.Dset; Reach.Depa |]
+    Array.map Reach.Sp.create [| Reach.Dset; Reach.Depa |]
   in
   let noted = Hashtbl.create 16 and order = Dynarr.create () in
   let failure = ref None in
@@ -477,31 +484,35 @@ let prop_peer_verdicts_identical =
           (String.concat "; " ra) (String.concat "; " rb)
       else true)
 
-(* SP-order's optional Reach oracle (both backends, queried at frame
-   granularity) must reproduce the English/Hebrew label verdicts
-   exactly — on reducer-free programs, where SP-order is sound. *)
-let sp_order_verdict reach p spec =
-  let eng = Engine.create ~spec () in
-  let d = Sp_order.attach ?reach eng in
+(* SP-order's English/Hebrew labels and SP+ on either Reach backend are
+   independent precedence implementations. On reducer-free programs both
+   are exact for determinacy races under any steal specification, so
+   they must flag the same locations: those the recorded dag's oracle
+   finds. *)
+let sp_order_locs spec p =
+  let eng = Engine.create ~record:true ~spec () in
+  let d = Sp_order.attach eng in
   ignore (Engine.run eng (G.interpret p));
-  List.map Report.to_string (Sp_order.races d)
+  ( List.sort_uniq compare (List.map (fun r -> r.Report.subject) (Sp_order.races d)),
+    Oracle.determinacy_races eng )
 
-let prop_sp_order_oracles_identical =
-  qtest_spec ~count:200 "SP-order: label and Reach oracles agree"
+let prop_sp_order_labels_agree =
+  qtest_spec ~count:200 "SP-order labels = SP+ (both backends, no reducers)"
     QCheck2.Gen.(pair (G.gen ~with_reducers:false ~racy:true) gen_spec)
     (fun (p, spec) ->
+      let show l = String.concat "," (List.map string_of_int l) in
       List.for_all
         (fun spec ->
-          let reference = sp_order_verdict None p spec in
+          let labels, truth = sp_order_locs spec p in
+          if labels <> truth then
+            QCheck2.Test.fail_reportf "spec %s: SP-order {%s} vs oracle {%s}"
+              spec.Steal_spec.name (show labels) (show truth);
           List.for_all
             (fun reach ->
-              let got = sp_order_verdict (Some reach) p spec in
-              if got <> reference then
-                QCheck2.Test.fail_reportf
-                  "SP-order verdicts differ under %s:\n labels: %s\n reach: %s"
-                  (Reach.show reach)
-                  (String.concat "; " reference)
-                  (String.concat "; " got)
+              let _, got = sp_plus_verdict reach p spec in
+              if got <> labels then
+                QCheck2.Test.fail_reportf "spec %s: SP-order {%s} vs SP+ %s {%s}"
+                  spec.Steal_spec.name (show labels) (Reach.show reach) (show got)
               else true)
             Reach.all)
         [ Steal_spec.none; spec ])
@@ -518,7 +529,7 @@ let prop_reset_equals_fresh =
           let d = Sp_plus.attach ~reach eng in
           ignore (Engine.run eng (G.interpret p));
           let first = List.map Report.to_string (Sp_plus.races d) in
-          Engine.reset ~spec eng;
+          Engine.reset ~tool:(Sp_plus.tool d) ~spec eng;
           Sp_plus.reset d;
           ignore (Engine.run eng (G.interpret p));
           let second = List.map Report.to_string (Sp_plus.races d) in
@@ -550,7 +561,7 @@ let () =
         prop_memo_parity;
         prop_sp_plus_verdicts_identical;
         prop_peer_verdicts_identical;
-        prop_sp_order_oracles_identical;
+        prop_sp_order_labels_agree;
         prop_reset_equals_fresh;
       ]
   in

@@ -621,26 +621,7 @@ let test_spec_random_stable () =
   checkb "stateless decisions" true (a = b);
   checkb "mixed decisions" true (List.mem true a && List.mem false a)
 
-(* ---------- Tool.chain identity ---------- *)
-
-(* [Tool.chain] with [null] must return the other tool physically — no
-   [Both] wrapper node, no wrapper closures — so hot-path dispatch never
-   pays for an inert arm. *)
-let test_chain_null_physical_identity () =
-  let ext = Tool.extern Tool.hooks_null in
-  let sp = Tool.sp_plus (Sp_hot.create ()) in
-  let peer = Tool.peer_set (Peer_hot.create ()) in
-  List.iter
-    (fun t ->
-      checkb "chain t null == t" true (Tool.chain t Tool.null == t);
-      checkb "chain null t == t" true (Tool.chain Tool.null t == t))
-    [ ext; sp; peer; Tool.chain ext sp ];
-  checkb "chain null null == null" true
-    (Tool.chain Tool.null Tool.null == Tool.null);
-  (* the non-degenerate case still builds a real pair *)
-  (match Tool.chain ext sp with
-  | Tool.Both (a, b) -> checkb "both arms kept" true (a == ext && b == sp)
-  | _ -> Alcotest.fail "chain of two live tools must be Both")
+(* ---------- Tools ---------- *)
 
 let recording_hooks push =
   {
@@ -670,43 +651,193 @@ let recording_hooks push =
       (fun ~frame ~reducer -> push (Printf.sprintf "rread %d %d" frame reducer));
   }
 
-(* A small program exercising every event class: spawns, syncs, cell
-   accesses, reducer updates, and (under the spec below) steals with
-   eager reduces — so identity/reduce frames fire too. *)
-let chain_stream_prog ctx =
+(* Every hook of [a], then the same hook of [b]. *)
+let seq_hooks a b =
+  {
+    Tool.on_frame_enter =
+      (fun ~frame ~parent ~spawned ~kind ->
+        a.Tool.on_frame_enter ~frame ~parent ~spawned ~kind;
+        b.Tool.on_frame_enter ~frame ~parent ~spawned ~kind);
+    on_frame_return =
+      (fun ~frame ~parent ~spawned ~kind ->
+        a.Tool.on_frame_return ~frame ~parent ~spawned ~kind;
+        b.Tool.on_frame_return ~frame ~parent ~spawned ~kind);
+    on_sync =
+      (fun ~frame ->
+        a.Tool.on_sync ~frame;
+        b.Tool.on_sync ~frame);
+    on_steal =
+      (fun ~frame ~region ->
+        a.Tool.on_steal ~frame ~region;
+        b.Tool.on_steal ~frame ~region);
+    on_reduce =
+      (fun ~frame ~into_region ~from_region ->
+        a.Tool.on_reduce ~frame ~into_region ~from_region;
+        b.Tool.on_reduce ~frame ~into_region ~from_region);
+    on_read =
+      (fun ~frame ~loc ~view_aware ->
+        a.Tool.on_read ~frame ~loc ~view_aware;
+        b.Tool.on_read ~frame ~loc ~view_aware);
+    on_write =
+      (fun ~frame ~loc ~view_aware ->
+        a.Tool.on_write ~frame ~loc ~view_aware;
+        b.Tool.on_write ~frame ~loc ~view_aware);
+    on_reducer_read =
+      (fun ~frame ~reducer ->
+        a.Tool.on_reducer_read ~frame ~reducer;
+        b.Tool.on_reducer_read ~frame ~reducer);
+  }
+
+(* A small program exercising every event class — spawns, syncs, cell
+   accesses, reducer updates and reads, and (under [tool_spec]) steals
+   with eager reduces — with one determinacy race (on [c]) and one
+   view-read race (the read of [r] before the final sync). *)
+let tool_prog ctx =
   let eng = Engine.engine ctx in
   let r = Rmonoid.new_int_add ctx ~init:0 in
   let c = Cell.make eng ~label:"c" 0 in
   Cilk.parallel_for ctx ~lo:0 ~hi:8 (fun ctx i ->
       Rmonoid.add ctx r i;
       Cell.write ctx c (Cell.read ctx c + 1));
+  ignore (Cilk.spawn ctx (fun ctx -> Rmonoid.add ctx r 1));
+  let seen = Rmonoid.int_cell_value ctx r in
   Cilk.sync ctx;
-  Rmonoid.int_cell_value ctx r + Cell.read ctx c
+  seen + Rmonoid.int_cell_value ctx r + Cell.read ctx c
 
-let chain_event_stream mk_tool =
+let tool_spec () =
+  Steal_spec.at_local_indices ~policy:Steal_spec.Reduce_eagerly [ 1 ]
+
+type detector = Sp of Sp_hot.t | Peer of Peer_hot.t
+
+let detector_tool = function Sp d -> Tool.sp_plus d | Peer d -> Tool.peer_set d
+
+let detector_races = function
+  | Sp d -> List.map Report.to_string (Sp_hot.races d)
+  | Peer d -> List.map Report.to_string (Peer_hot.races d)
+
+let make_detector eng = function
+  | `Sp ->
+      Sp (Sp_hot.create ~label:(Engine.loc_label eng)
+            ~strand:(fun () -> Engine.current_strand eng) ())
+  | `Peer -> Peer (Peer_hot.create ~strand:(fun () -> Engine.current_strand eng) ())
+
+(* Run [tool_prog] with [make eng] as the engine's one tool; the value and
+   the recorder's event stream. *)
+let tool_run make =
   let log = ref [] in
-  let push s = log := s :: !log in
-  let tool = mk_tool (Tool.extern (recording_hooks push)) in
-  let spec =
-    Steal_spec.at_local_indices ~policy:Steal_spec.Reduce_eagerly [ 1 ]
-  in
-  let eng = Engine.create ~tool ~spec () in
-  let v = Engine.run eng chain_stream_prog in
+  let eng = Engine.create ~spec:(tool_spec ()) () in
+  Engine.set_tool eng (make eng (recording_hooks (fun s -> log := s :: !log)));
+  let v = Engine.run eng tool_prog in
   (v, List.rev !log)
 
-(* Chaining with [null] must not change what an observer sees: the event
-   stream through [chain recorder null] (either side) is the same list of
-   events, in the same order, as through the bare recorder. *)
-let test_chain_null_event_stream () =
-  let v0, base = chain_event_stream (fun t -> t) in
-  checkb "stream covers steals" true
-    (List.exists (fun s -> String.length s >= 5 && String.sub s 0 5 = "steal") base);
-  let v1, right = chain_event_stream (fun t -> Tool.chain t Tool.null) in
-  let v2, left = chain_event_stream (fun t -> Tool.chain Tool.null t) in
-  check "value (right)" v0 v1;
-  check "value (left)" v0 v2;
-  Alcotest.(check (list string)) "chain recorder null stream" base right;
-  Alcotest.(check (list string)) "chain null recorder stream" base left
+(* An engine runs one tool, so a second observer shares one [Extern]
+   record with a detector's [Tool.hooks_of], as the chaos harness does
+   with its fault injector. Composed that way, neither side changes: the
+   detector reports what it reports installed directly, and the observer
+   sees the same events, in the same order, as when it runs alone. *)
+let test_extern_composition () =
+  let v0, alone = tool_run (fun _ rec_hooks -> Tool.extern rec_hooks) in
+  let has prefix =
+    List.exists
+      (fun s ->
+        String.length s >= String.length prefix
+        && String.sub s 0 (String.length prefix) = prefix)
+      alone
+  in
+  checkb "stream covers steals" true (has "steal");
+  checkb "stream covers reduces" true (has "reduce");
+  checkb "stream covers reducer reads" true (has "rread");
+  List.iter
+    (fun kind ->
+      let direct = ref None and composed = ref None in
+      let v1, _ =
+        tool_run (fun eng _ ->
+            let d = make_detector eng kind in
+            direct := Some d;
+            detector_tool d)
+      in
+      let v2, stream =
+        tool_run (fun eng rec_hooks ->
+            let d = make_detector eng kind in
+            composed := Some d;
+            Tool.extern (seq_hooks (Tool.hooks_of (detector_tool d)) rec_hooks))
+      in
+      let direct = detector_races (Option.get !direct)
+      and composed = detector_races (Option.get !composed) in
+      check "value (direct)" v0 v1;
+      check "value (composed)" v0 v2;
+      checkb "detector finds a race" true (direct <> []);
+      Alcotest.(check (list string)) "composed detector = direct" direct composed;
+      Alcotest.(check (list string)) "composed observer = alone" alone stream)
+    [ `Sp; `Peer ]
+
+(* Detector cores name a race's location and strand through the closures
+   given to [create]. Reports are cold: both closures are read only when
+   a race is reported, so a race-free run never calls them, and a report
+   carries exactly what they returned. *)
+let test_report_closures_cold () =
+  let labels = ref 0 and strands = ref 0 in
+  let label loc =
+    incr labels;
+    Printf.sprintf "loc-%d" loc
+  in
+  let strand () =
+    incr strands;
+    -7
+  in
+  let run tool prog =
+    let eng = Engine.create ~tool ~spec:(Steal_spec.all ()) () in
+    ignore (Engine.run eng prog)
+  in
+  let clean ctx =
+    let eng = Engine.engine ctx in
+    let r = Rmonoid.new_int_add ctx ~init:0 in
+    let a = Rarray.make eng ~label:"a" 16 0 in
+    Cilk.parallel_for ctx ~lo:0 ~hi:16 (fun ctx i ->
+        Rmonoid.add ctx r i;
+        Rarray.write ctx a i (Rarray.read ctx a i + i));
+    Cilk.sync ctx;
+    Rmonoid.int_cell_value ctx r
+  in
+  List.iter
+    (fun (name, prog) ->
+      labels := 0;
+      strands := 0;
+      let sp = Sp_hot.create ~label ~strand () in
+      run (Tool.sp_plus sp) prog;
+      let sp_races = Sp_hot.races sp in
+      let sp_labels = !labels and sp_strands = !strands in
+      strands := 0;
+      let peer = Peer_hot.create ~strand () in
+      run (Tool.peer_set peer) prog;
+      let peer_races = Peer_hot.races peer in
+      let peer_strands = !strands in
+      if name = "clean" then begin
+        check "clean: no SP+ race" 0 (List.length sp_races);
+        check "clean: no Peer-Set race" 0 (List.length peer_races);
+        check "clean: SP+ never reads label" 0 sp_labels;
+        check "clean: SP+ never reads strand" 0 sp_strands;
+        check "clean: Peer-Set never reads strand" 0 peer_strands
+      end
+      else begin
+        checkb "racy: SP+ reports" true (sp_races <> []);
+        checkb "racy: Peer-Set reports" true (peer_races <> []);
+        checkb "racy: SP+ read label" true (sp_labels >= List.length sp_races);
+        checkb "racy: SP+ read strand" true (sp_strands >= List.length sp_races);
+        checkb "racy: Peer-Set read strand" true
+          (peer_strands >= List.length peer_races);
+        List.iter
+          (fun r ->
+            Alcotest.(check string) "label from closure"
+              (Printf.sprintf "loc-%d" r.Report.subject)
+              r.Report.subject_label;
+            check "strand from closure" (-7) r.Report.second_strand)
+          sp_races;
+        List.iter
+          (fun r -> check "strand from closure" (-7) r.Report.second_strand)
+          peer_races
+      end)
+    [ ("clean", clean); ("racy", tool_prog) ]
 
 let () =
   Alcotest.run "runtime"
@@ -790,9 +921,8 @@ let () =
         ] );
       ( "tool",
         [
-          Alcotest.test_case "chain-null physical identity" `Quick
-            test_chain_null_physical_identity;
-          Alcotest.test_case "chain-null event stream" `Quick
-            test_chain_null_event_stream;
+          Alcotest.test_case "extern composition" `Quick test_extern_composition;
+          Alcotest.test_case "report closures cold" `Quick
+            test_report_closures_cold;
         ] );
     ]
