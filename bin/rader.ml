@@ -1016,7 +1016,13 @@ let record_cmd =
       $ record_output_arg)
 
 let do_oracle path =
-  let tr = Trace.load path in
+  let tr =
+    match Trace.load path with
+    | Ok tr -> tr
+    | Error msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 2
+  in
   let vr = Oracle.view_read_races_t tr in
   let dr = Oracle.determinacy_races_t tr in
   Printf.printf "trace: %d strands, %d accesses, %d merges\n"

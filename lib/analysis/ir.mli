@@ -24,7 +24,7 @@ type t = {
   result : int;  (** the program's result (ostensibly deterministic) *)
   aux : (Rader_runtime.Tool.frame_kind * int * int) list;
       (** every view-aware auxiliary frame, serial order:
-          [(kind, reducer, first strand)]; [reducer = -1] if unattributed *)
+          [(kind, reducer, first strand)] *)
   reads_by_reducer : (int, int list) Hashtbl.t;
       (** reducer id → strands of its reducer-reads (create / get / set),
           serial order — the peers the Peer-Set algorithm compares *)

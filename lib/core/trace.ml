@@ -50,8 +50,7 @@ let kind_of_int = function
   | 0 -> Dag.User
   | 1 -> Dag.Update
   | 2 -> Dag.Reduce
-  | 3 -> Dag.Identity
-  | k -> failwith (Printf.sprintf "Trace: bad strand kind %d" k)
+  | _ -> Dag.Identity
 
 (* Labels may contain spaces; they are always the final field, so parsing
    splits on the first few spaces only. *)
@@ -106,10 +105,29 @@ let split_n line n =
   in
   go 0 0 []
 
-let load path =
-  let ic = open_in path in
-  let line1 = try input_line ic with End_of_file -> failwith "Trace: empty file" in
-  if line1 <> header then failwith "Trace: unsupported format/version";
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
+
+let int_field s =
+  match int_of_string_opt s with
+  | Some i -> i
+  | None -> malformed "bad integer %S" s
+
+let kind_field s =
+  match int_field s with
+  | (0 | 1 | 2 | 3) as k -> k
+  | k -> malformed "bad kind %d" k
+
+(* The [n] space-separated integer fields of a [what] line. *)
+let fields rest n what =
+  let fs = String.split_on_char ' ' rest in
+  if List.length fs <> n then malformed "bad %s line" what;
+  Array.of_list (List.map int_field fs)
+
+(* Parse the lines after the header. Every strand reference is checked
+   against the strands read, so the oracles can trust a loaded trace. *)
+let parse ic =
   let dag = Dag.create () in
   let accesses = ref [] in
   let merges = ref [] in
@@ -117,81 +135,73 @@ let load path =
   let spawns = ref [] in
   let frames = ref [] in
   let labels = ref [] in
+  let strand s =
+    if s < 0 || s >= Dag.n_strands dag then malformed "unknown strand %d" s;
+    s
+  in
+  let lineno = ref 1 in
   (try
      while true do
        let line = input_line ic in
-       if line <> "" then begin
+       incr lineno;
+       if line <> "" then
          match split_n line 2 with
          | [ "s"; rest ] -> (
              match split_n rest 4 with
              | [ frame; kind; view; label ] ->
                  ignore
-                   (Dag.add_strand dag ~frame:(int_of_string frame)
-                      ~kind:(kind_of_int (int_of_string kind))
-                      ~view:(int_of_string view) ~label)
-             | _ -> failwith "Trace: bad strand line")
-         | [ "e"; rest ] -> (
-             match String.split_on_char ' ' rest with
-             | [ u; v ] -> Dag.add_edge dag (int_of_string u) (int_of_string v)
-             | _ -> failwith "Trace: bad edge line")
-         | [ "a"; rest ] -> (
-             match String.split_on_char ' ' rest with
-             | [ loc; strand; frame; w; va ] ->
-                 accesses :=
-                   {
-                     Engine.a_loc = int_of_string loc;
-                     a_strand = int_of_string strand;
-                     a_frame = int_of_string frame;
-                     a_is_write = w = "1";
-                     a_view_aware = va = "1";
-                   }
-                   :: !accesses
-             | _ -> failwith "Trace: bad access line")
-         | [ "m"; rest ] -> (
-             match String.split_on_char ' ' rest with
-             | [ f; i; at ] ->
-                 merges :=
-                   {
-                     Engine.m_from = int_of_string f;
-                     m_into = int_of_string i;
-                     m_at = int_of_string at;
-                   }
-                   :: !merges
-             | _ -> failwith "Trace: bad merge line")
-         | [ "r"; rest ] -> (
-             match String.split_on_char ' ' rest with
-             | [ r; s ] -> rreads := (int_of_string r, int_of_string s) :: !rreads
-             | _ -> failwith "Trace: bad reducer-read line")
-         | [ "w"; rest ] -> (
-             match String.split_on_char ' ' rest with
-             | [ i; sp; co ] ->
-                 spawns :=
-                   (int_of_string i, int_of_string sp, int_of_string co) :: !spawns
-             | _ -> failwith "Trace: bad spawn line")
+                   (Dag.add_strand dag ~frame:(int_field frame)
+                      ~kind:(kind_of_int (kind_field kind))
+                      ~view:(int_field view) ~label)
+             | _ -> malformed "bad strand line")
+         | [ "e"; rest ] ->
+             let f = fields rest 2 "edge" in
+             if f.(0) >= f.(1) then
+               malformed "edge %d -> %d against serial order" f.(0) f.(1);
+             Dag.add_edge dag (strand f.(0)) (strand f.(1))
+         | [ "a"; rest ] ->
+             let f = fields rest 5 "access" in
+             accesses :=
+               {
+                 Engine.a_loc = f.(0);
+                 a_strand = strand f.(1);
+                 a_frame = f.(2);
+                 a_is_write = f.(3) = 1;
+                 a_view_aware = f.(4) = 1;
+               }
+               :: !accesses
+         | [ "m"; rest ] ->
+             let f = fields rest 3 "merge" in
+             merges := { Engine.m_from = f.(0); m_into = f.(1); m_at = f.(2) } :: !merges
+         | [ "r"; rest ] ->
+             let f = fields rest 2 "reducer-read" in
+             rreads := (f.(0), strand f.(1)) :: !rreads
+         | [ "w"; rest ] ->
+             let f = fields rest 3 "spawn" in
+             spawns := (f.(0), strand f.(1), strand f.(2)) :: !spawns
          | [ "f"; rest ] -> (
              match String.split_on_char ' ' rest with
              | [ fid; parent; spawned; kind ] ->
                  let k =
-                   match int_of_string kind with
+                   match kind_field kind with
                    | 0 -> Tool.User_fn
                    | 1 -> Tool.Update_fn
                    | 2 -> Tool.Reduce_fn
-                   | 3 -> Tool.Identity_fn
-                   | k -> failwith (Printf.sprintf "Trace: bad frame kind %d" k)
+                   | _ -> Tool.Identity_fn
                  in
                  frames :=
-                   (int_of_string fid, int_of_string parent, spawned = "1", k)
+                   (int_field fid, int_field parent, int_field spawned = 1, k)
                    :: !frames
-             | _ -> failwith "Trace: bad frame line")
+             | _ -> malformed "bad frame line")
          | [ "l"; rest ] -> (
              match split_n rest 2 with
-             | [ l; lab ] -> labels := (int_of_string l, lab) :: !labels
-             | _ -> failwith "Trace: bad label line")
-         | _ -> failwith ("Trace: bad line: " ^ line)
-       end
+             | [ l; lab ] -> labels := (int_field l, lab) :: !labels
+             | _ -> malformed "bad label line")
+         | _ -> malformed "bad line %S" line
      done
-   with End_of_file -> ());
-  close_in ic;
+   with
+  | End_of_file -> ()
+  | Malformed msg -> malformed "line %d: %s" !lineno msg);
   {
     dag;
     accesses = List.rev !accesses;
@@ -201,6 +211,24 @@ let load path =
     frames = List.rev !frames;
     loc_labels = List.rev !labels;
   }
+
+let load path =
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match input_line ic with
+          | exception End_of_file -> Error (path ^ ": empty trace file")
+          | exception Sys_error msg -> Error (path ^ ": " ^ msg)
+          | line1 when line1 <> header ->
+              Error (path ^ ": not a trace (unsupported format/version)")
+          | _ -> (
+              match parse ic with
+              | t -> Ok t
+              | exception (Malformed msg | Sys_error msg) ->
+                  Error (path ^ ": " ^ msg)))
 
 let dag_equal a b =
   Dag.n_strands a = Dag.n_strands b

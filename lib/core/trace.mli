@@ -36,9 +36,11 @@ val loc_label : t -> int -> string
 (** [save t path] writes the trace. *)
 val save : t -> string -> unit
 
-(** [load path] reads a trace back.
-    @raise Failure on malformed input or version mismatch. *)
-val load : string -> t
+(** [load path] reads a trace back. Total: a missing or unreadable file,
+    a version mismatch, a malformed line or a reference to a strand the
+    file does not define is an [Error] naming the file (and the line),
+    never an exception. The channel is closed on every path. *)
+val load : string -> (t, string) result
 
 (** [equal a b] is structural equality (for round-trip tests). *)
 val equal : t -> t -> bool

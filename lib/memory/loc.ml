@@ -2,8 +2,12 @@ module Dynarr = Rader_support.Dynarr
 
 type t = int
 
-(* Ranges are stored as (first_id, label) and resolved by binary search so
-   that allocating a million-slot array costs O(1), not O(n) label strings. *)
+(* Ranges are stored as (first_id, label, size) and resolved by binary
+   search so that allocating a million-slot array costs O(1), not O(n)
+   label strings. A size of [-k] is a run of [k] single cells sharing one
+   (physically equal) label: a single-cell allocation with the label of
+   the run before it, such as a reducer's next identity view, extends the
+   run instead of adding an entry. *)
 type registry = {
   mutable next : int;
   starts : int Dynarr.t;
@@ -18,9 +22,17 @@ let alloc_range reg ~label n =
   if n <= 0 then invalid_arg "Loc.alloc_range: size must be positive";
   let first = reg.next in
   reg.next <- reg.next + n;
-  Dynarr.push reg.starts first;
-  Dynarr.push reg.labels label;
-  Dynarr.push reg.sizes n;
+  let last = Dynarr.length reg.sizes - 1 in
+  if
+    n = 1 && last >= 0
+    && Dynarr.get reg.sizes last < 0
+    && Dynarr.get reg.labels last == label
+  then Dynarr.set reg.sizes last (Dynarr.get reg.sizes last - 1)
+  else begin
+    Dynarr.push reg.starts first;
+    Dynarr.push reg.labels label;
+    Dynarr.push reg.sizes (if n = 1 then -1 else n)
+  end;
   first
 
 let alloc reg ~label = alloc_range reg ~label 1
@@ -36,7 +48,7 @@ let label reg loc =
     done;
     let base = Dynarr.get reg.starts !lo in
     let name = Dynarr.get reg.labels !lo in
-    if Dynarr.get reg.sizes !lo = 1 then name
+    if Dynarr.get reg.sizes !lo < 0 then name
     else Printf.sprintf "%s[%d]" name (loc - base)
   end
 

@@ -29,31 +29,6 @@ type stats = {
   n_reducer_reads : int;
 }
 
-(* One open view region of a sync block. [tails] (recording only) are the
-   dag vertices whose completion the region's next reduce — or the sync —
-   depends on: the last strand of each completed child spawned in the
-   region, the last continuation strand of the region's segment, and the
-   region's latest reduce strand. *)
-type region_entry = { mutable rid : int; mutable tails : int list }
-
-(* [fid]/[depth]/[kind]/[parent_fid] are mutable only so reduce/identity
-   frame records can be recycled through [aux_pool]; user-facing code
-   never observes a mutation (a frame is reinitialized only between
-   lifetimes, while no ctx for it exists). *)
-type frame = {
-  mutable fid : int;
-  mutable depth : int;
-  mutable kind : Tool.frame_kind;
-  spawned : bool;
-  mutable parent_fid : int;
-  mutable alive : bool;
-  mutable sync_block : int;
-  mutable local_cont_index : int; (* spawns since last sync *)
-  mutable steals_in_block : int;
-  regions : region_entry Dynarr.t; (* stack; bottom = entry region *)
-  mutable cur_node : int; (* strand id (= dag vertex when recording) *)
-}
-
 type state = Fresh | Running | Done
 
 type 'a future = {
@@ -65,6 +40,20 @@ type 'a future = {
      through the runtime's join lock, so no atomic is needed here. *)
 }
 
+(* Live frames are strictly nested in the serial execution, so a frame's
+   depth is its slot in the [f_*] arrays (root = 0, innermost = [top]).
+   A popped slot keeps its last strand ([f_strand]) for the parent to read
+   and has its fid cleared to -1; fids never repeat within a run, so a
+   context whose [fid] no longer matches its slot is dead for good.
+
+   View regions form one stack for the whole engine: frame [d]'s open
+   regions are [r_id.(f_rbase.(d)) .. r_id.(rtop - 1)] while it is
+   innermost, its entry region (repeating the parent's current region id)
+   at the bottom. Ids never decrease along the stack. [r_tails]
+   (recording only) holds, per region, the dag vertices the region's next
+   reduce — or the sync — depends on: the last strand of each completed
+   child spawned in it, its segment's last continuation strand, and its
+   latest reduce strand. *)
 type t = {
   mutable tool : Tool.t;
   mutable spec : Steal_spec.t;
@@ -83,13 +72,25 @@ type t = {
   frames_log : (int * int * bool * Tool.frame_kind) Dynarr.t;
   reducer_merges :
     (ctx -> from_region:int -> into_region:int -> unit) Dynarr.t;
+  (* frame stack *)
+  mutable top : int; (* innermost live frame's depth; -1 when none *)
+  mutable f_fid : int array;
+  mutable f_kind : Tool.frame_kind array;
+  mutable f_block : int array; (* sync block index *)
+  mutable f_cont : int array; (* spawns since the last sync *)
+  mutable f_steals : int array; (* steals in the current sync block *)
+  mutable f_strand : int array; (* current strand (= dag vertex when recording) *)
+  mutable f_rbase : int array; (* entry region's slot in the region stack *)
+  (* region stack *)
+  mutable rtop : int; (* number of open regions *)
+  mutable r_id : int array;
+  mutable r_tails : int list array;
   (* During a region merge: the dependency frontier feeding the next reduce
      strand (recording only). *)
   mutable pending_deps : int list;
   mutable in_merge : bool;
   mutable state : state;
   (* fault containment *)
-  mutable active_frames : frame list; (* innermost first; live only *)
   mutable contract_log : Fault.contract_violation list; (* newest first *)
   mutable max_local_seen : int; (* largest sync-block continuation index *)
   mutable max_depth_seen : int; (* deepest frame entered *)
@@ -123,23 +124,13 @@ type t = {
   mutable pend_base : int;
   mutable pend_len : int;
   mutable pend_stride : int; (* meaningful once pend_len >= 2 *)
-  (* Recycled reduce/identity frame records (each with its one-entry
-     region stack). These frames are created by the steal/merge machinery
-     itself — perfectly LIFO, gone before the merge returns — so reusing
-     their records keeps steal-heavy runs from allocating two frame
-     records plus a region stack per steal. Update frames are NOT pooled:
-     they run arbitrary user code on the serial path, where the seed's
-     stale-ctx detection (a dead frame stays dead) is kept intact. *)
-  aux_pool : frame Dynarr.t;
-  (* Recycled region entries: a steal pushes one, the matching reduce pops
-     and discards it — pooling makes the steal branch allocation-free. *)
-  region_pool : region_entry Dynarr.t;
 }
 
-and ctx = { eng : t; frame : frame; ost : Obj.t }
-(* [ost] is the online runtime's per-execution-segment state (opaque to
-   the engine); [online_dummy_frame] fills [frame] in online contexts so
-   the record layout is shared. Serial contexts carry [no_ost]. *)
+and ctx = { eng : t; fid : int; depth : int; ost : Obj.t }
+(* A serial context names its frame by fid and stack slot and is valid
+   only while that frame is innermost. [ost] is the online runtime's
+   per-execution-segment state (opaque to the engine); online contexts
+   carry fid = depth = -1, serial ones [no_ost]. *)
 
 and online_ops = {
   oo_spawn : 'a. ctx -> (ctx -> 'a) -> 'a future;
@@ -160,6 +151,7 @@ and online_ops = {
 }
 
 let no_ost = Obj.repr ()
+let init_cap = 16
 
 let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     ?max_events ?deadline ?(clock = Unix.gettimeofday) () =
@@ -180,10 +172,20 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     spawn_log = Dynarr.create ();
     frames_log = Dynarr.create ();
     reducer_merges = Dynarr.create ();
+    top = -1;
+    f_fid = Array.make init_cap (-1);
+    f_kind = Array.make init_cap Tool.User_fn;
+    f_block = Array.make init_cap 0;
+    f_cont = Array.make init_cap 0;
+    f_steals = Array.make init_cap 0;
+    f_strand = Array.make init_cap (-1);
+    f_rbase = Array.make init_cap 0;
+    rtop = 0;
+    r_id = Array.make init_cap 0;
+    r_tails = Array.make init_cap [];
     pending_deps = [];
     in_merge = false;
     state = Fresh;
-    active_frames = [];
     contract_log = [];
     max_local_seen = 0;
     max_depth_seen = 0;
@@ -208,8 +210,6 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     pend_base = 0;
     pend_len = 0;
     pend_stride = 0;
-    aux_pool = Dynarr.create ();
-    region_pool = Dynarr.create ();
   }
 
 let set_tool t tool =
@@ -218,11 +218,12 @@ let set_tool t tool =
   t.spans_on <- Tool.spans_ok tool
 
 (* Recycle an engine for another run: every counter and log goes back to
-   its [create] value, but the arenas behind the Dynarrs and the location
-   registry keep their grown backing stores. Equivalent to [create] with
-   the same arguments — coverage sweeps lean on that equivalence to keep
-   parallel and serial results byte-identical — while skipping the
-   per-spec reallocation that dominates short runs. *)
+   its [create] value, but the arenas behind the Dynarrs, the frame and
+   region stacks and the location registry keep their grown backing
+   stores. Equivalent to [create] with the same arguments — coverage
+   sweeps lean on that equivalence to keep parallel and serial results
+   byte-identical — while skipping the per-spec reallocation that
+   dominates short runs. *)
 let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     ?max_events ?deadline ?(clock = Unix.gettimeofday) t =
   if t.state = Running then err "Engine.reset: engine is running";
@@ -242,10 +243,13 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
   Dynarr.clear t.spawn_log;
   Dynarr.clear t.frames_log;
   Dynarr.clear t.reducer_merges;
+  t.top <- -1;
+  Array.fill t.f_fid 0 (Array.length t.f_fid) (-1);
+  t.rtop <- 0;
+  Array.fill t.r_tails 0 (Array.length t.r_tails) [];
   t.pending_deps <- [];
   t.in_merge <- false;
   t.state <- Fresh;
-  t.active_frames <- [];
   t.contract_log <- [];
   t.max_local_seen <- 0;
   t.max_depth_seen <- 0;
@@ -313,208 +317,271 @@ let really_flush t =
 
 let[@inline] flush_pend t = if t.pend_kind <> 0 then really_flush t
 
-(* Allocate the next strand id; add the dag vertex and its incoming edges
-   when recording. *)
-let new_strand t ~frame ~kind ~view ~label ~preds =
+(* Allocate the next strand id. The dag vertex, when recording, is added
+   separately by [record_strand], so unrecorded runs never build the
+   predecessor lists. *)
+let next_strand t =
   flush_pend t;
   bump_event t;
   let id = t.strand_counter in
   t.strand_counter <- id + 1;
-  (match t.dag_store with
+  id
+
+let record_strand t id ~frame ~kind ~view ~label ~preds =
+  match t.dag_store with
   | None -> ()
   | Some dag ->
       let did = Dag.add_strand dag ~frame ~kind ~view ~label in
       assert (did = id);
-      List.iter (fun p -> Dag.add_edge dag p id) (List.sort_uniq compare preds));
-  id
+      List.iter (fun p -> Dag.add_edge dag p id) (List.sort_uniq compare preds)
 
-let top_region fr = Dynarr.top fr.regions
+(* -------- frame and region stacks -------- *)
 
-let cur_region fr = (top_region fr).rid
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let check_alive fr =
-  if not fr.alive then err "Cilk context used outside its dynamic extent"
+let push_region t rid =
+  let i = t.rtop in
+  if i = Array.length t.r_id then begin
+    t.r_id <- grow t.r_id 0;
+    t.r_tails <- grow t.r_tails []
+  end;
+  t.r_id.(i) <- rid;
+  if t.record then t.r_tails.(i) <- [];
+  t.rtop <- i + 1
 
-let require_user fr what =
-  check_alive fr;
-  if fr.kind <> Tool.User_fn then
+let[@inline] cur_region t = t.r_id.(t.rtop - 1)
+
+(* Recording only: [s] completes before the innermost open region's next
+   reduce (or sync). *)
+let add_tail t s =
+  let i = t.rtop - 1 in
+  t.r_tails.(i) <- s :: t.r_tails.(i)
+
+(* Push a frame entering region [entry_rid] as the new innermost frame and
+   return its depth. *)
+let push_frame t ~parent ~spawned ~kind ~entry_rid =
+  let d = t.top + 1 in
+  if d = Array.length t.f_fid then begin
+    t.f_fid <- grow t.f_fid (-1);
+    t.f_kind <- grow t.f_kind Tool.User_fn;
+    t.f_block <- grow t.f_block 0;
+    t.f_cont <- grow t.f_cont 0;
+    t.f_steals <- grow t.f_steals 0;
+    t.f_strand <- grow t.f_strand (-1);
+    t.f_rbase <- grow t.f_rbase 0
+  end;
+  let fid = t.next_fid in
+  t.next_fid <- fid + 1;
+  t.c_frames <- t.c_frames + 1;
+  if t.record then Dynarr.push t.frames_log (fid, parent, spawned, kind);
+  t.f_fid.(d) <- fid;
+  t.f_kind.(d) <- kind;
+  t.f_block.(d) <- 0;
+  t.f_cont.(d) <- 0;
+  t.f_steals.(d) <- 0;
+  t.f_strand.(d) <- -1;
+  t.f_rbase.(d) <- t.rtop;
+  push_region t entry_rid;
+  t.top <- d;
+  if d > t.max_depth_seen then t.max_depth_seen <- d;
+  d
+
+(* Pop the innermost frame [d], whose region stack is down to its entry
+   region. [f_strand.(d)] stays readable until the next push. *)
+let pop_frame t d =
+  t.f_fid.(d) <- -1;
+  t.rtop <- t.f_rbase.(d);
+  t.top <- d - 1
+
+let bad_ctx ctx =
+  let t = ctx.eng in
+  let d = ctx.depth in
+  if d >= 0 && d <= t.top && t.f_fid.(d) = ctx.fid then
+    err "Cilk context used while one of its frame's children is running"
+  else err "Cilk context used outside its dynamic extent"
+
+(* A serial context may touch frame state only while its frame is the
+   innermost live one; fids never repeat, so a popped (or recycled) slot
+   rejects the stale context. *)
+let[@inline] check_ctx ctx =
+  let t = ctx.eng in
+  let d = ctx.depth in
+  if d <> t.top || d < 0 || t.f_fid.(d) <> ctx.fid then bad_ctx ctx
+
+let require_user ctx what =
+  check_ctx ctx;
+  if ctx.eng.f_kind.(ctx.depth) <> Tool.User_fn then
     err "%s is not allowed inside view-aware (update/reduce/identity) code" what
 
-(* Merge the two most recently opened regions of [ctx]'s frame: emit the
-   reduce event (the SP+ P-bag pop/union point), then let every registered
-   reducer fold its dominated view into the surviving one. *)
+(* Merge the two topmost regions — the two most recently opened regions of
+   [ctx]'s (innermost) frame: emit the reduce event (the SP+ P-bag
+   pop/union point), then let every registered reducer fold its dominated
+   view into the surviving one. *)
 let merge_top_two ctx =
-  let fr = ctx.frame in
   let t = ctx.eng in
-  assert (Dynarr.length fr.regions >= 2);
-  let from = Dynarr.pop fr.regions in
-  let into = top_region fr in
+  assert (t.rtop - t.f_rbase.(ctx.depth) >= 2);
+  let fi = t.rtop - 1 in
+  let from_region = t.r_id.(fi) and into_region = t.r_id.(fi - 1) in
+  t.rtop <- fi;
   flush_pend t;
-  Tool.reduce t.tool ~frame:fr.fid ~into_region:into.rid ~from_region:from.rid;
-  if t.record then
+  Tool.reduce t.tool ~frame:ctx.fid ~into_region ~from_region;
+  if t.record then begin
     Dynarr.push t.merges_log
-      { m_from = from.rid; m_into = into.rid; m_at = t.strand_counter };
-  t.pending_deps <- List.rev_append from.tails into.tails;
-  Dynarr.push t.region_pool from;
+      { m_from = from_region; m_into = into_region; m_at = t.strand_counter };
+    t.pending_deps <- List.rev_append t.r_tails.(fi) t.r_tails.(fi - 1)
+  end;
   t.in_merge <- true;
-  (* index loop, not [Dynarr.iter]: merges run once per steal, and the
-     iteration closure would otherwise be allocated on every one *)
-  let from_region = from.rid and into_region = into.rid in
+  (* Index loop, not [Dynarr.iter], whose closure would be allocated per
+     merge. The callback is bound first: [(Dynarr.get ms i) ctx ...]
+     compiles to one over-application of [Dynarr.get], which builds a
+     partial-application closure per argument (16 words per merge). *)
   for i = 0 to Dynarr.length t.reducer_merges - 1 do
-    (Dynarr.get t.reducer_merges i) ctx ~from_region ~into_region
+    let merge = Dynarr.get t.reducer_merges i in
+    merge ctx ~from_region ~into_region
   done;
   t.in_merge <- false;
-  into.tails <- t.pending_deps;
-  t.pending_deps <- []
+  if t.record then begin
+    t.r_tails.(fi - 1) <- t.pending_deps;
+    t.pending_deps <- []
+  end
+
+(* Start frame [d]'s continuation strand, after [pred]. *)
+let continue_strand t d ~pred =
+  let s = next_strand t in
+  t.f_strand.(d) <- s;
+  if t.record then
+    record_strand t s ~frame:t.f_fid.(d) ~kind:Dag.User ~view:(cur_region t)
+      ~label:"cont" ~preds:[ pred ]
 
 let do_sync ctx =
-  let fr = ctx.frame in
   let t = ctx.eng in
-  require_user fr "sync";
-  let top = top_region fr in
-  top.tails <- fr.cur_node :: top.tails;
-  while Dynarr.length fr.regions > 1 do
+  require_user ctx "sync";
+  let d = ctx.depth in
+  if t.record then add_tail t t.f_strand.(d);
+  while t.rtop - t.f_rbase.(d) > 1 do
     merge_top_two ctx
   done;
   flush_pend t;
-  Tool.sync t.tool ~frame:fr.fid;
+  Tool.sync t.tool ~frame:ctx.fid;
   t.c_syncs <- t.c_syncs + 1;
-  fr.sync_block <- fr.sync_block + 1;
-  fr.local_cont_index <- 0;
-  fr.steals_in_block <- 0;
-  let base = top_region fr in
-  let preds = base.tails in
-  base.tails <- [];
-  fr.cur_node <-
-    new_strand t ~frame:fr.fid ~kind:Dag.User ~view:base.rid ~label:"sync" ~preds
+  t.f_block.(d) <- t.f_block.(d) + 1;
+  t.f_cont.(d) <- 0;
+  t.f_steals.(d) <- 0;
+  let s = next_strand t in
+  t.f_strand.(d) <- s;
+  if t.record then begin
+    let base = t.rtop - 1 in
+    let preds = t.r_tails.(base) in
+    t.r_tails.(base) <- [];
+    record_strand t s ~frame:ctx.fid ~kind:Dag.User ~view:t.r_id.(base)
+      ~label:"sync" ~preds
+  end
 
 let sync ctx =
   match ctx.eng.online with Some o -> o.oo_sync ctx | None -> do_sync ctx
 
-let fresh_frame t ~parent ~spawned ~kind ~entry_rid =
-  let fid = t.next_fid in
-  t.next_fid <- fid + 1;
-  t.c_frames <- t.c_frames + 1;
-  if t.record then
-    Dynarr.push t.frames_log
-      (fid, (match parent with Some p -> p.fid | None -> -1), spawned, kind);
-  let regions = Dynarr.create () in
-  Dynarr.push regions { rid = entry_rid; tails = [] };
-  let depth = match parent with Some p -> p.depth + 1 | None -> 0 in
-  if depth > t.max_depth_seen then t.max_depth_seen <- depth;
-  {
-    fid;
-    depth;
-    kind;
-    spawned;
-    parent_fid = (match parent with Some p -> p.fid | None -> -1);
-    alive = true;
-    sync_block = 0;
-    local_cont_index = 0;
-    steals_in_block = 0;
-    regions;
-    cur_node = -1;
-  }
-
-(* Run [f] as a child User_fn frame. Returns the child's result and the
-   strand id of the child's final strand. *)
+(* Run [f] as a child User_fn frame of [ctx]'s frame, which the caller has
+   checked, and return its result. The child's last strand is left in its
+   popped slot, [ctx.depth + 1]. One context serves the child's body and
+   its implicit sync. *)
 let run_child ctx ~spawned f =
   let t = ctx.eng in
-  let pf = ctx.frame in
-  require_user pf (if spawned then "spawn" else "call");
-  let entry_rid = cur_region pf in
-  let fr = fresh_frame t ~parent:(Some pf) ~spawned ~kind:Tool.User_fn ~entry_rid in
-  t.active_frames <- fr :: t.active_frames;
+  let entry_rid = cur_region t in
+  let d = push_frame t ~parent:ctx.fid ~spawned ~kind:Tool.User_fn ~entry_rid in
+  let fid = t.f_fid.(d) in
   flush_pend t;
-  Tool.frame_enter t.tool ~frame:fr.fid ~parent:pf.fid ~spawned
-    ~kind:Tool.User_fn;
-  fr.cur_node <-
-    new_strand t ~frame:fr.fid ~kind:Dag.User ~view:entry_rid ~label:"enter"
-      ~preds:[ pf.cur_node ];
-  let result = f { eng = t; frame = fr; ost = no_ost } in
+  Tool.frame_enter t.tool ~frame:fid ~parent:ctx.fid ~spawned ~kind:Tool.User_fn;
+  let s = next_strand t in
+  t.f_strand.(d) <- s;
+  if t.record then
+    record_strand t s ~frame:fid ~kind:Dag.User ~view:entry_rid ~label:"enter"
+      ~preds:[ t.f_strand.(ctx.depth) ];
+  let c = { eng = t; fid; depth = d; ost = no_ost } in
+  let result = f c in
   (* Cilk functions implicitly sync before returning. *)
-  do_sync { eng = t; frame = fr; ost = no_ost };
-  fr.alive <- false;
-  t.active_frames <- List.tl t.active_frames;
+  do_sync c;
+  pop_frame t d;
   flush_pend t;
-  Tool.frame_return t.tool ~frame:fr.fid ~parent:pf.fid ~spawned
+  Tool.frame_return t.tool ~frame:fid ~parent:ctx.fid ~spawned
     ~kind:Tool.User_fn;
-  (result, fr.cur_node)
-
-let fr_continue t pf ~preds =
-  pf.cur_node <-
-    new_strand t ~frame:pf.fid ~kind:Dag.User ~view:(cur_region pf) ~label:"cont"
-      ~preds
+  result
 
 let serial_call ctx f =
-  let t = ctx.eng in
-  let pf = ctx.frame in
-  let result, child_last = run_child ctx ~spawned:false f in
+  require_user ctx "call";
+  let result = run_child ctx ~spawned:false f in
   (* Continuation after a call is in series with the child. *)
-  fr_continue t pf ~preds:[ child_last ];
+  let t = ctx.eng in
+  continue_strand t ctx.depth ~pred:t.f_strand.(ctx.depth + 1);
   result
 
 let call ctx f =
   match ctx.eng.online with Some o -> o.oo_call ctx f | None -> serial_call ctx f
 
+let rec mem_int x = function [] -> false | y :: ys -> x = y || mem_int x ys
+
+(* The steal decision for the continuation of spawn [spawn_index] in frame
+   [d]. Structural shapes are decided by int tests; only the shapes without
+   one build the [cont_info] record and call the spec's predicate. *)
+let steals t d ~spawn_index ~local =
+  let spec = t.spec in
+  match spec.Steal_spec.shape with
+  | Steal_spec.Never -> false
+  | Steal_spec.Always -> true
+  | Steal_spec.Local_indices idxs -> mem_int local idxs
+  | Steal_spec.At_depth dd -> d = dd
+  | Steal_spec.Probabilistic | Steal_spec.Spawn_indices _ | Steal_spec.Opaque ->
+      spec.Steal_spec.steal
+        {
+          Steal_spec.spawn_index;
+          frame = t.f_fid.(d);
+          depth = d;
+          local_index = local;
+          sync_block = t.f_block.(d);
+        }
+
 let serial_spawn ctx f =
   let t = ctx.eng in
-  let pf = ctx.frame in
-  let spawn_strand = pf.cur_node in
-  let fut = { value = None; owner = pf.fid; born_block = pf.sync_block } in
-  let result, child_last = run_child ctx ~spawned:true f in
-  fut.value <- Some result;
+  require_user ctx "spawn";
+  let d = ctx.depth in
+  let spawn_strand = t.f_strand.(d) in
+  let fut = { value = None; owner = ctx.fid; born_block = t.f_block.(d) } in
+  fut.value <- Some (run_child ctx ~spawned:true f);
   (* The spawned child joins at the sync: its last strand feeds the tail
      set of the region it ran in. *)
-  (top_region pf).tails <- child_last :: (top_region pf).tails;
+  if t.record then add_tail t t.f_strand.(d + 1);
   t.c_spawns <- t.c_spawns + 1;
-  pf.local_cont_index <- pf.local_cont_index + 1;
-  if pf.local_cont_index > t.max_local_seen then
-    t.max_local_seen <- pf.local_cont_index;
-  let info =
-    {
-      Steal_spec.spawn_index = t.spawn_counter;
-      frame = pf.fid;
-      depth = pf.depth;
-      local_index = pf.local_cont_index;
-      sync_block = pf.sync_block;
-    }
-  in
-  t.spawn_counter <- t.spawn_counter + 1;
-  if t.spec.Steal_spec.steal info then begin
-    pf.steals_in_block <- pf.steals_in_block + 1;
+  let local = t.f_cont.(d) + 1 in
+  t.f_cont.(d) <- local;
+  if local > t.max_local_seen then t.max_local_seen <- local;
+  let spawn_index = t.spawn_counter in
+  t.spawn_counter <- spawn_index + 1;
+  if steals t d ~spawn_index ~local then begin
+    let ordinal = t.f_steals.(d) + 1 in
+    t.f_steals.(d) <- ordinal;
     (* The stolen continuation closes the current region's segment: the
        spawn strand is the segment's last strand. *)
-    let top = top_region pf in
-    top.tails <- spawn_strand :: top.tails;
-    let n_open = Dynarr.length pf.regions in
+    if t.record then add_tail t spawn_strand;
     let k =
-      Steal_spec.merges_before_steal t.spec ~steal_ordinal:pf.steals_in_block
-        ~n_open
+      Steal_spec.merges_before_steal t.spec ~steal_ordinal:ordinal
+        ~n_open:(t.rtop - t.f_rbase.(d))
     in
     for _ = 1 to k do
       merge_top_two ctx
     done;
     let rid = t.next_rid in
     t.next_rid <- rid + 1;
-    let entry =
-      if Dynarr.is_empty t.region_pool then { rid; tails = [] }
-      else begin
-        let e = Dynarr.pop t.region_pool in
-        e.rid <- rid;
-        e.tails <- [];
-        e
-      end
-    in
-    Dynarr.push pf.regions entry;
+    push_region t rid;
     flush_pend t;
-    Tool.steal t.tool ~frame:pf.fid ~region:rid;
+    Tool.steal t.tool ~frame:ctx.fid ~region:rid;
     t.c_steals <- t.c_steals + 1
   end;
   (* Continuation after a spawn depends only on the spawn strand. *)
-  fr_continue t pf ~preds:[ spawn_strand ];
+  continue_strand t d ~pred:spawn_strand;
   if t.record then
-    Dynarr.push t.spawn_log (info.Steal_spec.spawn_index, spawn_strand, pf.cur_node);
+    Dynarr.push t.spawn_log (spawn_index, spawn_strand, t.f_strand.(d));
   fut
 
 let spawn ctx f =
@@ -523,11 +590,10 @@ let spawn ctx f =
   | None -> serial_spawn ctx f
 
 let serial_get ctx fut =
-  let fr = ctx.frame in
-  check_alive fr;
-  if fr.fid <> fut.owner then
+  check_ctx ctx;
+  if ctx.fid <> fut.owner then
     err "future read from a frame other than the spawning one";
-  if fr.sync_block <= fut.born_block then
+  if ctx.eng.f_block.(ctx.depth) <= fut.born_block then
     err "future read before sync (the spawned child may still be running)";
   match fut.value with Some v -> v | None -> err "future has no value"
 
@@ -571,19 +637,20 @@ let run t main =
   | Fresh -> ()
   | Running | Done -> err "Engine.run: engine values are single-use");
   t.state <- Running;
-  let root = fresh_frame t ~parent:None ~spawned:false ~kind:Tool.User_fn ~entry_rid:0 in
-  t.active_frames <- [ root ];
-  Tool.frame_enter t.tool ~frame:root.fid ~parent:(-1) ~spawned:false
+  let d = push_frame t ~parent:(-1) ~spawned:false ~kind:Tool.User_fn ~entry_rid:0 in
+  let fid = t.f_fid.(d) in
+  Tool.frame_enter t.tool ~frame:fid ~parent:(-1) ~spawned:false
     ~kind:Tool.User_fn;
-  root.cur_node <-
-    new_strand t ~frame:root.fid ~kind:Dag.User ~view:0 ~label:"main" ~preds:[];
-  let ctx = { eng = t; frame = root; ost = no_ost } in
+  let s = next_strand t in
+  t.f_strand.(d) <- s;
+  if t.record then
+    record_strand t s ~frame:fid ~kind:Dag.User ~view:0 ~label:"main" ~preds:[];
+  let ctx = { eng = t; fid; depth = d; ost = no_ost } in
   let result = main ctx in
   do_sync ctx;
-  root.alive <- false;
-  t.active_frames <- [];
+  pop_frame t d;
   flush_pend t;
-  Tool.frame_return t.tool ~frame:root.fid ~parent:(-1) ~spawned:false
+  Tool.frame_return t.tool ~frame:fid ~parent:(-1) ~spawned:false
     ~kind:Tool.User_fn;
   t.state <- Done;
   flush_obs t;
@@ -593,9 +660,8 @@ let run t main =
 
 let failure_origin t =
   let o_frame, o_kind, o_depth =
-    match t.active_frames with
-    | [] -> (-1, Tool.User_fn, 0)
-    | fr :: _ -> (fr.fid, fr.kind, fr.depth)
+    if t.top < 0 then (-1, Tool.User_fn, 0)
+    else (t.f_fid.(t.top), t.f_kind.(t.top), t.top)
   in
   {
     Fault.o_frame;
@@ -616,8 +682,11 @@ let unwind t =
      detectors must see them to hold verdicts over the exact completed
      prefix. *)
   flush_pend t;
-  List.iter (fun fr -> fr.alive <- false) t.active_frames;
-  t.active_frames <- [];
+  for d = t.top downto 0 do
+    t.f_fid.(d) <- -1
+  done;
+  t.top <- -1;
+  t.rtop <- 0;
   t.in_merge <- false;
   t.pending_deps <- [];
   t.state <- Done;
@@ -686,14 +755,16 @@ let engine ctx = ctx.eng
 let current_frame ctx =
   match ctx.eng.online with
   | Some o -> o.oo_current_frame ctx
-  | None -> ctx.frame.fid
+  | None -> ctx.fid
 
 let current_strand t = t.strand_counter - 1
 
 let current_region ctx =
   match ctx.eng.online with
   | Some o -> o.oo_current_region ctx
-  | None -> cur_region ctx.frame
+  | None ->
+      check_ctx ctx;
+      cur_region ctx.eng
 
 let stats t =
   {
@@ -725,14 +796,15 @@ let alloc_locs t ~label n =
   | Some o -> o.oo_alloc_locs ~label n
   | None -> Loc.alloc_range t.registry ~label n
 
-let serial_emit_read ctx loc =
-  let fr = ctx.frame in
+(* One instrumented access of kind [k] (1 = read, 2 = write). *)
+let serial_emit_access ctx k loc =
   let t = ctx.eng in
-  check_alive fr;
+  check_ctx ctx;
   bump_event t;
-  let view_aware = fr.kind <> Tool.User_fn in
+  let fid = ctx.fid in
+  let view_aware = t.f_kind.(ctx.depth) <> Tool.User_fn in
   (if t.spans_on then begin
-     if t.pend_kind = 1 && t.pend_frame = fr.fid && t.pend_va = view_aware
+     if t.pend_kind = k && t.pend_frame = fid && t.pend_va = view_aware
      then begin
        if t.pend_len = 1 then begin
          t.pend_stride <- loc - t.pend_base;
@@ -742,8 +814,8 @@ let serial_emit_read ctx loc =
          t.pend_len <- t.pend_len + 1
        else begin
          really_flush t;
-         t.pend_kind <- 1;
-         t.pend_frame <- fr.fid;
+         t.pend_kind <- k;
+         t.pend_frame <- fid;
          t.pend_va <- view_aware;
          t.pend_base <- loc;
          t.pend_len <- 1
@@ -751,165 +823,88 @@ let serial_emit_read ctx loc =
      end
      else begin
        flush_pend t;
-       t.pend_kind <- 1;
-       t.pend_frame <- fr.fid;
+       t.pend_kind <- k;
+       t.pend_frame <- fid;
        t.pend_va <- view_aware;
        t.pend_base <- loc;
        t.pend_len <- 1
      end
    end
-   else Tool.read t.tool ~frame:fr.fid ~loc ~view_aware);
-  t.c_reads <- t.c_reads + 1;
+   else if k = 1 then Tool.read t.tool ~frame:fid ~loc ~view_aware
+   else Tool.write t.tool ~frame:fid ~loc ~view_aware);
+  if k = 1 then t.c_reads <- t.c_reads + 1 else t.c_writes <- t.c_writes + 1;
   if t.record then
     Dynarr.push t.accesses_log
       {
         a_loc = loc;
-        a_strand = fr.cur_node;
-        a_frame = fr.fid;
-        a_is_write = false;
+        a_strand = t.f_strand.(ctx.depth);
+        a_frame = fid;
+        a_is_write = k = 2;
         a_view_aware = view_aware;
       }
 
 let emit_read ctx loc =
   match ctx.eng.online with
   | Some o -> o.oo_emit_read ctx loc
-  | None -> serial_emit_read ctx loc
-
-let serial_emit_write ctx loc =
-  let fr = ctx.frame in
-  let t = ctx.eng in
-  check_alive fr;
-  bump_event t;
-  let view_aware = fr.kind <> Tool.User_fn in
-  (if t.spans_on then begin
-     if t.pend_kind = 2 && t.pend_frame = fr.fid && t.pend_va = view_aware
-     then begin
-       if t.pend_len = 1 then begin
-         t.pend_stride <- loc - t.pend_base;
-         t.pend_len <- 2
-       end
-       else if loc = t.pend_base + (t.pend_len * t.pend_stride) then
-         t.pend_len <- t.pend_len + 1
-       else begin
-         really_flush t;
-         t.pend_kind <- 2;
-         t.pend_frame <- fr.fid;
-         t.pend_va <- view_aware;
-         t.pend_base <- loc;
-         t.pend_len <- 1
-       end
-     end
-     else begin
-       flush_pend t;
-       t.pend_kind <- 2;
-       t.pend_frame <- fr.fid;
-       t.pend_va <- view_aware;
-       t.pend_base <- loc;
-       t.pend_len <- 1
-     end
-   end
-   else Tool.write t.tool ~frame:fr.fid ~loc ~view_aware);
-  t.c_writes <- t.c_writes + 1;
-  if t.record then
-    Dynarr.push t.accesses_log
-      {
-        a_loc = loc;
-        a_strand = fr.cur_node;
-        a_frame = fr.fid;
-        a_is_write = true;
-        a_view_aware = view_aware;
-      }
+  | None -> serial_emit_access ctx 1 loc
 
 let emit_write ctx loc =
   match ctx.eng.online with
   | Some o -> o.oo_emit_write ctx loc
-  | None -> serial_emit_write ctx loc
+  | None -> serial_emit_access ctx 2 loc
 
 let serial_emit_reducer_read ctx reducer =
-  let fr = ctx.frame in
   let t = ctx.eng in
-  require_user fr "reducer read (create/get/set)";
+  require_user ctx "reducer read (create/get/set)";
   flush_pend t;
-  Tool.reducer_read t.tool ~frame:fr.fid ~reducer;
+  Tool.reducer_read t.tool ~frame:ctx.fid ~reducer;
   t.c_reducer_reads <- t.c_reducer_reads + 1;
-  if t.record then Dynarr.push t.rreads_log (reducer, fr.cur_node)
+  if t.record then Dynarr.push t.rreads_log (reducer, t.f_strand.(ctx.depth))
 
 let emit_reducer_read ctx reducer =
   match ctx.eng.online with
   | Some o -> o.oo_emit_reducer_read ctx reducer
   | None -> serial_emit_reducer_read ctx reducer
 
-(* Acquire a frame for a runtime-invoked (reduce/identity) aux function,
-   reusing a pooled record when one is available. The pooled frame's
-   region stack already holds exactly one entry — aux frames cannot spawn,
-   so they never push another. *)
-let acquire_aux_frame t ~parent ~kind ~entry_rid =
-  if Dynarr.is_empty t.aux_pool then
-    fresh_frame t ~parent:(Some parent) ~spawned:false ~kind ~entry_rid
-  else begin
-    let fr = Dynarr.pop t.aux_pool in
-    let fid = t.next_fid in
-    t.next_fid <- fid + 1;
-    t.c_frames <- t.c_frames + 1;
-    if t.record then Dynarr.push t.frames_log (fid, parent.fid, false, kind);
-    fr.fid <- fid;
-    fr.depth <- parent.depth + 1;
-    fr.kind <- kind;
-    fr.parent_fid <- parent.fid;
-    fr.alive <- true;
-    fr.sync_block <- 0;
-    fr.local_cont_index <- 0;
-    fr.steals_in_block <- 0;
-    (let e = Dynarr.top fr.regions in
-     e.rid <- entry_rid;
-     e.tails <- []);
-    fr.cur_node <- -1;
-    if fr.depth > t.max_depth_seen then t.max_depth_seen <- fr.depth;
-    fr
-  end
-
-let serial_run_aux_frame ?(reducer = -1) ctx kind f =
+(* A view-aware frame runs exactly one strand: it can neither spawn nor
+   sync, so its first strand is its last. *)
+let serial_run_aux_frame ~reducer ctx kind f a =
   let t = ctx.eng in
-  let pf = ctx.frame in
-  require_user pf "reducer operation";
+  require_user ctx "reducer operation";
   (match kind with
   | Tool.User_fn -> invalid_arg "run_aux_frame: kind must be view-aware"
   | Tool.Update_fn | Tool.Reduce_fn | Tool.Identity_fn -> ());
-  let entry_rid = cur_region pf in
-  let fr =
-    if kind = Tool.Update_fn then
-      fresh_frame t ~parent:(Some pf) ~spawned:false ~kind ~entry_rid
-    else acquire_aux_frame t ~parent:pf ~kind ~entry_rid
-  in
-  t.active_frames <- fr :: t.active_frames;
+  let entry_rid = cur_region t in
+  let d = push_frame t ~parent:ctx.fid ~spawned:false ~kind ~entry_rid in
+  let fid = t.f_fid.(d) in
   flush_pend t;
-  Tool.frame_enter t.tool ~frame:fr.fid ~parent:pf.fid ~spawned:false ~kind;
+  Tool.frame_enter t.tool ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
   let in_reduce = kind = Tool.Reduce_fn && t.in_merge in
-  let preds = if in_reduce then t.pending_deps else [ pf.cur_node ] in
-  fr.cur_node <-
-    new_strand t ~frame:fr.fid
+  let s = next_strand t in
+  t.f_strand.(d) <- s;
+  if t.record then begin
+    record_strand t s ~frame:fid
       ~kind:(dag_kind_of_frame_kind kind)
       ~view:entry_rid
       ~label:(Tool.frame_kind_name kind)
-      ~preds;
-  if t.record then Dynarr.push t.aux_log (kind, reducer, fr.cur_node);
-  let result = f { eng = t; frame = fr; ost = no_ost } in
-  fr.alive <- false;
-  t.active_frames <- List.tl t.active_frames;
+      ~preds:(if in_reduce then t.pending_deps else [ t.f_strand.(ctx.depth) ]);
+    Dynarr.push t.aux_log (kind, reducer, s)
+  end;
+  let result = f { eng = t; fid; depth = d; ost = no_ost } a in
+  pop_frame t d;
   flush_pend t;
-  Tool.frame_return t.tool ~frame:fr.fid ~parent:pf.fid ~spawned:false ~kind;
+  Tool.frame_return t.tool ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
   if in_reduce then begin
-    t.pending_deps <- [ fr.cur_node ];
+    if t.record then t.pending_deps <- [ s ];
     t.c_reduce_calls <- t.c_reduce_calls + 1
   end
-  else fr_continue t pf ~preds:[ fr.cur_node ];
-  if kind <> Tool.Update_fn then Dynarr.push t.aux_pool fr;
+  else continue_strand t ctx.depth ~pred:s;
   result
 
-let run_aux_frame ?(reducer = -1) ctx kind f =
+let run_aux_frame ~reducer ctx kind f a =
   match ctx.eng.online with
-  | Some o -> o.oo_run_aux ~reducer ctx kind f
-  | None -> serial_run_aux_frame ~reducer ctx kind f
+  | Some o -> o.oo_run_aux ~reducer ctx kind (fun c -> f c a)
+  | None -> serial_run_aux_frame ~reducer ctx kind f a
 
 let register_reducer t ~merge =
   match t.online with
@@ -933,30 +928,8 @@ let set_online t ops =
   t.online <- Some ops
 
 let clear_online t = t.online <- None
-let is_online ctx = ctx.eng.online <> None
-
-(* A placeholder serial frame for online contexts: every dispatching entry
-   point branches on [online] before touching [ctx.frame], so this record
-   is never read. One shared value is fine — it is immutable in practice. *)
-let online_dummy_frame =
-  lazy
-    (let regions = Dynarr.create () in
-     Dynarr.push regions { rid = 0; tails = [] };
-     {
-       fid = -1;
-       depth = 0;
-       kind = Tool.User_fn;
-       spawned = false;
-       parent_fid = -1;
-       alive = true;
-       sync_block = 0;
-       local_cont_index = 0;
-       steals_in_block = 0;
-       regions;
-       cur_node = -1;
-     })
-
-let online_ctx t ost = { eng = t; frame = Lazy.force online_dummy_frame; ost }
+let is_online ctx = match ctx.eng.online with Some _ -> true | None -> false
+let online_ctx t ost = { eng = t; fid = -1; depth = -1; ost }
 let ctx_ost ctx = ctx.ost
 
 let online_view_find ctx ~region ~reducer =

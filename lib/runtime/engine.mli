@@ -31,8 +31,17 @@
 
 exception Cilk_error of string
 (** Raised on violations of Cilk discipline: spawning/syncing inside
-    view-aware code, reading a spawn's result before the sync, using a
-    context outside its dynamic extent, or re-running an engine. *)
+    view-aware code, reading a spawn's result before the sync, misusing a
+    context, or re-running an engine.
+
+    {b The context rule.} A context is valid only while its frame is the
+    innermost live frame: from the moment the frame is entered until it
+    returns, excluding the extent of every child frame it calls or spawns
+    (including the view-aware frames a reducer operation runs). [spawn],
+    [call], [sync], [get], the emit hooks behind {!Cell} / {!Rarray} /
+    {!Reducer}, {!run_aux_frame} and {!current_region} reject a context
+    used outside its frame's extent, and a parent's context captured and
+    used inside a child's body. *)
 
 type t
 type ctx
@@ -205,9 +214,8 @@ val reducer_reads : t -> (int * int) list
 
 (** [aux_frames t] is, for every view-aware auxiliary frame in serial
     order, [(kind, reducer, strand)]: the frame's kind (update / reduce /
-    identity), the id of the reducer it belongs to ([-1] when the caller
-    of {!run_aux_frame} did not say), and the frame's first strand — the
-    strand↔reducer provenance the static analyzer keys off. *)
+    identity), the id of the reducer it belongs to, and the frame's first
+    strand — the strand↔reducer provenance the static analyzer keys off. *)
 val aux_frames : t -> (Tool.frame_kind * int * int) list
 
 (** [spawn_log t] is, for every spawn in serial order,
@@ -228,11 +236,14 @@ val emit_read : ctx -> int -> unit
 val emit_write : ctx -> int -> unit
 val emit_reducer_read : ctx -> int -> unit
 
-(** [run_aux_frame ctx kind f] runs [f] as a view-aware auxiliary frame
-    ([Update_fn], [Identity_fn] or [Reduce_fn]) in the current context.
-    [reducer] attributes the frame to a reducer id in the recorded
-    {!aux_frames} log (default [-1], unattributed). *)
-val run_aux_frame : ?reducer:int -> ctx -> Tool.frame_kind -> (ctx -> 'a) -> 'a
+(** [run_aux_frame ~reducer ctx kind f a] runs [f c a] as a view-aware
+    auxiliary frame ([Update_fn], [Identity_fn] or [Reduce_fn]) of [ctx]'s
+    frame, where [c] is the auxiliary frame's context, and returns its
+    result. Passing the argument separately lets a reducer operation run
+    without building a closure per call. [reducer] attributes the frame to
+    a reducer id in the recorded {!aux_frames} log. *)
+val run_aux_frame :
+  reducer:int -> ctx -> Tool.frame_kind -> (ctx -> 'b -> 'a) -> 'b -> 'a
 
 (** [report_contract_violation t cv] records a monoid-law violation found
     by a reducer self-check; surfaced by {!run_result} as

@@ -10,43 +10,43 @@ type 'v law_check = {
   lc_samples : int;
 }
 
-(* Serial view storage: region ids are small dense ints (the engine hands
-   them out from a counter), so a flat ['v option array] indexed by region
-   replaces the seed's hashtable — a view lookup on the serial hot path is
-   one bounds check and one array load of the stored option (no hashing,
-   no allocation). [vcount] tracks the live views for [n_views]. *)
+(* Serial view storage: a stack of (region id, view) pairs in the engine's
+   region-stack order. Region ids never decrease along that stack, views
+   are created only for the innermost open region and removed only when
+   that region merges into the one below it, so the ids here strictly
+   increase and the current region's view, if any, is on top: a lookup
+   compares one id, a merge folds the top two entries, nothing is boxed
+   and memory is O(live regions). *)
 type 'v store = {
-  mutable slots : 'v option array;
-  mutable vcount : int;
+  mutable ids : int array;
+  mutable views : 'v array; (* same capacity as [ids] *)
+  mutable n : int;
 }
 
-let store_find s region =
-  if region < Array.length s.slots then s.slots.(region) else None
+let[@inline] store_top_is s region = s.n > 0 && s.ids.(s.n - 1) = region
+
+let store_push s region v =
+  assert (s.n = 0 || s.ids.(s.n - 1) < region);
+  if s.n = Array.length s.views then begin
+    let cap = max 4 (2 * s.n) in
+    let ids = Array.make cap 0 and views = Array.make cap v in
+    Array.blit s.ids 0 ids 0 s.n;
+    Array.blit s.views 0 views 0 s.n;
+    s.ids <- ids;
+    s.views <- views
+  end;
+  s.ids.(s.n) <- region;
+  s.views.(s.n) <- v;
+  s.n <- s.n + 1
 
 let store_set s region v =
-  if region >= Array.length s.slots then begin
-    let cap = max (region + 1) (2 * Array.length s.slots) in
-    let slots = Array.make cap None in
-    Array.blit s.slots 0 slots 0 (Array.length s.slots);
-    s.slots <- slots
-  end;
-  (match s.slots.(region) with
-  | None -> s.vcount <- s.vcount + 1
-  | Some _ -> ());
-  s.slots.(region) <- Some v
-
-let store_remove s region =
-  if region < Array.length s.slots then
-    match s.slots.(region) with
-    | None -> ()
-    | Some _ ->
-        s.slots.(region) <- None;
-        s.vcount <- s.vcount - 1
+  if store_top_is s region then s.views.(s.n - 1) <- v
+  else store_push s region v
 
 type 'v t = {
   rid : int;
   monoid : 'v monoid;
-  views : 'v store; (* region id -> view *)
+  views : 'v store;
   creation_region : int;
 }
 
@@ -91,28 +91,28 @@ let check_associativity ctx monoid lc a b =
       "((a ⊗ b) ⊗ c) differs from (a ⊗ (b ⊗ c)) on observed views \
        (c = a ⊗ b)"
 
-(* View storage dispatch. Serially each reducer owns its region->view
-   table. Online the regions themselves own the view tables (they are
+(* Online the regions themselves own the view tables (they are
    created/merged/discarded by the work-stealing runtime, which also
    guarantees single-owner access), so reads and writes route through the
    engine's online hooks with an [Obj.t]-erased payload: every entry under
-   this reducer's id is written and read back only by this function's own
+   a reducer's id is written and read back only by that reducer's own
    closures, at the one type ['v]. *)
-let view_find ctx ~rid ~views region =
-  if Engine.is_online ctx then
-    match Engine.online_view_find ctx ~region ~reducer:rid with
-    | None -> None
-    | Some o -> Some (Obj.obj o)
-  else store_find views region
+let online_find ctx rid region =
+  match Engine.online_view_find ctx ~region ~reducer:rid with
+  | None -> None
+  | Some o -> Some (Obj.obj o)
 
-let view_set ctx ~rid ~views region v =
-  if Engine.is_online ctx then
-    Engine.online_view_set ctx ~region ~reducer:rid (Obj.repr v)
-  else store_set views region v
+let online_set ctx rid region v =
+  Engine.online_view_set ctx ~region ~reducer:rid (Obj.repr v)
+
+(* Auxiliary-frame bodies, passed to [Engine.run_aux_frame] with their
+   argument so that no closure is built per call. *)
+let run_identity c m = m.identity c
+let run_reduce c (m, v_into, v_from) = m.reduce c v_into v_from
 
 let create ctx ?self_check monoid ~init =
   let eng = Engine.engine ctx in
-  let views = { slots = Array.make 8 None; vcount = 0 } in
+  let views = { ids = [||]; views = [||]; n = 0 } in
   let samples_left =
     ref (match self_check with None -> 0 | Some lc -> max 0 lc.lc_samples)
   in
@@ -120,31 +120,37 @@ let create ctx ?self_check monoid ~init =
      the id is only assigned by [register_reducer] below; merges run only
      during the computation, long after the slot is filled. *)
   let rid_slot = ref (-1) in
+  let combine mctx v_into v_from =
+    (match self_check with
+    | Some lc when !samples_left > 0 ->
+        decr samples_left;
+        check_identity_laws mctx monoid lc v_from;
+        check_associativity mctx monoid lc v_into v_from
+    | _ -> ());
+    Engine.run_aux_frame ~reducer:!rid_slot mctx Tool.Reduce_fn run_reduce
+      (monoid, v_into, v_from)
+  in
+  (* A surviving region that never materialized a view takes [v_from]
+     as is: its lazy identity absorbs it without running user code. *)
   let merge mctx ~from_region ~into_region =
-    match view_find mctx ~rid:!rid_slot ~views from_region with
-    | None -> ()
-    | Some v_from -> (
-        (* Online the dying region's whole view table is discarded by the
-           runtime after its merges, so only the serial table needs the
-           explicit removal. *)
-        if not (Engine.is_online mctx) then store_remove views from_region;
-        match view_find mctx ~rid:!rid_slot ~views into_region with
-        | None ->
-            (* The surviving region never materialized a view: its lazy
-               identity absorbs [v_from] without running user code. *)
-            view_set mctx ~rid:!rid_slot ~views into_region v_from
-        | Some v_into ->
-            (match self_check with
-            | Some lc when !samples_left > 0 ->
-                decr samples_left;
-                check_identity_laws mctx monoid lc v_from;
-                check_associativity mctx monoid lc v_into v_from
-            | _ -> ());
-            let combined =
-              Engine.run_aux_frame ~reducer:!rid_slot mctx Tool.Reduce_fn
-                (fun c -> monoid.reduce c v_into v_from)
-            in
-            view_set mctx ~rid:!rid_slot ~views into_region combined)
+    if Engine.is_online mctx then
+      (* The dying region's whole view table is discarded by the runtime
+         after its merges, so nothing is removed here. *)
+      match online_find mctx !rid_slot from_region with
+      | None -> ()
+      | Some v_from ->
+          online_set mctx !rid_slot into_region
+            (match online_find mctx !rid_slot into_region with
+            | None -> v_from
+            | Some v_into -> combine mctx v_into v_from)
+    else if store_top_is views from_region then begin
+      let v_from = views.views.(views.n - 1) in
+      views.n <- views.n - 1;
+      store_set views into_region
+        (if store_top_is views into_region then
+           combine mctx views.views.(views.n - 1) v_from
+         else v_from)
+    end
   in
   let rid = Engine.register_reducer eng ~merge in
   rid_slot := rid;
@@ -153,22 +159,33 @@ let create ctx ?self_check monoid ~init =
   | Some lc when lc.lc_samples > 0 -> check_identity_laws ctx monoid lc init
   | _ -> ());
   let creation_region = Engine.current_region ctx in
-  view_set ctx ~rid ~views creation_region init;
+  if Engine.is_online ctx then online_set ctx rid creation_region init
+  else store_push views creation_region init;
   { rid; monoid; views; creation_region }
+
+let set_view ctx r v =
+  let region = Engine.current_region ctx in
+  if Engine.is_online ctx then online_set ctx r.rid region v
+  else store_set r.views region v
+
+let materialize ctx r =
+  let v =
+    Engine.run_aux_frame ~reducer:r.rid ctx Tool.Identity_fn run_identity
+      r.monoid
+  in
+  set_view ctx r v;
+  v
 
 (* The view of the current region, materializing an identity view on
    demand (Cilk creates views lazily at the first access after a steal). *)
 let current_view ctx r =
   let region = Engine.current_region ctx in
-  match view_find ctx ~rid:r.rid ~views:r.views region with
-  | Some v -> v
-  | None ->
-      let v =
-        Engine.run_aux_frame ~reducer:r.rid ctx Tool.Identity_fn (fun c ->
-            r.monoid.identity c)
-      in
-      view_set ctx ~rid:r.rid ~views:r.views region v;
-      v
+  if Engine.is_online ctx then
+    match online_find ctx r.rid region with
+    | Some v -> v
+    | None -> materialize ctx r
+  else if store_top_is r.views region then r.views.views.(r.views.n - 1)
+  else materialize ctx r
 
 let get_value ctx r =
   Engine.emit_reducer_read ctx r.rid;
@@ -176,14 +193,24 @@ let get_value ctx r =
 
 let set_value ctx r v =
   Engine.emit_reducer_read ctx r.rid;
-  view_set ctx ~rid:r.rid ~views:r.views (Engine.current_region ctx) v
+  set_view ctx r v
 
 let update ctx r f =
   let v = current_view ctx r in
-  let v' = Engine.run_aux_frame ~reducer:r.rid ctx Tool.Update_fn (fun c -> f c v) in
-  view_set ctx ~rid:r.rid ~views:r.views (Engine.current_region ctx) v'
+  set_view ctx r (Engine.run_aux_frame ~reducer:r.rid ctx Tool.Update_fn f v)
 
 let id r = r.rid
 let name r = r.monoid.name
-let peek r = store_find r.views r.creation_region
-let n_views r = r.views.vcount
+
+(* The creation region's view is no longer on top once a later region
+   opened, so scan the stack. *)
+let peek r =
+  let s = r.views in
+  let rec find i =
+    if i < 0 then None
+    else if s.ids.(i) = r.creation_region then Some s.views.(i)
+    else find (i - 1)
+  in
+  find (s.n - 1)
+
+let n_views r = r.views.n

@@ -58,7 +58,11 @@ type shape =
   | Spawn_indices of int list  (** {!by_spawn_index} *)
   | Opaque  (** unknown predicate; not validatable *)
 
-type t = {
+(** Private, so a spec's [shape] always comes from the constructor that
+    built its [steal]: the engine decides the structural shapes from
+    [shape] alone and calls [steal] only for {!Probabilistic},
+    {!Spawn_indices} and {!Opaque}. *)
+type t = private {
   name : string;  (** for reports and bench tables *)
   steal : cont_info -> bool;  (** is this continuation stolen? *)
   policy : reduce_policy;

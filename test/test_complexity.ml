@@ -177,6 +177,89 @@ let test_compression_amortizes () =
   checkb "compression stays amortized: steps <= 2 * finds" true
     (c.Obs.dset_compress_steps <= 2 * c.Obs.dset_finds)
 
+(* Exact allocation gate for the engine. Allocation is deterministic for a
+   fixed program, spec and compiler, so it is gated exactly rather than
+   timed: words allocated per spawn under [Tool.null], as the slope
+   between two input sizes (fixed per-run costs cancel). Words count the
+   minor heap plus blocks allocated directly in the major heap (those
+   over 256 words, which [Gc.minor_words] misses). [Gc.minor_words] is
+   exact at any point; the minor count in [Gc.counters] only moves at
+   minor collections, so only its major and promoted counts are used.
+   Any increase over the committed table fails; a decrease should lower
+   the table. *)
+
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* the bare spawn/call/sync tree: only the engine and the user closures
+   allocate *)
+let rec bare_tree ctx n =
+  if n >= 2 then begin
+    ignore (Cilk.spawn ctx (fun ctx -> bare_tree ctx (n - 1)));
+    Cilk.call ctx (fun ctx -> bare_tree ctx (n - 2));
+    Cilk.sync ctx
+  end
+
+(* the paper's fib, with its opadd reducer *)
+let fib_opadd n ctx =
+  ignore ((Rader_benchsuite.Bm_fib.bench ~n).Rader_benchsuite.Bench_def.cilk ctx)
+
+let alloc_programs =
+  [
+    ("bare tree", Steal_spec.none, fun n ctx -> bare_tree ctx n);
+    ("fib+opadd", Steal_spec.none, fib_opadd);
+    ("fib+opadd -s all", Steal_spec.all (), fib_opadd);
+  ]
+
+(* Committed words per spawn, per compiler series: the measured slopes
+   rounded up to a tenth of a word (5.1.1 measured 26.00, 36.00 and 55.01;
+   the last carries the reducer view stack's doubling with depth). A
+   series without a row is held to the first one. *)
+let alloc_table =
+  [ ("5.1", [ ("bare tree", 26.0); ("fib+opadd", 36.0); ("fib+opadd -s all", 55.1) ]) ]
+
+(* One engine, recycled with [Engine.reset] after a warm-up run at the
+   larger size, so its stacks are already grown at both measured sizes. *)
+let words_per_spawn ~spec program =
+  let eng = Engine.create ~spec () in
+  let measure n =
+    Engine.reset ~spec eng;
+    let main = program n in
+    let w0 = words_allocated () in
+    ignore (Engine.run eng main);
+    let w1 = words_allocated () in
+    ((Engine.stats eng).Engine.n_spawns, w1 -. w0)
+  in
+  ignore (measure 18);
+  let s0, w0 = measure 14 in
+  let s1, w1 = measure 18 in
+  (w1 -. w0) /. float_of_int (s1 - s0)
+
+let test_alloc_per_spawn () =
+  let series = String.sub Sys.ocaml_version 0 3 in
+  let row =
+    match List.assoc_opt series alloc_table with
+    | Some row -> row
+    | None -> snd (List.hd alloc_table)
+  in
+  let measured =
+    List.map
+      (fun (name, spec, program) ->
+        let w = words_per_spawn ~spec program in
+        let limit = List.assoc name row in
+        Printf.printf "%s: %.4f words/spawn (table %.1f, OCaml %s)\n" name w
+          limit Sys.ocaml_version;
+        (name, w, limit))
+      alloc_programs
+  in
+  List.iter
+    (fun (name, w, limit) ->
+      checkb
+        (Printf.sprintf "%s: %.2f words/spawn <= %.1f" name w limit)
+        true (w <= limit))
+    measured
+
 let () =
   Alcotest.run "complexity"
     [
@@ -199,4 +282,6 @@ let () =
           Alcotest.test_case "depa does no dset work" `Quick
             test_depa_does_no_dset_work;
         ] );
+      ( "engine-alloc",
+        [ Alcotest.test_case "words per spawn" `Quick test_alloc_per_spawn ] );
     ]

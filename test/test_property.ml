@@ -261,9 +261,11 @@ let prop_trace_roundtrip =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Trace.save tr path;
-          let tr' = Trace.load path in
-          Trace.equal tr tr'
-          && Oracle.determinacy_races_t tr' = Oracle.determinacy_races eng))
+          match Trace.load path with
+          | Error _ -> false
+          | Ok tr' ->
+              Trace.equal tr tr'
+              && Oracle.determinacy_races_t tr' = Oracle.determinacy_races eng))
 
 (* Ostensibly deterministic programs (pure reducers, no mid-computation
    reducer reads) produce identical results under every schedule. *)
@@ -317,6 +319,63 @@ let prop_peer_set_quiescent_reads_clean =
          reducer-reads are creation and the final post-sync reads. *)
       not (Peer_set.found d))
 
+(* The engine decides the structural shapes (none, all, local{..},
+   depth=d) from [shape] with int tests and builds [cont_info] only for the
+   others. The same predicate sent through the closure path, as an [Opaque]
+   spec, must give the same run: result, engine stats, tool event stream
+   and recorded trace. *)
+let structural_specs =
+  [
+    Steal_spec.none;
+    Steal_spec.all ();
+    Steal_spec.at_local_indices [ 1 ];
+    Steal_spec.at_local_indices [ 1; 2 ];
+    Steal_spec.at_depth 0;
+    Steal_spec.at_depth 1;
+    Steal_spec.at_depth 2;
+    Steal_spec.random ~seed:5 ~density:0.5 ();
+    Steal_spec.by_spawn_index [ 0; 2; 5 ];
+  ]
+
+let observed_run spec p =
+  let buf = Buffer.create 1024 in
+  let add fmt = Printf.bprintf buf fmt in
+  let tool =
+    Tool.extern
+      {
+        Tool.on_frame_enter =
+          (fun ~frame ~parent ~spawned ~kind ->
+            add "E%d,%d,%b,%s;" frame parent spawned (Tool.frame_kind_name kind));
+        on_frame_return = (fun ~frame ~parent:_ ~spawned:_ ~kind:_ -> add "R%d;" frame);
+        on_sync = (fun ~frame -> add "S%d;" frame);
+        on_steal = (fun ~frame ~region -> add "T%d,%d;" frame region);
+        on_reduce =
+          (fun ~frame ~into_region ~from_region ->
+            add "M%d,%d,%d;" frame into_region from_region);
+        on_read = (fun ~frame ~loc ~view_aware -> add "r%d,%d,%b;" frame loc view_aware);
+        on_write = (fun ~frame ~loc ~view_aware -> add "w%d,%d,%b;" frame loc view_aware);
+        on_reducer_read = (fun ~frame ~reducer -> add "q%d,%d;" frame reducer);
+      }
+  in
+  let eng = Engine.create ~tool ~spec ~record:true () in
+  let result = Engine.run eng (G.interpret p) in
+  (result, Engine.stats eng, Buffer.contents buf, Trace.of_engine eng)
+
+let prop_compiled_steal_decisions =
+  qtest ~count:200 "structural steal decisions = closure path"
+    (G.gen ~with_reducers:true ~racy:true)
+    (fun p ->
+      List.for_all
+        (fun spec ->
+          let closure_path =
+            Steal_spec.opaque ~policy:spec.Steal_spec.policy
+              ~name:spec.Steal_spec.name spec.Steal_spec.steal
+          in
+          let r1, s1, e1, t1 = observed_run spec p in
+          let r2, s2, e2, t2 = observed_run closure_path p in
+          r1 = r2 && s1 = s2 && e1 = e2 && Trace.equal t1 t2)
+        structural_specs)
+
 let () =
   let suite =
     List.map QCheck_alcotest.to_alcotest
@@ -333,6 +392,7 @@ let () =
         prop_deterministic_across_specs;
         prop_engine_invariants;
         prop_peer_set_quiescent_reads_clean;
+        prop_compiled_steal_decisions;
       ]
   in
   Alcotest.run "property"

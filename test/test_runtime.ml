@@ -116,6 +116,28 @@ let test_ctx_escape_detected () =
           | Some inner -> ignore (Cilk.spawn inner (fun _ -> ()))
           | None -> ()))
 
+(* The context rule: a context is valid only while its frame is innermost,
+   so a parent's live context captured and used inside a child's body is
+   rejected, whatever it is used for. *)
+let parent_ctx_in_child use =
+  expect_cilk_error (fun () ->
+      Cilk.exec (fun ctx ->
+          let cell = Cell.make_in ctx ~label:"x" 0 in
+          let r = Rmonoid.new_int_add ctx ~init:0 in
+          Cilk.call ctx (fun _child -> use ctx cell r)))
+
+let test_parent_ctx_spawn_in_child () =
+  parent_ctx_in_child (fun ctx _ _ -> ignore (Cilk.spawn ctx (fun _ -> ())))
+
+let test_parent_ctx_sync_in_child () =
+  parent_ctx_in_child (fun ctx _ _ -> Cilk.sync ctx)
+
+let test_parent_ctx_read_in_child () =
+  parent_ctx_in_child (fun ctx cell _ -> ignore (Cell.read ctx cell))
+
+let test_parent_ctx_reducer_in_child () =
+  parent_ctx_in_child (fun ctx _ r -> Rmonoid.add ctx r 1)
+
 (* ---------- Cilk discipline in view-aware code ---------- *)
 
 let test_no_spawn_in_update () =
@@ -473,7 +495,18 @@ let test_loc_labels () =
         let c = Cell.make e ~label:"mycell" 0 in
         let a = Rarray.make e ~label:"myarr" 5 0 in
         Alcotest.(check string) "cell label" "mycell" (Engine.loc_label e (Cell.loc c));
-        Alcotest.(check string) "array label" "myarr[2]" (Engine.loc_label e (Rarray.loc a 2)))
+        Alcotest.(check string) "array label" "myarr[2]" (Engine.loc_label e (Rarray.loc a 2));
+        (* consecutive cells sharing one label are stored as a run *)
+        let label = "view" in
+        let run = List.init 3 (fun _ -> Cell.make e ~label 0) in
+        let equal_label = Cell.make e ~label:(String.concat "" [ "vi"; "ew" ]) 0 in
+        let range = Rarray.make e ~label 2 0 in
+        let after = Cell.make e ~label 0 in
+        List.iter
+          (fun c -> Alcotest.(check string) "run label" "view" (Engine.loc_label e (Cell.loc c)))
+          (run @ [ equal_label; after ]);
+        Alcotest.(check string) "range after a run" "view[1]"
+          (Engine.loc_label e (Rarray.loc range 1)))
   in
   Alcotest.(check string) "unknown" "?" (Engine.loc_label eng 999)
 
@@ -855,6 +888,14 @@ let () =
           Alcotest.test_case "parallel_for edge" `Quick test_parallel_for_empty_and_grain;
           Alcotest.test_case "single use" `Quick test_engine_single_use;
           Alcotest.test_case "ctx escape" `Quick test_ctx_escape_detected;
+          Alcotest.test_case "ctx escape: parent spawn in child" `Quick
+            test_parent_ctx_spawn_in_child;
+          Alcotest.test_case "ctx escape: parent sync in child" `Quick
+            test_parent_ctx_sync_in_child;
+          Alcotest.test_case "ctx escape: parent Cell.read in child" `Quick
+            test_parent_ctx_read_in_child;
+          Alcotest.test_case "ctx escape: parent Rmonoid.add in child" `Quick
+            test_parent_ctx_reducer_in_child;
         ] );
       ( "view-aware discipline",
         [

@@ -28,6 +28,18 @@ let recorded ?(spec = Steal_spec.at_local_indices [ 1; 2 ]) program =
   ignore (Engine.run eng program);
   eng
 
+let load_ok path =
+  match Trace.load path with Ok tr -> tr | Error msg -> Alcotest.fail msg
+
+let with_temp f =
+  let path = Filename.temp_file "rader" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
 let test_of_engine_requires_recording () =
   let eng = Engine.create () in
   ignore (Engine.run eng (fun _ -> ()));
@@ -60,7 +72,7 @@ let test_save_load_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Trace.save tr path;
-      let tr' = Trace.load path in
+      let tr' = load_ok path in
       checkb "round trip equal" true (Trace.equal tr tr'))
 
 let test_offline_oracle_equals_online () =
@@ -73,7 +85,7 @@ let test_offline_oracle_equals_online () =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Trace.save tr path;
-          let tr' = Trace.load path in
+          let tr' = load_ok path in
           Alcotest.(check (list int))
             ("determinacy races offline (" ^ spec.Steal_spec.name ^ ")")
             (Oracle.determinacy_races eng)
@@ -84,17 +96,88 @@ let test_offline_oracle_equals_online () =
             (Oracle.view_read_races_t tr')))
     [ Steal_spec.none; Steal_spec.all (); Steal_spec.at_local_indices [ 1; 2 ] ]
 
+let expect_load_error path =
+  match Trace.load path with
+  | Ok _ -> Alcotest.fail "expected a load error"
+  | Error _ -> ()
+
 let test_load_rejects_garbage () =
-  let path = Filename.temp_file "rader" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a trace\n";
-      close_out oc;
-      match Trace.load path with
-      | _ -> Alcotest.fail "expected failure"
-      | exception Failure _ -> ())
+  with_temp (fun path ->
+      write_file path "garbage";
+      expect_load_error path)
+
+let test_load_rejects_missing_file () =
+  expect_load_error (Filename.concat (Filename.get_temp_dir_name ()) "no-such.trace");
+  expect_load_error (Filename.get_temp_dir_name ())
+
+let test_load_rejects_bad_integer () =
+  with_temp (fun path ->
+      write_file path "rader-trace 1\ns 0 0 0 main\ns x 0 0 cont\n";
+      expect_load_error path)
+
+let test_load_rejects_backward_edge () =
+  with_temp (fun path ->
+      write_file path "rader-trace 1\ns 0 0 0 main\ns 0 0 0 cont\ne 1 0\n";
+      expect_load_error path;
+      write_file path "rader-trace 1\ns 0 0 0 main\ne 0 0\n";
+      expect_load_error path)
+
+(* Every failure path closes the channel: repeated failed loads leave the
+   process's descriptor count where it was. *)
+let test_load_closes_channel () =
+  if Sys.file_exists "/proc/self/fd" then
+    with_temp (fun path ->
+        write_file path "rader-trace 1\ns 0 0 0 main\ne 0 7\n";
+        let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+        let before = open_fds () in
+        for _ = 1 to 50 do
+          expect_load_error path
+        done;
+        Alcotest.(check int) "no leaked descriptors" before (open_fds ()))
+
+(* Totality under mutation, over saved demo traces: flip random bytes,
+   truncate, extend — [load] returns [Ok] or [Error], never raises. *)
+let demo_traces =
+  lazy
+    (List.map
+       (fun name ->
+         let program =
+           match Rader_benchsuite.Demos.resolve ~scale:0.05 name with
+           | Ok p -> p
+           | Error msg -> failwith msg
+         in
+         let tr = Trace.of_engine (recorded ~spec:(Steal_spec.all ()) program) in
+         with_temp (fun path ->
+             Trace.save tr path;
+             In_channel.with_open_bin path In_channel.input_all))
+       [ "fig1-buggy"; "racy-read"; "fib-racy" ])
+
+let gen_mutation =
+  let open QCheck2.Gen in
+  let* base = int_bound 2 in
+  let* flips = list_size (int_range 1 8) (pair nat (int_bound 255)) in
+  let* cut = nat in
+  let* extend = string_size ~gen:char (int_bound 8) in
+  return (base, flips, cut, extend)
+
+let mutate body flips cut extend =
+  let n = String.length body in
+  let b = Bytes.of_string body in
+  List.iter (fun (i, c) -> Bytes.set b (i mod n) (Char.chr c)) flips;
+  let s = Bytes.to_string b in
+  let s = if cut mod 3 = 0 then String.sub s 0 (cut mod n) else s in
+  s ^ extend
+
+let prop_load_total =
+  QCheck2.Test.make ~name:"load is total under byte mutation" ~count:300
+    gen_mutation (fun (base, flips, cut, extend) ->
+      let body = List.nth (Lazy.force demo_traces) base in
+      with_temp (fun path ->
+          write_file path (mutate body flips cut extend);
+          match Trace.load path with
+          | Ok _ | Error _ -> true
+          | exception e ->
+              QCheck2.Test.fail_reportf "load raised %s" (Printexc.to_string e)))
 
 let test_label_with_spaces_roundtrip () =
   let eng = Engine.create ~record:true () in
@@ -108,7 +191,7 @@ let test_label_with_spaces_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Trace.save tr path;
-      let tr' = Trace.load path in
+      let tr' = load_ok path in
       checkb "spacey label survives" true
         (List.exists (fun (_, l) -> l = "a label with spaces") tr'.Trace.loc_labels))
 
@@ -182,5 +265,13 @@ let () =
             test_sp_tree_rejects_performance_dag;
           Alcotest.test_case "SP-tree rejects interleaved frames" `Quick
             test_sp_tree_rejects_interleaved_frames;
+          Alcotest.test_case "rejects a missing file" `Quick
+            test_load_rejects_missing_file;
+          Alcotest.test_case "rejects a bad integer" `Quick
+            test_load_rejects_bad_integer;
+          Alcotest.test_case "rejects a backward edge" `Quick
+            test_load_rejects_backward_edge;
+          Alcotest.test_case "closes its channel" `Quick test_load_closes_channel;
+          QCheck_alcotest.to_alcotest prop_load_total;
         ] );
     ]
