@@ -68,9 +68,19 @@ let spec_arg =
   Arg.(value & opt string "none" & info [ "steal"; "s" ] ~docv:"SPEC" ~doc)
 
 let density_arg =
+  let probability =
+    let parse s =
+      match float_of_string_opt s with
+      | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+      | _ ->
+          let msg = Printf.sprintf "invalid value '%s', expected a number in [0,1]" s in
+          Error (`Msg msg)
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   Arg.(
     value
-    & opt float 0.5
+    & opt probability 0.5
     & info [ "density" ] ~docv:"P" ~doc:"Steal probability for --steal random.")
 
 let parse_spec ~seed ~density s =
@@ -940,7 +950,7 @@ let do_dag program scale seed spec_str density output =
   let prog = resolve_program ~scale program in
   let eng = Engine.create ~spec ~record:true () in
   ignore (Engine.run eng prog);
-  let dot = Rader_dag.Dag.to_dot (Option.get (Engine.dag eng)) in
+  let dot = Rader_dag.Dag.to_dot (Trace.dag (Trace.of_engine eng)) in
   (match output with
   | None -> print_string dot
   | Some path ->
@@ -1025,8 +1035,7 @@ let do_oracle path =
   in
   let vr = Oracle.view_read_races_t tr in
   let dr = Oracle.determinacy_races_t tr in
-  Printf.printf "trace: %d strands, %d accesses, %d merges\n"
-    (Rader_dag.Dag.n_strands tr.Trace.dag)
+  Printf.printf "trace: %d strands, %d accesses, %d merges\n" tr.Trace.n_strands
     (List.length tr.Trace.accesses)
     (List.length tr.Trace.merges);
   Printf.printf "view-read races: %d reducer(s)%s\n" (List.length vr)

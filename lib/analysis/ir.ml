@@ -5,7 +5,6 @@ type t = {
   tree : Rader_dag.Sp_tree.t;
   ix : Rader_dag.Sp_tree.indexed;
   result : int;
-  aux : (Tool.frame_kind * int * int) list;
   reads_by_reducer : (int, int list) Hashtbl.t;
   updates_by_reducer : (int, int list) Hashtbl.t;
   n_reducers : int;
@@ -32,7 +31,6 @@ let of_program ?max_events ?deadline (program : Engine.ctx -> int) =
       let trace = Rader_core.Trace.of_engine eng in
       let tree = Rader_core.Trace.sp_tree trace in
       let ix = Rader_dag.Sp_tree.index tree in
-      let aux = Engine.aux_frames eng in
       let reads_by_reducer = group trace.Rader_core.Trace.reducer_reads in
       let updates_by_reducer =
         group
@@ -41,7 +39,7 @@ let of_program ?max_events ?deadline (program : Engine.ctx -> int) =
                if kind = Tool.Update_fn && reducer >= 0 then
                  Some (reducer, strand)
                else None)
-             aux)
+             trace.Rader_core.Trace.aux_frames)
       in
       (* every reducer's creation emits a reducer-read, so the read log
          covers all ids *)
@@ -57,7 +55,6 @@ let of_program ?max_events ?deadline (program : Engine.ctx -> int) =
           tree;
           ix;
           result;
-          aux;
           reads_by_reducer;
           updates_by_reducer;
           n_reducers;

@@ -22,9 +22,6 @@ type t = {
   tree : Rader_dag.Sp_tree.t;  (** canonical SP parse tree of [trace] *)
   ix : Rader_dag.Sp_tree.indexed;  (** query index over [tree] *)
   result : int;  (** the program's result (ostensibly deterministic) *)
-  aux : (Rader_runtime.Tool.frame_kind * int * int) list;
-      (** every view-aware auxiliary frame, serial order:
-          [(kind, reducer, first strand)] *)
   reads_by_reducer : (int, int list) Hashtbl.t;
       (** reducer id → strands of its reducer-reads (create / get / set),
           serial order — the peers the Peer-Set algorithm compares *)
@@ -63,4 +60,4 @@ val updates : t -> int -> int list
 val loc_label : t -> int -> string
 
 (** [accesses ir] is the instrumented access log in serial order. *)
-val accesses : t -> Rader_runtime.Engine.access list
+val accesses : t -> Rader_core.Trace.access list

@@ -1,4 +1,5 @@
 open Rader_runtime
+module Trace = Rader_core.Trace
 
 type severity = Error | Warning | Info
 
@@ -60,9 +61,9 @@ let r001 ir =
 let by_loc ir =
   let tbl = Hashtbl.create 64 in
   List.iter
-    (fun (a : Engine.access) ->
-      let prev = try Hashtbl.find tbl a.Engine.a_loc with Not_found -> [] in
-      Hashtbl.replace tbl a.Engine.a_loc (a :: prev))
+    (fun (a : Trace.access) ->
+      let prev = try Hashtbl.find tbl a.Trace.a_loc with Not_found -> [] in
+      Hashtbl.replace tbl a.Trace.a_loc (a :: prev))
     (Ir.accesses ir);
   (* per-loc lists back in serial order; locs ascending for determinism *)
   List.sort compare (Hashtbl.fold (fun l accs acc -> (l, List.rev accs) :: acc) tbl [])
@@ -76,14 +77,14 @@ let loc_rules (ir : Ir.t) ~max_pairs =
       let find_pair pick =
         let rec outer = function
           | [] -> None
-          | (x : Engine.access) :: rest ->
+          | (x : Trace.access) :: rest ->
               let rec inner = function
                 | [] -> outer rest
-                | (y : Engine.access) :: more ->
+                | (y : Trace.access) :: more ->
                     if !budget <= 0 then None
                     else begin
                       decr budget;
-                      if pick x y && parallel x.Engine.a_strand y.Engine.a_strand
+                      if pick x y && parallel x.Trace.a_strand y.Trace.a_strand
                       then Some (x, y)
                       else inner more
                     end
@@ -94,14 +95,14 @@ let loc_rules (ir : Ir.t) ~max_pairs =
       in
       let raw_race =
         find_pair (fun x y ->
-            (not x.Engine.a_view_aware)
-            && (not y.Engine.a_view_aware)
-            && (x.Engine.a_is_write || y.Engine.a_is_write))
+            (not x.Trace.a_view_aware)
+            && (not y.Trace.a_view_aware)
+            && (x.Trace.a_is_write || y.Trace.a_is_write))
       in
       let escape =
         find_pair (fun x y ->
-            x.Engine.a_view_aware <> y.Engine.a_view_aware
-            && (x.Engine.a_is_write || y.Engine.a_is_write))
+            x.Trace.a_view_aware <> y.Trace.a_view_aware
+            && (x.Trace.a_is_write || y.Trace.a_is_write))
       in
       let f002 =
         match raw_race with
@@ -116,8 +117,8 @@ let loc_rules (ir : Ir.t) ~max_pairs =
                   Printf.sprintf
                     "raw accesses to %s at strands %d and %d are logically \
                      parallel and one writes: determinacy race"
-                    (Ir.loc_label ir loc) x.Engine.a_strand y.Engine.a_strand;
-                strands = [ x.Engine.a_strand; y.Engine.a_strand ];
+                    (Ir.loc_label ir loc) x.Trace.a_strand y.Trace.a_strand;
+                strands = [ x.Trace.a_strand; y.Trace.a_strand ];
               };
             ]
       in
@@ -125,7 +126,7 @@ let loc_rules (ir : Ir.t) ~max_pairs =
         match escape with
         | None -> []
         | Some (x, y) ->
-            let va, vo = if x.Engine.a_view_aware then (x, y) else (y, x) in
+            let va, vo = if x.Trace.a_view_aware then (x, y) else (y, x) in
             [
               {
                 rule = "R005";
@@ -136,8 +137,8 @@ let loc_rules (ir : Ir.t) ~max_pairs =
                     "%s is touched by a view-aware frame (strand %d) and \
                      raw code (strand %d) in parallel: a view escaped its \
                      strand"
-                    (Ir.loc_label ir loc) va.Engine.a_strand vo.Engine.a_strand;
-                strands = [ va.Engine.a_strand; vo.Engine.a_strand ];
+                    (Ir.loc_label ir loc) va.Trace.a_strand vo.Trace.a_strand;
+                strands = [ va.Trace.a_strand; vo.Trace.a_strand ];
               };
             ]
       in

@@ -2,7 +2,7 @@ module Coverage = Rader_core.Coverage
 module Report = Rader_core.Report
 module Diag = Rader_core.Diag
 module Steal_spec = Rader_runtime.Steal_spec
-module Engine = Rader_runtime.Engine
+module Trace = Rader_core.Trace
 module Obs = Rader_obs.Obs
 
 (* The `rader verify` driver: symbolic whole-family verdict + replay
@@ -50,8 +50,8 @@ type t = {
   res : Coverage.result;  (** the underlying sweep, for metrics/obs *)
 }
 
-let access_kind_str (a : Engine.access) =
-  if a.Engine.a_is_write then "write" else "read"
+let access_kind_str (a : Trace.access) =
+  if a.Trace.a_is_write then "write" else "read"
 
 (* [table_by key xs] tables [xs] by [key], keeping the first binding as
    [List.assoc_opt] / [List.find_opt] would. *)
@@ -68,7 +68,7 @@ let assemble ~name (ir : Ir.t) (sym : Symbolic.t) (res : Coverage.result) =
   let racy = table_by Fun.id res.Coverage.racy_locs in
   let is_racy loc = Hashtbl.mem racy loc in
   let reports = table_by (fun r -> r.Report.subject) res.Coverage.reports in
-  let labels = table_by fst ir.Ir.trace.Rader_core.Trace.loc_labels in
+  let labels = table_by fst ir.Ir.trace.Trace.loc_labels in
   let pairs = table_by (fun ls -> ls.Coverage.ls_loc) sym.Symbolic.scan.Coverage.scan_racy in
   let certs = table_by fst sym.Symbolic.scan.Coverage.scan_clean in
   (* the first spec, in family order, whose replay elicited each location *)
@@ -131,8 +131,8 @@ let assemble ~name (ir : Ir.t) (sym : Symbolic.t) (res : Coverage.result) =
             let first_strand, second_strand, pair =
               match Hashtbl.find_opt pairs loc with
               | Some { Coverage.ls_first = x; ls_second = y; _ } ->
-                  ( x.Engine.a_strand,
-                    y.Engine.a_strand,
+                  ( x.Trace.a_strand,
+                    y.Trace.a_strand,
                     access_kind_str x ^ "/" ^ access_kind_str y )
               | None -> (
                   (* steal-dependent: the witness endpoints live in the
@@ -184,7 +184,8 @@ let assemble ~name (ir : Ir.t) (sym : Symbolic.t) (res : Coverage.result) =
 
 (* One recording feeds everything before the replays: the IR, the scan
    (on the IR's own parse-tree index) and, through [~scan], the sweep's
-   choice of replays. The budgets start at entry, so the recording and
+   profile — a fold over the recording's tape — and choice of replays. The
+   program runs once plus once per replay. The budgets start at entry, so the recording and
    the scan count against the deadline and the sweep gets what is left. *)
 let verify ?reach ?max_pairs ?jobs ?max_events ?deadline ?with_obs ~name
     program =

@@ -50,10 +50,10 @@ type t = {
 
 (** [verify ~name program] runs the symbolic verification pipeline: one
     recorded no-steal run (the IR), one pair scan on the IR's own index,
-    one profiling run, and replays of exactly the witness specs — the
-    program executes [2 + n_replays] times. [Error] if the recording
-    crashes or blows [max_events] / [deadline] (contained) — use the
-    enumerated sweep for crashing programs. The deadline runs from entry:
+    the profile folded from the same recording, and replays of exactly
+    the witness specs — the program executes [1 + n_replays] times.
+    [Error] if the recording crashes or blows [max_events] / [deadline]
+    (contained) — use the enumerated sweep for crashing programs. The deadline runs from entry:
     the recording and the scan count against it and the sweep gets the
     rest. With [with_obs], [res.obs] reports the ["record"] and ["scan"]
     phases ahead of the sweep's. Other parameters as in

@@ -11,11 +11,10 @@ type profile = {
   rel_depths : int list;
 }
 
-(* Count continuations per sync block and spawn depth with a tiny tool:
-   each spawned-child return in a frame is one continuation; sync resets
-   the frame's count. Contained: if the program crashes mid-profile, the
-   maxima observed over the completed prefix are returned together with
-   the diagnostic.
+(* Fold a recorded [Steal_spec.none] tape — whole, or the completed
+   prefix of a crashed run — into the profile: each spawned child's return
+   is one continuation of its parent's sync block, a sync starts a new
+   block, and the maxima cover the blocks that completed.
 
    The same pass computes the program's *relevance profile* for spec
    pruning. A steal at continuation position [i] of a sync block can only
@@ -23,101 +22,80 @@ type profile = {
    reducer-read, or a view-aware auxiliary frame — executes in the block's
    dynamic extent at or after that position: only then can the fresh
    region acquire a view, run a reduce, shift strand numbering, or change
-   any access's region. So on every such event we walk the active frame
-   stack and record, per frame, the largest continuation count at which an
-   event was observed in the frame's current sync block; a block whose
-   count never reaches 1 cannot be perturbed by any steal. [k_rel] is the
-   maximum over all blocks (0 = no steal anywhere matters) and
+   any access's region. So each frame keeps the largest continuation count
+   at which an event was observed in its current sync block; a block
+   whose count never reaches 1 cannot be perturbed by any steal. An event
+   marks only the innermost frame; a returning child that saw one marks
+   its parent, whose count cannot have changed while the child ran. [k_rel]
+   is the maximum over all blocks (0 = no steal anywhere matters) and
    [rel_depths] the sorted depths of frames owning at least one
    perturbable block — the two coordinates {!spec_relevant} checks. *)
-let profile_with_failure program =
-  let max_k = ref 0 in
-  let max_d = ref 0 in
-  let conts = Hashtbl.create 64 in (* frame -> conts in current block *)
-  let depth = Hashtbl.create 64 in
-  let rel = Hashtbl.create 64 in (* frame -> max marked conts, current block *)
-  let stack = ref [] in (* active frames, innermost first *)
-  let max_k_rel = ref 0 in
-  let rel_depth_set = Hashtbl.create 8 in
+type pframe = {
+  mutable conts : int; (* continuations in the current sync block *)
+  mutable rel : int; (* the largest of them an event followed *)
+  mutable saw : bool; (* an event happened in the frame's extent *)
+  spawned : bool;
+}
+
+let profile_of_tape tape =
+  let module Tape = Rader_runtime.Tape in
+  let module Dynarr = Rader_support.Dynarr in
+  let stack = Dynarr.create () in
+  let max_k = ref 0 and max_d = ref 0 and n_spawns = ref 0 in
+  let max_k_rel = ref 0 and rel_depth = Dynarr.create () in
   let saw_reducer = ref false in
-  let mark () =
-    List.iter
-      (fun fid ->
-        match Hashtbl.find_opt conts fid with
-        | Some c when c >= 1 -> (
-            match Hashtbl.find_opt rel fid with
-            | Some r when r >= c -> ()
-            | _ -> Hashtbl.replace rel fid c)
-        | _ -> ())
-      !stack
+  let mark f =
+    if f.conts > f.rel then f.rel <- f.conts;
+    f.saw <- true
   in
+  let mark_top () = if not (Dynarr.is_empty stack) then mark (Dynarr.top stack) in
   (* The frame's current sync block is over: fold its marked maximum into
      the global relevance coordinates. *)
-  let fold_block fid =
-    (match Hashtbl.find_opt rel fid with
-    | Some r when r >= 1 ->
-        if r > !max_k_rel then max_k_rel := r;
-        (match Hashtbl.find_opt depth fid with
-        | Some d -> Hashtbl.replace rel_depth_set d ()
-        | None -> ())
-    | _ -> ());
-    Hashtbl.remove rel fid
+  let fold_block f =
+    if f.rel >= 1 then begin
+      max_k_rel := max !max_k_rel f.rel;
+      let d = Dynarr.length stack - 1 in
+      Dynarr.ensure rel_depth (d + 1) false;
+      Dynarr.set rel_depth d true
+    end;
+    f.rel <- 0
   in
-  let tool =
-    Tool.extern
-    {
-      Tool.hooks_null with
-      Tool.on_frame_enter =
-        (fun ~frame ~parent ~spawned:_ ~kind ->
-          if kind <> Tool.User_fn then begin
-            saw_reducer := true;
-            mark ()
-          end;
-          let d =
-            if parent < 0 then 0
-            else
-              (* an unexpected parent (e.g. after a contained crash left a
-                 gap in the enter/return pairing) profiles as depth 0
-                 rather than raising Not_found mid-profile *)
-              match Hashtbl.find_opt depth parent with
-              | Some pd -> pd + 1
-              | None -> 0
-          in
-          Hashtbl.replace depth frame d;
-          if d > !max_d then max_d := d;
-          Hashtbl.replace conts frame 0;
-          stack := frame :: !stack);
-      on_frame_return =
-        (fun ~frame ~parent ~spawned ~kind:_ ->
-          fold_block frame;
-          (match !stack with f :: rest when f = frame -> stack := rest | _ -> ());
-          Hashtbl.remove conts frame;
-          Hashtbl.remove depth frame;
-          if spawned && parent >= 0 then begin
-            let c =
-              (match Hashtbl.find_opt conts parent with Some c -> c | None -> 0)
-              + 1
-            in
-            Hashtbl.replace conts parent c;
-            if c > !max_k then max_k := c
-          end);
-      on_sync =
-        (fun ~frame ->
-          fold_block frame;
-          Hashtbl.replace conts frame 0);
-      on_read = (fun ~frame:_ ~loc:_ ~view_aware:_ -> mark ());
-      on_write = (fun ~frame:_ ~loc:_ ~view_aware:_ -> mark ());
-      on_reducer_read =
-        (fun ~frame:_ ~reducer:_ ->
+  Array.iter
+    (fun e ->
+      let tag = Tape.tag e and a = Tape.arg e in
+      if tag = Tape.enter then begin
+        if Tape.enter_kind a <> Tool.User_fn then begin
           saw_reducer := true;
-          mark ());
-    }
-  in
-  let eng = Engine.create ~tool () in
-  let failure =
-    match Engine.run_result eng program with Ok _ -> None | Error f -> Some f
-  in
-  let stats = Engine.stats eng in
+          mark_top ()
+        end;
+        max_d := max !max_d (Dynarr.length stack);
+        let spawned = Tape.enter_spawned a in
+        Dynarr.push stack { conts = 0; rel = 0; saw = false; spawned }
+      end
+      else if tag = Tape.return then begin
+        fold_block (Dynarr.top stack);
+        let f = Dynarr.pop stack in
+        if not (Dynarr.is_empty stack) then begin
+          let p = Dynarr.top stack in
+          if f.saw then mark p;
+          if f.spawned then begin
+            incr n_spawns;
+            p.conts <- p.conts + 1;
+            max_k := max !max_k p.conts
+          end
+        end
+      end
+      else if tag = Tape.sync then begin
+        let f = Dynarr.top stack in
+        fold_block f;
+        f.conts <- 0
+      end
+      else if tag = Tape.access then mark_top ()
+      else if tag = Tape.reducer_read then begin
+        saw_reducer := true;
+        mark_top ()
+      end)
+    tape;
   (* A program that performs no reducer operation at all — ostensibly
      deterministic control flow is spec-invariant, so it never will under
      any spec either — has no view-aware accesses anywhere: every steal is
@@ -127,13 +105,20 @@ let profile_with_failure program =
     if not !saw_reducer then (0, [])
     else
       ( !max_k_rel,
-        List.sort compare
-          (Hashtbl.fold (fun d () acc -> d :: acc) rel_depth_set []) )
+        List.filter (Dynarr.get rel_depth) (List.init (Dynarr.length rel_depth) Fun.id) )
   in
-  ( { k = !max_k; d = !max_d; n_spawns = stats.Engine.n_spawns; k_rel; rel_depths },
-    failure )
+  { k = !max_k; d = !max_d; n_spawns = !n_spawns; k_rel; rel_depths }
 
-let profile program = fst (profile_with_failure program)
+(* Record one [Steal_spec.none] run under the given budgets and fold its
+   tape: the whole run, or the prefix a contained failure left. *)
+let record_profile ?max_events ?deadline program =
+  let eng = Engine.create ~record:true ?max_events ?deadline () in
+  let failure =
+    match Engine.run_result eng program with Ok _ -> None | Error f -> Some f
+  in
+  (profile_of_tape (Option.get (Engine.tape eng)), failure)
+
+let profile program = fst (record_profile program)
 
 (* A spec is *irrelevant* when every steal it could possibly perform lands
    strictly after the last instrumented event of its sync block: the stolen
@@ -225,8 +210,8 @@ type certificate =
 
 type loc_scan = {
   ls_loc : int;
-  ls_first : Rader_runtime.Engine.access;  (** witness pair, serial order *)
-  ls_second : Rader_runtime.Engine.access;
+  ls_first : Trace.access;  (** witness pair, serial order *)
+  ls_second : Trace.access;
   ls_always : bool;
       (** both witness endpoints view-oblivious: racy under every spec *)
 }
@@ -237,6 +222,7 @@ type scan = {
   scan_truncated : bool;
       (** some location blew the pair budget: its verdict (and every
           skip decision resting on scan completeness) is void *)
+  scan_prof : profile Lazy.t;  (** the scanned run's profile *)
 }
 
 let scan_trace ?(max_pairs = 100_000) ?ix (trace : Trace.t) =
@@ -249,14 +235,14 @@ let scan_trace ?(max_pairs = 100_000) ?ix (trace : Trace.t) =
      (the sort is stable) *)
   let locs =
     List.stable_sort
-      (fun (a : Engine.access) b -> Int.compare a.Engine.a_loc b.Engine.a_loc)
+      (fun (a : Trace.access) b -> Int.compare a.Trace.a_loc b.Trace.a_loc)
       trace.Trace.accesses
     |> List.fold_left
-         (fun groups (a : Engine.access) ->
+         (fun groups (a : Trace.access) ->
            match groups with
-           | (loc, accs) :: rest when loc = a.Engine.a_loc ->
+           | (loc, accs) :: rest when loc = a.Trace.a_loc ->
                (loc, a :: accs) :: rest
-           | _ -> (a.Engine.a_loc, [ a ]) :: groups)
+           | _ -> (a.Trace.a_loc, [ a ]) :: groups)
          []
     |> List.rev_map (fun (loc, accs) -> (loc, List.rev accs))
   in
@@ -273,25 +259,25 @@ let scan_trace ?(max_pairs = 100_000) ?ix (trace : Trace.t) =
       (try
          let rec outer = function
            | [] -> ()
-           | (x : Engine.access) :: rest ->
+           | (x : Trace.access) :: rest ->
                let rec inner = function
                  | [] -> outer rest
-                 | (y : Engine.access) :: more ->
+                 | (y : Trace.access) :: more ->
                      if !budget <= 0 then begin
                        truncated := true;
                        raise Exit
                      end;
                      decr budget;
                      if
-                       x.Engine.a_strand <> y.Engine.a_strand
-                       && Rader_dag.Sp_tree.parallel ix x.Engine.a_strand
-                            y.Engine.a_strand
+                       x.Trace.a_strand <> y.Trace.a_strand
+                       && Rader_dag.Sp_tree.parallel ix x.Trace.a_strand
+                            y.Trace.a_strand
                      then begin
                        any_parallel := true;
-                       if x.Engine.a_is_write || y.Engine.a_is_write then
-                         if not y.Engine.a_view_aware then begin
+                       if x.Trace.a_is_write || y.Trace.a_is_write then
+                         if not y.Trace.a_view_aware then begin
                            if !first_racy = None then first_racy := Some (x, y);
-                           if not x.Engine.a_view_aware then begin
+                           if not x.Trace.a_view_aware then begin
                              first_always := Some (x, y);
                              raise Exit (* strongest verdict: stop *)
                            end
@@ -325,6 +311,7 @@ let scan_trace ?(max_pairs = 100_000) ?ix (trace : Trace.t) =
     scan_racy = List.rev !racy;
     scan_clean = List.rev !clean;
     scan_truncated = !truncated;
+    scan_prof = lazy (profile_of_tape trace.Trace.tape);
   }
 
 let symbolic_scan ?max_pairs program =
@@ -398,8 +385,13 @@ let exhaustive_check ?max_specs ?max_events ?deadline ?(jobs = 1)
   let phase_replay = Obs.phase "replay" in
   let phase_merge = Obs.phase "merge" in
   let prof_snap = if with_obs then Some (Obs.snapshot ()) else None in
+  (* The profile comes from a recorded run: the scan's own, or one run
+     here under the replays' budgets. *)
   let prof, prof_failure =
-    Obs.timed phase_profile (fun () -> profile_with_failure program)
+    Obs.timed phase_profile (fun () ->
+        match scan with
+        | Some s -> (Lazy.force s.scan_prof, None)
+        | None -> record_profile ?max_events ?deadline:abs_deadline program)
   in
   let prof_counters = Option.map Obs.since prof_snap in
   let specs = all_specs ~k:prof.k ~d:prof.d in

@@ -43,16 +43,11 @@ type profile = {
 }
 
 (** [profile program] measures [k], [d], the spawn count and the relevance
-    coordinates ([k_rel], [rel_depths]) by running [program] once,
-    uninstrumented, under [Steal_spec.none]. Total: if the program
-    crashes, the maxima observed over the completed prefix are returned
-    (use {!profile_with_failure} to also see the diagnostic). *)
+    coordinates ([k_rel], [rel_depths]) by recording [program] once under
+    [Steal_spec.none] and folding over its tape, O(1) per entry. Total: if
+    the program crashes, the maxima observed over the completed prefix are
+    returned. *)
 val profile : (Rader_runtime.Engine.ctx -> 'a) -> profile
-
-(** [profile_with_failure program] is {!profile} plus the contained
-    failure, if the profiling run crashed. *)
-val profile_with_failure :
-  (Rader_runtime.Engine.ctx -> 'a) -> profile * Diag.failure option
 
 (** [spec_relevant prof spec] is false only when every steal [spec] could
     perform provably lands after the last instrumented event of its sync
@@ -109,10 +104,10 @@ type certificate =
 
 type loc_scan = {
   ls_loc : int;
-  ls_first : Rader_runtime.Engine.access;
+  ls_first : Trace.access;
       (** earlier endpoint of the witness pair (the first such pair in
           serial scan order — the minimality the witness table reports) *)
-  ls_second : Rader_runtime.Engine.access;  (** later endpoint *)
+  ls_second : Trace.access;  (** later endpoint *)
   ls_always : bool;
       (** both endpoints view-oblivious: the pair executes, stays
           parallel, and fires the later-endpoint-oblivious check under
@@ -125,6 +120,10 @@ type scan = {
   scan_truncated : bool;
       (** some location blew the pair budget: scan-based skip decisions
           are void (the sweep keeps the no-steal replay) *)
+  scan_prof : profile Lazy.t;
+      (** the scanned run's {!profile}, folded from its tape when first
+          forced — what [exhaustive_check ~scan] uses instead of
+          profiling again *)
 }
 
 (** [scan_trace trace] computes the symbolic no-steal verdict from a
@@ -154,8 +153,9 @@ type span = {
 
 type obs_summary = {
   obs_counters : Rader_obs.Obs.counters;
-      (** merged detector counters: the profiling run's delta plus every
-          replay's delta, summed in spec order — deterministic and equal
+      (** merged detector counters: the profiling run's delta (none under
+          [~scan], whose profile is a fold) plus every replay's delta,
+          summed in spec order — deterministic and equal
           to the serial run's counters for every job count *)
   obs_spans : span list;  (** replay spans in spec order *)
   obs_phases : (string * float) list;
@@ -181,7 +181,7 @@ type result = {
   incomplete : (string * Diag.failure) list;
       (** every spec whose run crashed or blew a budget — and every spec
           the sweep never reached — with its diagnostic; [("profile", f)]
-          if the profiling run itself crashed *)
+          first if the profiling run itself crashed or blew a budget *)
   complete : bool;  (** [incomplete = []]: the §7 guarantee holds; when
       false the sweep is explicitly partial — "no races" only covers what
       actually ran *)
@@ -205,9 +205,18 @@ type result = {
     Under a [deadline] with [jobs >= 2], {e which} specs end up charged to
     the deadline depends on timing; everything else stays deterministic.
 
+    The family comes from one recorded no-steal run, profiled by a fold
+    over its tape under the same [max_events] and [deadline] as the
+    replays — or, under [~scan], from the scanned run's profile with no
+    further run. A profiling run that crashes or blows a budget is
+    contained: [("profile", f)] comes first in [incomplete], the family
+    comes from the prefix's profile, and neither pruning nor the scan
+    applies.
+
     @param max_specs attempt at most this many specs; the rest are
     recorded in [incomplete] as [Budget_exceeded (Max_specs _)].
-    @param max_events per-run event budget (see [Engine.create]).
+    @param max_events per-run event budget (see [Engine.create]), the
+    profiling run included.
     @param deadline wall-clock budget in seconds for the whole sweep
     (shared with each run's engine); once exhausted, remaining specs are
     recorded as [Budget_exceeded (Deadline _)] without running.
@@ -232,8 +241,7 @@ type result = {
     specs. [racy_locs] and [reports] stay byte-identical to the
     enumerated sweep — enforced by property tests — while skipped specs
     count in [n_skipped]. A clean scan over an empty residual set replays
-    {e nothing}. Subsumes [~prune]. Ignored (full fall-back,
-    [n_skipped = 0]) when the profiling run crashes.
+    {e nothing}. Subsumes [~prune].
     @param reach precedence backend for the per-worker SP+ detectors
     (default [Dset]); verdicts are backend-independent, only the cost
     model changes. *)

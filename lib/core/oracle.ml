@@ -1,13 +1,11 @@
-module Engine = Rader_runtime.Engine
 module Dag = Rader_dag.Dag
-module Reach = Rader_dag.Reach
 module Peers = Rader_dag.Peers
 
 (* All oracles are defined over traces; the Engine entry points extract
    the trace first. *)
 
 let view_read_pairs_t (tr : Trace.t) =
-  let peers = Peers.compute tr.Trace.dag in
+  let peers = Peers.compute (Trace.dag tr) in
   let by_reducer = Hashtbl.create 8 in
   List.iter
     (fun (rid, strand) ->
@@ -41,7 +39,7 @@ let view_read_races_t tr =
 let canonicalizer (tr : Trace.t) =
   let merged_into = Hashtbl.create 32 in
   List.iter
-    (fun m -> Hashtbl.replace merged_into m.Engine.m_from (m.Engine.m_into, m.Engine.m_at))
+    (fun m -> Hashtbl.replace merged_into m.Trace.m_from (m.Trace.m_into, m.Trace.m_at))
     tr.Trace.merges;
   let rec canon r t =
     match Hashtbl.find_opt merged_into r with
@@ -51,14 +49,14 @@ let canonicalizer (tr : Trace.t) =
   canon
 
 let determinacy_pairs_t (tr : Trace.t) =
-  let dag = tr.Trace.dag in
-  let reach = Reach.compute dag in
+  let dag = Trace.dag tr in
+  let reach = Dag.closure dag in
   let canon = canonicalizer tr in
-  let by_loc : (int, Engine.access list) Hashtbl.t = Hashtbl.create 64 in
+  let by_loc : (int, Trace.access list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun a ->
-      let prev = try Hashtbl.find by_loc a.Engine.a_loc with Not_found -> [] in
-      Hashtbl.replace by_loc a.Engine.a_loc (a :: prev))
+      let prev = try Hashtbl.find by_loc a.Trace.a_loc with Not_found -> [] in
+      Hashtbl.replace by_loc a.Trace.a_loc (a :: prev))
     tr.Trace.accesses;
   let pairs = ref [] in
   Hashtbl.iter
@@ -69,19 +67,19 @@ let determinacy_pairs_t (tr : Trace.t) =
         for j = i + 1 to n - 1 do
           let e1 = accesses.(i) and e2 = accesses.(j) in
           if
-            (e1.Engine.a_is_write || e2.Engine.a_is_write)
-            && Reach.parallel reach e1.Engine.a_strand e2.Engine.a_strand
+            (e1.Trace.a_is_write || e2.Trace.a_is_write)
+            && Dag.parallel reach e1.Trace.a_strand e2.Trace.a_strand
           then begin
             let racy =
-              if not e2.Engine.a_view_aware then true
+              if not e2.Trace.a_view_aware then true
               else begin
-                let t = e2.Engine.a_strand in
-                let v1 = (Dag.strand dag e1.Engine.a_strand).Dag.view in
-                let v2 = (Dag.strand dag e2.Engine.a_strand).Dag.view in
+                let t = e2.Trace.a_strand in
+                let v1 = (Dag.strand dag e1.Trace.a_strand).Dag.view in
+                let v2 = (Dag.strand dag e2.Trace.a_strand).Dag.view in
                 canon v1 t <> canon v2 t
               end
             in
-            if racy then pairs := (loc, e1.Engine.a_strand, e2.Engine.a_strand) :: !pairs
+            if racy then pairs := (loc, e1.Trace.a_strand, e2.Trace.a_strand) :: !pairs
           end
         done
       done)

@@ -1,5 +1,4 @@
 open Rader_runtime
-module Dag = Rader_dag.Dag
 
 type entry = { e_path : int list; e_ord : int }
 
@@ -105,61 +104,55 @@ let to_spec t program =
   | Error f ->
       Error
         (Printf.sprintf "trace profiling replay failed: %s" (Fault.to_string f))
-  | Ok () -> (
-      match Engine.dag eng with
-      | None -> Error "trace profiling replay recorded no dag"
-      | Some dag ->
-          (* User path of every user frame, from the creation-ordered
-             frame log (a frame's parent always precedes it). *)
-          let paths : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-          let next_ord : (int, int) Hashtbl.t = Hashtbl.create 64 in
-          List.iter
-            (fun (fid, parent, _spawned, kind) ->
-              if kind = Tool.User_fn then
-                if parent = -1 then Hashtbl.replace paths fid []
-                else
-                  match Hashtbl.find_opt paths parent with
-                  | None -> () (* parent is auxiliary: not a user path *)
-                  | Some pp ->
-                      let ord =
-                        Option.value ~default:0 (Hashtbl.find_opt next_ord parent)
-                      in
-                      Hashtbl.replace next_ord parent (ord + 1);
-                      Hashtbl.replace paths fid (pp @ [ ord ]))
-            (Engine.frames eng);
-          (* Map (spawning frame path, per-frame spawn ordinal) to the
-             global spawn index, from the spawn log (already in spawn-index
-             order) and the dag's strand->frame attribution. *)
-          let spawn_ord : (int, int) Hashtbl.t = Hashtbl.create 64 in
-          let index : (int list * int, int) Hashtbl.t = Hashtbl.create 64 in
-          List.iter
-            (fun (spawn_index, spawn_strand, _cont) ->
-              let frame = (Dag.strand dag spawn_strand).Dag.frame in
-              let ord =
-                Option.value ~default:0 (Hashtbl.find_opt spawn_ord frame)
-              in
-              Hashtbl.replace spawn_ord frame (ord + 1);
-              match Hashtbl.find_opt paths frame with
-              | None -> ()
-              | Some p -> Hashtbl.replace index (p, ord) spawn_index)
-            (Engine.spawn_log eng);
-          let rec resolve acc = function
-            | [] -> Ok (List.rev acc)
-            | e :: rest -> (
-                match Hashtbl.find_opt index (e.e_path, e.e_ord) with
-                | Some si -> resolve (si :: acc) rest
-                | None ->
-                    Error
-                      (Printf.sprintf
-                         "trace entry (path %s, spawn %d) has no serial \
-                          counterpart: trace is not from this program"
-                         (path_to_string e.e_path) e.e_ord))
-          in
-          Result.map
-            (fun indices ->
-              Steal_spec.with_name
-                (Steal_spec.by_spawn_index ~policy:Steal_spec.Reduce_at_sync
-                   indices)
-                (Printf.sprintf "online-trace(seed=%d,density=%g,steals=%d)"
-                   t.seed t.density (List.length indices)))
-            (resolve [] t.entries))
+  | Ok () ->
+      let tr = Trace.of_engine eng in
+      (* User path of every user frame, from the creation-ordered frames (a
+         frame's parent always precedes it). *)
+      let paths : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+      let next_ord : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      List.iter
+        (fun (fid, parent, _spawned, kind) ->
+          if kind = Tool.User_fn then
+            if parent = -1 then Hashtbl.replace paths fid []
+            else
+              match Hashtbl.find_opt paths parent with
+              | None -> () (* parent is auxiliary: not a user path *)
+              | Some pp ->
+                  let ord =
+                    Option.value ~default:0 (Hashtbl.find_opt next_ord parent)
+                  in
+                  Hashtbl.replace next_ord parent (ord + 1);
+                  Hashtbl.replace paths fid (pp @ [ ord ]))
+        tr.Trace.frames;
+      (* Map (spawning frame path, per-frame spawn ordinal) to the global
+         spawn index: a frame's spawns come in spawn-index order. *)
+      let spawn_ord : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      let index : (int list * int, int) Hashtbl.t = Hashtbl.create 64 in
+      List.iter
+        (fun { Trace.sp_index; sp_frame = frame; _ } ->
+          let ord = Option.value ~default:0 (Hashtbl.find_opt spawn_ord frame) in
+          Hashtbl.replace spawn_ord frame (ord + 1);
+          match Hashtbl.find_opt paths frame with
+          | None -> ()
+          | Some p -> Hashtbl.replace index (p, ord) sp_index)
+        tr.Trace.spawns;
+      let rec resolve acc = function
+        | [] -> Ok (List.rev acc)
+        | e :: rest -> (
+            match Hashtbl.find_opt index (e.e_path, e.e_ord) with
+            | Some si -> resolve (si :: acc) rest
+            | None ->
+                Error
+                  (Printf.sprintf
+                     "trace entry (path %s, spawn %d) has no serial \
+                      counterpart: trace is not from this program"
+                     (path_to_string e.e_path) e.e_ord))
+      in
+      Result.map
+        (fun indices ->
+          Steal_spec.with_name
+            (Steal_spec.by_spawn_index ~policy:Steal_spec.Reduce_at_sync
+               indices)
+            (Printf.sprintf "online-trace(seed=%d,density=%g,steals=%d)"
+               t.seed t.density (List.length indices)))
+        (resolve [] t.entries)

@@ -16,7 +16,7 @@
       performed before this one, across all its sync blocks.
 
     [to_spec] replays the program serially once (recorded, no steals),
-    rebuilds every frame's user path from the frame log, maps each trace
+    rebuilds every frame's user path from its decoded trace, maps each trace
     entry to its global spawn index, and returns the equivalent
     [Steal_spec.by_spawn_index] specification under the at-sync reduce
     policy (the online runtime merges regions only at syncs) — so every

@@ -1,332 +1,390 @@
 module Engine = Rader_runtime.Engine
 module Tool = Rader_runtime.Tool
+module Tape = Rader_runtime.Tape
+module Dynarr = Rader_support.Dynarr
 module Dag = Rader_dag.Dag
 module Sp_tree = Rader_dag.Sp_tree
 
-type t = {
-  dag : Dag.t;
-  accesses : Engine.access list;
-  merges : Engine.merge_rec list;
-  reducer_reads : (int * int) list;
-  spawns : (int * int * int) list;
-  frames : (int * int * bool * Tool.frame_kind) list;
-  loc_labels : (int * string) list;
+type access = {
+  a_loc : int;
+  a_strand : int;
+  a_frame : int;
+  a_is_write : bool;
+  a_view_aware : bool;
 }
 
-let of_engine eng =
-  let dag =
-    match Engine.dag eng with
-    | Some d -> d
-    | None -> invalid_arg "Trace.of_engine: engine run was not recorded"
-  in
-  let accesses = Engine.accesses eng in
-  let locs =
-    List.sort_uniq Int.compare (List.map (fun a -> a.Engine.a_loc) accesses)
-  in
-  {
-    dag;
-    accesses;
-    merges = Engine.merges eng;
-    reducer_reads = Engine.reducer_reads eng;
-    spawns = Engine.spawn_log eng;
-    frames = Engine.frames eng;
-    loc_labels = List.map (fun l -> (l, Engine.loc_label eng l)) locs;
-  }
+type merge = { m_from : int; m_into : int; m_at : int }
+type spawn = { sp_index : int; sp_frame : int; sp_strand : int; sp_cont : int }
 
-let loc_label t loc =
-  match List.assoc_opt loc t.loc_labels with Some s -> s | None -> "?"
+type t = {
+  tape : int array;
+  loc_labels : (int * string) list;
+  n_strands : int;
+  accesses : access list;
+  merges : merge list;
+  reducer_reads : (int * int) list;
+  aux_frames : (Tool.frame_kind * int * int) list;
+  spawns : spawn list;
+  frames : (int * int * bool * Tool.frame_kind) list;
+  dag : Dag.t Lazy.t;
+}
 
-(* ---------- serialization ---------- *)
-
-let header = "rader-trace 1"
-
-let kind_to_int = function
-  | Dag.User -> 0
-  | Dag.Update -> 1
-  | Dag.Reduce -> 2
-  | Dag.Identity -> 3
-
-let kind_of_int = function
-  | 0 -> Dag.User
-  | 1 -> Dag.Update
-  | 2 -> Dag.Reduce
-  | _ -> Dag.Identity
-
-(* Labels may contain spaces; they are always the final field, so parsing
-   splits on the first few spaces only. *)
-
-let save t path =
-  let oc = open_out path in
-  let pr fmt = Printf.fprintf oc fmt in
-  pr "%s\n" header;
-  for i = 0 to Dag.n_strands t.dag - 1 do
-    let s = Dag.strand t.dag i in
-    pr "s %d %d %d %s\n" s.Dag.frame (kind_to_int s.Dag.kind) s.Dag.view
-      (String.map (fun c -> if c = '\n' then ' ' else c) s.Dag.label)
-  done;
-  for u = 0 to Dag.n_strands t.dag - 1 do
-    List.iter (fun v -> pr "e %d %d\n" u v) (Dag.succs t.dag u)
-  done;
-  List.iter
-    (fun a ->
-      pr "a %d %d %d %d %d\n" a.Engine.a_loc a.Engine.a_strand a.Engine.a_frame
-        (if a.Engine.a_is_write then 1 else 0)
-        (if a.Engine.a_view_aware then 1 else 0))
-    t.accesses;
-  List.iter
-    (fun m -> pr "m %d %d %d\n" m.Engine.m_from m.Engine.m_into m.Engine.m_at)
-    t.merges;
-  List.iter (fun (r, s) -> pr "r %d %d\n" r s) t.reducer_reads;
-  List.iter (fun (i, sp, co) -> pr "w %d %d %d\n" i sp co) t.spawns;
-  List.iter
-    (fun (fid, parent, spawned, kind) ->
-      let k =
-        match kind with
-        | Tool.User_fn -> 0
-        | Tool.Update_fn -> 1
-        | Tool.Reduce_fn -> 2
-        | Tool.Identity_fn -> 3
-      in
-      pr "f %d %d %d %d\n" fid parent (if spawned then 1 else 0) k)
-    t.frames;
-  List.iter (fun (l, lab) -> pr "l %d %s\n" l lab) t.loc_labels;
-  close_out oc
-
-let split_n line n =
-  (* split [line] on spaces into at most [n] fields; the last keeps the
-     remainder verbatim *)
-  let rec go start k acc =
-    if k = n - 1 then
-      List.rev (String.sub line start (String.length line - start) :: acc)
-    else
-      match String.index_from_opt line start ' ' with
-      | None -> List.rev (String.sub line start (String.length line - start) :: acc)
-      | Some i -> go (i + 1) (k + 1) (String.sub line start (i - start) :: acc)
-  in
-  go 0 0 []
+(* ---------- the decoder ---------- *)
 
 exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-let int_field s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> malformed "bad integer %S" s
-
-let kind_field s =
-  match int_field s with
-  | (0 | 1 | 2 | 3) as k -> k
-  | k -> malformed "bad kind %d" k
-
-(* The [n] space-separated integer fields of a [what] line. *)
-let fields rest n what =
-  let fs = String.split_on_char ' ' rest in
-  if List.length fs <> n then malformed "bad %s line" what;
-  Array.of_list (List.map int_field fs)
-
-(* Parse the lines after the header. Every strand reference is checked
-   against the strands read, so the oracles can trust a loaded trace. *)
-let parse ic =
-  let dag = Dag.create () in
-  let accesses = ref [] in
-  let merges = ref [] in
-  let rreads = ref [] in
-  let spawns = ref [] in
-  let frames = ref [] in
-  let labels = ref [] in
-  let strand s =
-    if s < 0 || s >= Dag.n_strands dag then malformed "unknown strand %d" s;
-    s
-  in
-  let lineno = ref 1 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if line <> "" then
-         match split_n line 2 with
-         | [ "s"; rest ] -> (
-             match split_n rest 4 with
-             | [ frame; kind; view; label ] ->
-                 ignore
-                   (Dag.add_strand dag ~frame:(int_field frame)
-                      ~kind:(kind_of_int (kind_field kind))
-                      ~view:(int_field view) ~label)
-             | _ -> malformed "bad strand line")
-         | [ "e"; rest ] ->
-             let f = fields rest 2 "edge" in
-             if f.(0) >= f.(1) then
-               malformed "edge %d -> %d against serial order" f.(0) f.(1);
-             Dag.add_edge dag (strand f.(0)) (strand f.(1))
-         | [ "a"; rest ] ->
-             let f = fields rest 5 "access" in
-             accesses :=
-               {
-                 Engine.a_loc = f.(0);
-                 a_strand = strand f.(1);
-                 a_frame = f.(2);
-                 a_is_write = f.(3) = 1;
-                 a_view_aware = f.(4) = 1;
-               }
-               :: !accesses
-         | [ "m"; rest ] ->
-             let f = fields rest 3 "merge" in
-             merges := { Engine.m_from = f.(0); m_into = f.(1); m_at = f.(2) } :: !merges
-         | [ "r"; rest ] ->
-             let f = fields rest 2 "reducer-read" in
-             rreads := (f.(0), strand f.(1)) :: !rreads
-         | [ "w"; rest ] ->
-             let f = fields rest 3 "spawn" in
-             spawns := (f.(0), strand f.(1), strand f.(2)) :: !spawns
-         | [ "f"; rest ] -> (
-             match String.split_on_char ' ' rest with
-             | [ fid; parent; spawned; kind ] ->
-                 let k =
-                   match kind_field kind with
-                   | 0 -> Tool.User_fn
-                   | 1 -> Tool.Update_fn
-                   | 2 -> Tool.Reduce_fn
-                   | _ -> Tool.Identity_fn
-                 in
-                 frames :=
-                   (int_field fid, int_field parent, int_field spawned = 1, k)
-                   :: !frames
-             | _ -> malformed "bad frame line")
-         | [ "l"; rest ] -> (
-             match split_n rest 2 with
-             | [ l; lab ] -> labels := (int_field l, lab) :: !labels
-             | _ -> malformed "bad label line")
-         | _ -> malformed "bad line %S" line
-     done
-   with
-  | End_of_file -> ()
-  | Malformed msg -> malformed "line %d: %s" !lineno msg);
-  {
-    dag;
-    accesses = List.rev !accesses;
-    merges = List.rev !merges;
-    reducer_reads = List.rev !rreads;
-    spawns = List.rev !spawns;
-    frames = List.rev !frames;
-    loc_labels = List.rev !labels;
-  }
-
-let load path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> Error (path ^ ": empty trace file")
-          | exception Sys_error msg -> Error (path ^ ": " ^ msg)
-          | line1 when line1 <> header ->
-              Error (path ^ ": not a trace (unsupported format/version)")
-          | _ -> (
-              match parse ic with
-              | t -> Ok t
-              | exception (Malformed msg | Sys_error msg) ->
-                  Error (path ^ ": " ^ msg)))
-
-let dag_equal a b =
-  Dag.n_strands a = Dag.n_strands b
-  &&
-  let ok = ref true in
-  for i = 0 to Dag.n_strands a - 1 do
-    if Dag.strand a i <> Dag.strand b i then ok := false;
-    if List.sort compare (Dag.succs a i) <> List.sort compare (Dag.succs b i) then
-      ok := false
-  done;
-  !ok
-
-let equal a b =
-  dag_equal a.dag b.dag && a.accesses = b.accesses && a.merges = b.merges
-  && a.reducer_reads = b.reducer_reads && a.spawns = b.spawns
-  && a.frames = b.frames && a.loc_labels = b.loc_labels
-
-(* ---------- canonical SP parse tree reconstruction (paper Fig. 4) ---------- *)
-
-(* A frame being reconstructed: its finished sync-block trees and the
-   items of the block in progress, both newest first. *)
-type open_frame = {
+(* A frame being decoded. [blocks] and [items] build its canonical parse
+   tree (paper Fig. 4) when asked for: its finished sync-block trees and
+   the items of the block in progress, both newest first. *)
+type frame = {
   fid : int;
+  kind : Tool.frame_kind;
+  spawned : bool;
+  rbase : int; (* its entry region's slot in the region stack *)
+  mutable strand : int; (* current strand *)
   mutable blocks : Sp_tree.t list;
-  mutable current : Sp_tree.item list;
+  mutable items : Sp_tree.item list;
 }
 
-let sp_tree t =
-  let n = Dag.n_strands t.dag in
-  for i = 0 to n - 1 do
-    if (Dag.strand t.dag i).Dag.kind = Dag.Reduce then
-      invalid_arg "Trace.sp_tree: performance dag with reduce strands (record under Steal_spec.none)"
-  done;
-  (* Recorded frame ids are creation order: frame 0 is the root and every
-     other frame's parent was created before it. *)
-  let frames = Array.of_list t.frames in
-  let nf = Array.length frames in
-  (match t.frames with
-  | (0, -1, _, _) :: _ -> ()
-  | _ -> invalid_arg "Trace.sp_tree: no root frame");
-  Array.iteri
-    (fun i (fid, parent, _, _) ->
-      if fid <> i || (i > 0 && (parent < 0 || parent >= i)) then
-        invalid_arg "Trace.sp_tree: frames not numbered in creation order")
-    frames;
-  let opened = Array.make nf false in
-  let open_frame fid =
-    opened.(fid) <- true;
-    { fid; blocks = []; current = [] }
+let close_block fr =
+  if fr.items <> [] then begin
+    fr.blocks <- Sp_tree.block_tree (List.rev fr.items) :: fr.blocks;
+    fr.items <- []
+  end
+
+let finish fr =
+  close_block fr;
+  Sp_tree.function_tree (List.rev fr.blocks)
+
+(* One walk over a tape recounts every id the engine handed out — frames,
+   strands, regions, spawn indices — and yields the trace, without labels,
+   and the canonical parse tree if [tree]. [edges] builds the performance
+   dag now; without it, the trace builds it on demand by walking again.
+   The walk checks everything the engine guarantees, so that any tape it
+   accepts decodes into a trace the oracles and [sp_tree] can use; it
+   raises [Malformed] otherwise.
+
+   The edge rule (paper §5): a strand follows its frame's previous strand,
+   except that a sync — and each reduce of a merge — follows the tails of
+   the regions it joins: every completed spawned child's last strand, the
+   spawn strand of each stolen continuation (its segment's last strand),
+   the syncing frame's current strand and each earlier reduce strand of
+   the merge. *)
+let rec walk ~edges ~tree tape =
+  let built = if edges then Some (Dag.create ()) else None in
+  let frames = Dynarr.create () in
+  let rids = Dynarr.create () in
+  let tails = Dynarr.create () in
+  let next_fid = ref 0 and next_rid = ref 1 in
+  let n_strands = ref 0 and n_spawns = ref 0 in
+  let root_done = ref false and root_tree = ref None in
+  (* merge state: inside a merge's callbacks; the merges belong to a sync
+     whose tail is already added; the stolen spawn (its frame, index and
+     spawn strand) awaiting its steal *)
+  let in_merge = ref false and sync_merging = ref false in
+  let stolen = ref None in
+  let merge_slot = ref 0 in
+  let accesses = ref [] and merges = ref [] and rreads = ref [] in
+  let aux = ref [] and spawns = ref [] and frame_log = ref [] in
+  let innermost what =
+    if Dynarr.is_empty frames then malformed "%s with no open frame" what
+    else Dynarr.top frames
   in
-  let close_block fr =
-    if fr.current <> [] then begin
-      fr.blocks <- Sp_tree.block_tree (List.rev fr.current) :: fr.blocks;
-      fr.current <- []
+  let push_region rid =
+    Dynarr.push rids rid;
+    Dynarr.push tails []
+  in
+  let add_tail s =
+    if edges then begin
+      let i = Dynarr.length tails - 1 in
+      Dynarr.set tails i (s :: Dynarr.get tails i)
     end
   in
-  let finish fr =
-    close_block fr;
-    Sp_tree.function_tree (List.rev fr.blocks)
+  (* A new strand of [fr], on the current region, after [preds]. *)
+  let new_strand fr ~label preds =
+    let s = !n_strands in
+    incr n_strands;
+    fr.strand <- s;
+    (match built with
+    | None -> ()
+    | Some d ->
+        let kind =
+          match fr.kind with
+          | Tool.User_fn -> Dag.User
+          | Tool.Update_fn -> Dag.Update
+          | Tool.Reduce_fn -> Dag.Reduce
+          | Tool.Identity_fn -> Dag.Identity
+        in
+        ignore (Dag.add_strand d ~frame:fr.fid ~kind ~view:(Dynarr.top rids) ~label);
+        List.iter (fun p -> Dag.add_edge d p s) (List.sort_uniq compare preds));
+    if tree then begin
+      if label = "sync" then close_block fr;
+      fr.items <- Sp_tree.Strand s :: fr.items
+    end
   in
-  (* Strand ids are serial order, so each frame's subtree is a contiguous
-     run of strands: walk them once with a stack of open frames. A frame
-     closes when a strand outside its subtree arrives, and its tree joins
-     its parent's block in progress there — at its serial position. A
-     strand labelled "sync" begins a new block of its own frame. *)
-  let stack = ref [ open_frame 0 ] in
-  let close_top () =
-    match !stack with
-    | fr :: (parent :: _ as rest) ->
-        let _, _, spawned, _ = frames.(fr.fid) in
-        let tree = finish fr in
-        parent.current <-
-          (if spawned then Sp_tree.Spawned tree else Sp_tree.Called tree)
-          :: parent.current;
-        stack := rest
-    | _ -> invalid_arg "Trace.sp_tree: strands out of serial order"
+  let continue_after_spawn fr index spawn_strand =
+    new_strand fr ~label:"cont" [ spawn_strand ];
+    spawns :=
+      { sp_index = index; sp_frame = fr.fid; sp_strand = spawn_strand; sp_cont = fr.strand }
+      :: !spawns
   in
-  for s = 0 to n - 1 do
-    let st = Dag.strand t.dag s in
-    let f = st.Dag.frame in
-    if f < 0 || f >= nf then invalid_arg "Trace.sp_tree: unknown frame id";
-    let owner =
-      if opened.(f) then f
-      else
-        let _, parent, _, _ = frames.(f) in
-        parent
-    in
-    while (List.hd !stack).fid <> owner do
-      close_top ()
-    done;
-    if not opened.(f) then stack := open_frame f :: !stack;
-    let fr = List.hd !stack in
-    if String.equal st.Dag.label "sync" && fr.current <> [] then close_block fr;
-    fr.current <- Sp_tree.Strand s :: fr.current
-  done;
-  if not (Array.for_all Fun.id opened) then
-    invalid_arg "Trace.sp_tree: frame without strands";
-  while List.tl !stack <> [] do
-    close_top ()
-  done;
-  finish (List.hd !stack)
+  let enter a =
+    let kind = Tape.enter_kind a and spawned = Tape.enter_spawned a in
+    let view_aware = kind <> Tool.User_fn in
+    let parent = if Dynarr.is_empty frames then None else Some (Dynarr.top frames) in
+    (match parent with
+    | None ->
+        if view_aware || spawned then malformed "the root must be an unspawned user frame"
+    | Some p ->
+        if p.kind <> Tool.User_fn then malformed "a view-aware frame has a child";
+        if view_aware && spawned then malformed "a spawned view-aware frame";
+        if !in_merge && not view_aware then malformed "a user frame inside a merge");
+    if tree && kind = Tool.Reduce_fn then
+      invalid_arg
+        "Trace.sp_tree: performance dag with reduce strands (record under \
+         Steal_spec.none)";
+    let fid = !next_fid in
+    incr next_fid;
+    let rbase = Dynarr.length rids in
+    let fr = { fid; kind; spawned; rbase; strand = -1; blocks = []; items = [] } in
+    frame_log :=
+      (fid, (match parent with Some p -> p.fid | None -> -1), spawned, kind)
+      :: !frame_log;
+    push_region (match parent with Some _ -> Dynarr.top rids | None -> 0);
+    Dynarr.push frames fr;
+    match parent with
+    | None -> new_strand fr ~label:"main" []
+    | Some p when not view_aware -> new_strand fr ~label:"enter" [ p.strand ]
+    | Some p ->
+        new_strand fr ~label:(Tool.frame_kind_name kind)
+          (if kind = Tool.Reduce_fn && !in_merge then Dynarr.get tails !merge_slot
+           else [ p.strand ]);
+        aux := (kind, Tape.enter_reducer a, fr.strand) :: !aux
+  in
+  let return ~after_sync a =
+    let fr = innermost "a return" in
+    if a <> 0 && a <> 1 then malformed "bad return argument %d" a;
+    if a = 1 && not fr.spawned then malformed "a called frame's continuation stolen";
+    if fr.kind = Tool.User_fn && not after_sync then
+      malformed "a user frame returns without its sync";
+    ignore (Dynarr.pop frames);
+    ignore (Dynarr.pop rids);
+    ignore (Dynarr.pop tails);
+    if Dynarr.is_empty frames then begin
+      root_done := true;
+      if tree then root_tree := Some (finish fr)
+    end
+    else begin
+      let p = Dynarr.top frames in
+      if tree then
+        p.items <-
+          (if fr.spawned then Sp_tree.Spawned (finish fr) else Sp_tree.Called (finish fr))
+          :: p.items;
+      if fr.kind = Tool.Reduce_fn && !in_merge then begin
+        if edges then Dynarr.set tails !merge_slot [ fr.strand ]
+      end
+      else if not fr.spawned then new_strand p ~label:"cont" [ fr.strand ]
+      else begin
+        add_tail fr.strand;
+        let index = !n_spawns in
+        incr n_spawns;
+        if a = 1 then begin
+          add_tail p.strand;
+          stolen := Some (p, index, p.strand)
+        end
+        else continue_after_spawn p index p.strand
+      end
+    end
+  in
+  let sync () =
+    let fr = innermost "a sync" in
+    if fr.kind <> Tool.User_fn then malformed "a sync in a view-aware frame";
+    if !stolen <> None then malformed "a sync before a stolen continuation's steal";
+    if Dynarr.length rids - fr.rbase <> 1 then malformed "a sync with unmerged regions";
+    if not !sync_merging then add_tail fr.strand;
+    in_merge := false;
+    sync_merging := false;
+    let slot = Dynarr.length tails - 1 in
+    let preds = Dynarr.get tails slot in
+    Dynarr.set tails slot [];
+    new_strand fr ~label:"sync" preds
+  in
+  let merge () =
+    let fr = innermost "a merge" in
+    if fr.kind <> Tool.User_fn then malformed "a merge in a view-aware frame";
+    let from_slot = Dynarr.length rids - 1 in
+    if from_slot - fr.rbase < 1 then malformed "a merge with fewer than two open regions";
+    if !stolen = None && not !sync_merging then begin
+      add_tail fr.strand;
+      sync_merging := true
+    end;
+    let m_from = Dynarr.pop rids in
+    let from_tails = Dynarr.pop tails in
+    let into = from_slot - 1 in
+    merges := { m_from; m_into = Dynarr.get rids into; m_at = !n_strands } :: !merges;
+    if edges then
+      Dynarr.set tails into (List.rev_append from_tails (Dynarr.get tails into));
+    merge_slot := into;
+    in_merge := true
+  in
+  let steal () =
+    match !stolen with
+    | None -> malformed "a steal with no stolen spawn"
+    | Some (fr, index, spawn_strand) ->
+        if innermost "a steal" != fr then malformed "a steal inside a merge's frame";
+        stolen := None;
+        in_merge := false;
+        push_region !next_rid;
+        incr next_rid;
+        continue_after_spawn fr index spawn_strand
+  in
+  let pos = ref 0 in
+  (try
+     Array.iteri
+       (fun i e ->
+         pos := i;
+         let tag = Tape.tag e and a = Tape.arg e in
+         if !root_done then malformed "an entry after the root frame returned";
+         if !stolen <> None && (not !in_merge) && tag <> Tape.merge && tag <> Tape.steal
+         then malformed "a stolen continuation's merges or steal expected";
+         if tag = Tape.enter then enter a
+         else if tag = Tape.return then
+           return ~after_sync:(i > 0 && Tape.tag tape.(i - 1) = Tape.sync) a
+         else if tag = Tape.sync then sync ()
+         else if tag = Tape.merge then merge ()
+         else if tag = Tape.steal then steal ()
+         else if tag = Tape.access then begin
+           let fr = innermost "an access" in
+           let loc = Tape.access_loc a in
+           if loc < 0 then malformed "bad location %d" loc;
+           accesses :=
+             {
+               a_loc = loc;
+               a_strand = fr.strand;
+               a_frame = fr.fid;
+               a_is_write = Tape.access_write a;
+               a_view_aware = fr.kind <> Tool.User_fn;
+             }
+             :: !accesses
+         end
+         else if tag = Tape.reducer_read then begin
+           let fr = innermost "a reducer-read" in
+           if fr.kind <> Tool.User_fn then malformed "a reducer-read in a view-aware frame";
+           if a < 0 then malformed "bad reducer %d" a;
+           rreads := (a, fr.strand) :: !rreads
+         end
+         else malformed "unknown tag %d" tag)
+       tape
+   with Malformed msg -> malformed "entry %d: %s" !pos msg);
+  if not !root_done then
+    if Array.length tape = 0 then malformed "empty tape"
+    else malformed "incomplete run: %d frame(s) still open" (Dynarr.length frames);
+  ( {
+      tape;
+      loc_labels = [];
+      n_strands = !n_strands;
+      accesses = List.rev !accesses;
+      merges = List.rev !merges;
+      reducer_reads = List.rev !rreads;
+      aux_frames = List.rev !aux;
+      spawns = List.rev !spawns;
+      frames = List.rev !frame_log;
+      dag =
+        (match built with
+        | Some d -> Lazy.from_val d
+        | None -> lazy (dag (fst (walk ~edges:true ~tree:false tape))));
+    },
+    !root_tree )
+
+and dag t = Lazy.force t.dag
+
+(* Decode [tape]; [labels] names the locations its accesses touch. *)
+let decode tape labels =
+  match walk ~edges:false ~tree:false tape with
+  | exception Malformed msg -> Error msg
+  | t, _ -> Ok { t with loc_labels = labels t.accesses }
+
+let of_engine eng =
+  match Engine.tape eng with
+  | None -> invalid_arg "Trace.of_engine: engine run was not recorded"
+  | Some tape -> (
+      let labels accesses =
+        List.sort_uniq Int.compare (List.map (fun a -> a.a_loc) accesses)
+        |> List.map (fun l -> (l, Engine.loc_label eng l))
+      in
+      match decode tape labels with
+      | Ok t -> t
+      | Error msg -> invalid_arg ("Trace.of_engine: " ^ msg))
+
+let loc_label t loc =
+  match List.assoc_opt loc t.loc_labels with Some s -> s | None -> "?"
+
+let sp_tree t = Option.get (snd (walk ~edges:false ~tree:true t.tape))
+let equal a b = a.tape = b.tape && a.loc_labels = b.loc_labels
+
+(* ---------- serialization ----------
+
+   Line 1 is the header, then one tape entry per line as a decimal int,
+   then one ["l <loc> <label>"] line per location label. *)
+
+let version = 2
+let header = Printf.sprintf "rader-trace %d" version
+
+let save t path =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+  output_string oc header;
+  output_char oc '\n';
+  Array.iter
+    (fun e ->
+      output_string oc (string_of_int e);
+      output_char oc '\n')
+    t.tape;
+  List.iter
+    (fun (l, lab) ->
+      Printf.fprintf oc "l %d %s\n" l
+        (String.map (fun c -> if c = '\n' then ' ' else c) lab))
+    t.loc_labels
+
+(* The body after the header: the tape's entries, then the labels. *)
+let parse lines =
+  let entries = Dynarr.create () and labels = ref [] in
+  List.iteri
+    (fun i line ->
+      match (int_of_string_opt line, String.split_on_char ' ' line) with
+      | Some e, _ when !labels = [] -> Dynarr.push entries e
+      | _, "l" :: loc :: label when int_of_string_opt loc <> None ->
+          labels := (int_of_string loc, String.concat " " label) :: !labels
+      | _ ->
+          malformed "line %d: bad %s %S" (i + 2)
+            (if !labels = [] then "integer" else "label line")
+            line)
+    lines;
+  (Dynarr.to_array entries, List.rev !labels)
+
+let load path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | contents -> (
+      let err msg = Error (path ^ ": " ^ msg) in
+      match String.split_on_char '\n' contents with
+      | [] | [ "" ] -> err "empty trace file"
+      | line1 :: body -> (
+          let body = match List.rev body with "" :: r -> List.rev r | _ -> body in
+          match String.split_on_char ' ' line1 with
+          | [ "rader-trace"; v ] when v <> string_of_int version ->
+              err
+                (Printf.sprintf
+                   "trace format version %s is not supported (this build \
+                    reads version %d)"
+                   v version)
+          | _ when line1 <> header -> err "not a trace (unsupported format/version)"
+          | _ -> (
+              match parse body with
+              | exception Malformed msg -> err msg
+              | tape, labels -> (
+                  match decode tape (fun _ -> labels) with
+                  | Ok t -> Ok t
+                  | Error msg -> err msg))))

@@ -51,6 +51,39 @@ let preds t i =
   check_strand t i;
   Dynarr.get t.pred i
 
+(* ---------- transitive closure ---------- *)
+
+module Bitset = Rader_support.Bitset
+
+(* desc.(u) = strict descendants of u *)
+type closure = { n : int; desc : Bitset.t array }
+
+let closure t =
+  let n = n_strands t in
+  let desc = Array.init n (fun _ -> Bitset.create n) in
+  (* Strand ids are a topological order, so a reverse sweep closes desc. *)
+  for u = n - 1 downto 0 do
+    List.iter
+      (fun v ->
+        Bitset.add desc.(u) v;
+        Bitset.union_into desc.(u) desc.(v))
+      (succs t u)
+  done;
+  { n; desc }
+
+let check_closure c u =
+  if u < 0 || u >= c.n then invalid_arg "Dag: unknown strand"
+
+let precedes c u v =
+  check_closure c u;
+  check_closure c v;
+  Bitset.mem c.desc.(u) v
+
+let parallel c u v =
+  check_closure c u;
+  check_closure c v;
+  u <> v && (not (Bitset.mem c.desc.(u) v)) && not (Bitset.mem c.desc.(v) u)
+
 let is_view_aware = function
   | User -> false
   | Update | Reduce | Identity -> true

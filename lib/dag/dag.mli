@@ -52,6 +52,26 @@ val succs : t -> int -> int list
 (** [preds t i] are [i]'s direct predecessors. *)
 val preds : t -> int -> int list
 
+(** {1 Transitive closure}
+
+    Reachability and logical series/parallel queries — the brute-force
+    ground truth the detector algorithms are property-tested against. For
+    strands [u], [v]: [u ≺ v] iff a path exists from [u] to [v]; [u ‖ v]
+    iff neither precedes the other (paper §3). Computed as an [n × n] bit
+    matrix by one reverse sweep over serial order, O(V·E/64) time and
+    O(V²/8) space — fine for the test-scale programs it is used on. *)
+
+type closure
+
+(** [closure t] builds the reachability closure of [t]. *)
+val closure : t -> closure
+
+(** [precedes c u v] is [u ≺ v] (strictly: [precedes c u u = false]). *)
+val precedes : closure -> int -> int -> bool
+
+(** [parallel c u v] is [u ‖ v]; false when [u = v]. *)
+val parallel : closure -> int -> int -> bool
+
 (** [is_view_aware k] is true for [Update], [Reduce] and [Identity]
     strands (paper §1: instructions executed in updating or reducing views). *)
 val is_view_aware : strand_kind -> bool

@@ -3,13 +3,13 @@ module Bitset = Rader_support.Bitset
 type t = { n : int; peer : Bitset.t array }
 
 let compute dag =
-  let reach = Reach.compute dag in
+  let reach = Dag.closure dag in
   let n = Dag.n_strands dag in
   let peer =
     Array.init n (fun u ->
         let p = Bitset.create n in
         for v = 0 to n - 1 do
-          if Reach.parallel reach u v then Bitset.add p v
+          if Dag.parallel reach u v then Bitset.add p v
         done;
         p)
   in

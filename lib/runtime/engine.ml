@@ -1,21 +1,10 @@
 module Dynarr = Rader_support.Dynarr
 module Loc = Rader_memory.Loc
-module Dag = Rader_dag.Dag
 module Obs = Rader_obs.Obs
 
 exception Cilk_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Cilk_error s)) fmt
-
-type access = {
-  a_loc : int;
-  a_strand : int;
-  a_frame : int;
-  a_is_write : bool;
-  a_view_aware : bool;
-}
-
-type merge_rec = { m_from : int; m_into : int; m_at : int }
 
 type stats = {
   n_frames : int;
@@ -49,11 +38,11 @@ type 'a future = {
    View regions form one stack for the whole engine: frame [d]'s open
    regions are [r_id.(f_rbase.(d)) .. r_id.(rtop - 1)] while it is
    innermost, its entry region (repeating the parent's current region id)
-   at the bottom. Ids never decrease along the stack. [r_tails]
-   (recording only) holds, per region, the dag vertices the region's next
-   reduce — or the sync — depends on: the last strand of each completed
-   child spawned in it, its segment's last continuation strand, and its
-   latest reduce strand. *)
+   at the bottom. Ids never decrease along the stack.
+
+   Recording appends one {!Tape} entry per event to [tape] and nothing
+   else: ids, the dag and every log are recounted from it by
+   [Rader_core.Trace]. *)
 type t = {
   mutable tool : Tool.t;
   mutable spec : Steal_spec.t;
@@ -63,13 +52,7 @@ type t = {
   mutable next_rid : int;
   mutable strand_counter : int;
   mutable spawn_counter : int;
-  mutable dag_store : Dag.t option;
-  accesses_log : access Dynarr.t;
-  merges_log : merge_rec Dynarr.t;
-  rreads_log : (int * int) Dynarr.t;
-  aux_log : (Tool.frame_kind * int * int) Dynarr.t;
-  spawn_log : (int * int * int) Dynarr.t;
-  frames_log : (int * int * bool * Tool.frame_kind) Dynarr.t;
+  tape : int Dynarr.t;
   reducer_merges :
     (ctx -> from_region:int -> into_region:int -> unit) Dynarr.t;
   (* frame stack *)
@@ -79,15 +62,11 @@ type t = {
   mutable f_block : int array; (* sync block index *)
   mutable f_cont : int array; (* spawns since the last sync *)
   mutable f_steals : int array; (* steals in the current sync block *)
-  mutable f_strand : int array; (* current strand (= dag vertex when recording) *)
+  mutable f_strand : int array; (* current strand *)
   mutable f_rbase : int array; (* entry region's slot in the region stack *)
   (* region stack *)
   mutable rtop : int; (* number of open regions *)
   mutable r_id : int array;
-  mutable r_tails : int list array;
-  (* During a region merge: the dependency frontier feeding the next reduce
-     strand (recording only). *)
-  mutable pending_deps : int list;
   mutable in_merge : bool;
   mutable state : state;
   (* fault containment *)
@@ -115,7 +94,7 @@ type t = {
   (* Span batching: consecutive same-frame same-view-awareness reads (or
      writes) coalesce into one pending run, dispatched as a single
      [Tool.read_span]/[write_span] at the next non-access event. Only
-     when the tool stack allows it ([spans_on]); counters, logs and the
+     when the tool stack allows it ([spans_on]); counters, the tape and the
      event budget are still charged per access at accept time. *)
   mutable spans_on : bool;
   mutable pend_kind : int; (* 0 = none, 1 = read, 2 = write *)
@@ -164,13 +143,7 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     next_rid = 1;
     strand_counter = 0;
     spawn_counter = 0;
-    dag_store = (if record then Some (Dag.create ()) else None);
-    accesses_log = Dynarr.create ();
-    merges_log = Dynarr.create ();
-    rreads_log = Dynarr.create ();
-    aux_log = Dynarr.create ();
-    spawn_log = Dynarr.create ();
-    frames_log = Dynarr.create ();
+    tape = Dynarr.create ();
     reducer_merges = Dynarr.create ();
     top = -1;
     f_fid = Array.make init_cap (-1);
@@ -182,8 +155,6 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     f_rbase = Array.make init_cap 0;
     rtop = 0;
     r_id = Array.make init_cap 0;
-    r_tails = Array.make init_cap [];
-    pending_deps = [];
     in_merge = false;
     state = Fresh;
     contract_log = [];
@@ -217,8 +188,8 @@ let set_tool t tool =
   t.tool <- tool;
   t.spans_on <- Tool.spans_ok tool
 
-(* Recycle an engine for another run: every counter and log goes back to
-   its [create] value, but the arenas behind the Dynarrs, the frame and
+(* Recycle an engine for another run: every counter and the tape go back
+   to their [create] values, but the arenas behind the Dynarrs, the frame and
    region stacks and the location registry keep their grown backing
    stores. Equivalent to [create] with the same arguments — coverage
    sweeps lean on that equivalence to keep parallel and serial results
@@ -235,19 +206,11 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
   t.next_rid <- 1;
   t.strand_counter <- 0;
   t.spawn_counter <- 0;
-  t.dag_store <- (if record then Some (Dag.create ()) else None);
-  Dynarr.clear t.accesses_log;
-  Dynarr.clear t.merges_log;
-  Dynarr.clear t.rreads_log;
-  Dynarr.clear t.aux_log;
-  Dynarr.clear t.spawn_log;
-  Dynarr.clear t.frames_log;
+  Dynarr.clear t.tape;
   Dynarr.clear t.reducer_merges;
   t.top <- -1;
   Array.fill t.f_fid 0 (Array.length t.f_fid) (-1);
   t.rtop <- 0;
-  Array.fill t.r_tails 0 (Array.length t.r_tails) [];
-  t.pending_deps <- [];
   t.in_merge <- false;
   t.state <- Fresh;
   t.contract_log <- [];
@@ -269,11 +232,10 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
   t.spans_on <- Tool.spans_ok tool;
   t.pend_kind <- 0
 
-let dag_kind_of_frame_kind = function
-  | Tool.User_fn -> Dag.User
-  | Tool.Update_fn -> Dag.Update
-  | Tool.Reduce_fn -> Dag.Reduce
-  | Tool.Identity_fn -> Dag.Identity
+(* An entry with no argument is its tag. Callers whose entry takes
+   computing test [t.record] themselves, so an unrecorded run computes no
+   entry. *)
+let[@inline] record t e = if t.record then Dynarr.push t.tape e
 
 (* Budget accounting: one event per strand start and per instrumented
    access. The clock is consulted at the first event — so a deadline that
@@ -294,7 +256,7 @@ let bump_event t =
   | _ -> ()
 
 (* Deliver the pending access run. Every coalesced access was already
-   accepted — counted, logged and charged against the budget — so the
+   accepted — counted, recorded and charged against the budget — so the
    flush is pure tool dispatch: a single-access run degrades to the plain
    per-access event. *)
 let really_flush t =
@@ -317,23 +279,14 @@ let really_flush t =
 
 let[@inline] flush_pend t = if t.pend_kind <> 0 then really_flush t
 
-(* Allocate the next strand id. The dag vertex, when recording, is added
-   separately by [record_strand], so unrecorded runs never build the
-   predecessor lists. *)
+(* Allocate the next strand id. The tape records no strand starts: the
+   decoder recounts them from the entries around them. *)
 let next_strand t =
   flush_pend t;
   bump_event t;
   let id = t.strand_counter in
   t.strand_counter <- id + 1;
   id
-
-let record_strand t id ~frame ~kind ~view ~label ~preds =
-  match t.dag_store with
-  | None -> ()
-  | Some dag ->
-      let did = Dag.add_strand dag ~frame ~kind ~view ~label in
-      assert (did = id);
-      List.iter (fun p -> Dag.add_edge dag p id) (List.sort_uniq compare preds)
 
 (* -------- frame and region stacks -------- *)
 
@@ -344,25 +297,15 @@ let grow a fill =
 
 let push_region t rid =
   let i = t.rtop in
-  if i = Array.length t.r_id then begin
-    t.r_id <- grow t.r_id 0;
-    t.r_tails <- grow t.r_tails []
-  end;
+  if i = Array.length t.r_id then t.r_id <- grow t.r_id 0;
   t.r_id.(i) <- rid;
-  if t.record then t.r_tails.(i) <- [];
   t.rtop <- i + 1
 
 let[@inline] cur_region t = t.r_id.(t.rtop - 1)
 
-(* Recording only: [s] completes before the innermost open region's next
-   reduce (or sync). *)
-let add_tail t s =
-  let i = t.rtop - 1 in
-  t.r_tails.(i) <- s :: t.r_tails.(i)
-
-(* Push a frame entering region [entry_rid] as the new innermost frame and
-   return its depth. *)
-let push_frame t ~parent ~spawned ~kind ~entry_rid =
+(* Push a frame entering region [entry_rid] as the new innermost frame,
+   record its [enter] entry and return its depth. *)
+let push_frame t ~spawned ~kind ~reducer ~entry_rid =
   let d = t.top + 1 in
   if d = Array.length t.f_fid then begin
     t.f_fid <- grow t.f_fid (-1);
@@ -376,7 +319,7 @@ let push_frame t ~parent ~spawned ~kind ~entry_rid =
   let fid = t.next_fid in
   t.next_fid <- fid + 1;
   t.c_frames <- t.c_frames + 1;
-  if t.record then Dynarr.push t.frames_log (fid, parent, spawned, kind);
+  if t.record then Dynarr.push t.tape (Tape.enter_entry ~kind ~spawned ~reducer);
   t.f_fid.(d) <- fid;
   t.f_kind.(d) <- kind;
   t.f_block.(d) <- 0;
@@ -390,7 +333,9 @@ let push_frame t ~parent ~spawned ~kind ~entry_rid =
   d
 
 (* Pop the innermost frame [d], whose region stack is down to its entry
-   region. [f_strand.(d)] stays readable until the next push. *)
+   region. [f_strand.(d)] stays readable until the next push. The caller
+   records the [return] entry: a spawned frame's waits for the steal
+   decision. *)
 let pop_frame t d =
   t.f_fid.(d) <- -1;
   t.rtop <- t.f_rbase.(d);
@@ -428,11 +373,7 @@ let merge_top_two ctx =
   t.rtop <- fi;
   flush_pend t;
   Tool.reduce t.tool ~frame:ctx.fid ~into_region ~from_region;
-  if t.record then begin
-    Dynarr.push t.merges_log
-      { m_from = from_region; m_into = into_region; m_at = t.strand_counter };
-    t.pending_deps <- List.rev_append t.r_tails.(fi) t.r_tails.(fi - 1)
-  end;
+  record t Tape.merge;
   t.in_merge <- true;
   (* Index loop, not [Dynarr.iter], whose closure would be allocated per
      merge. The callback is bound first: [(Dynarr.get ms i) ctx ...]
@@ -442,43 +383,26 @@ let merge_top_two ctx =
     let merge = Dynarr.get t.reducer_merges i in
     merge ctx ~from_region ~into_region
   done;
-  t.in_merge <- false;
-  if t.record then begin
-    t.r_tails.(fi - 1) <- t.pending_deps;
-    t.pending_deps <- []
-  end
+  t.in_merge <- false
 
-(* Start frame [d]'s continuation strand, after [pred]. *)
-let continue_strand t d ~pred =
-  let s = next_strand t in
-  t.f_strand.(d) <- s;
-  if t.record then
-    record_strand t s ~frame:t.f_fid.(d) ~kind:Dag.User ~view:(cur_region t)
-      ~label:"cont" ~preds:[ pred ]
+(* Start frame [d]'s continuation strand. *)
+let continue_strand t d = t.f_strand.(d) <- next_strand t
 
 let do_sync ctx =
   let t = ctx.eng in
   require_user ctx "sync";
   let d = ctx.depth in
-  if t.record then add_tail t t.f_strand.(d);
   while t.rtop - t.f_rbase.(d) > 1 do
     merge_top_two ctx
   done;
   flush_pend t;
   Tool.sync t.tool ~frame:ctx.fid;
+  record t Tape.sync;
   t.c_syncs <- t.c_syncs + 1;
   t.f_block.(d) <- t.f_block.(d) + 1;
   t.f_cont.(d) <- 0;
   t.f_steals.(d) <- 0;
-  let s = next_strand t in
-  t.f_strand.(d) <- s;
-  if t.record then begin
-    let base = t.rtop - 1 in
-    let preds = t.r_tails.(base) in
-    t.r_tails.(base) <- [];
-    record_strand t s ~frame:ctx.fid ~kind:Dag.User ~view:t.r_id.(base)
-      ~label:"sync" ~preds
-  end
+  t.f_strand.(d) <- next_strand t
 
 let sync ctx =
   match ctx.eng.online with Some o -> o.oo_sync ctx | None -> do_sync ctx
@@ -490,15 +414,13 @@ let sync ctx =
 let run_child ctx ~spawned f =
   let t = ctx.eng in
   let entry_rid = cur_region t in
-  let d = push_frame t ~parent:ctx.fid ~spawned ~kind:Tool.User_fn ~entry_rid in
+  let d =
+    push_frame t ~spawned ~kind:Tool.User_fn ~reducer:(-1) ~entry_rid
+  in
   let fid = t.f_fid.(d) in
   flush_pend t;
   Tool.frame_enter t.tool ~frame:fid ~parent:ctx.fid ~spawned ~kind:Tool.User_fn;
-  let s = next_strand t in
-  t.f_strand.(d) <- s;
-  if t.record then
-    record_strand t s ~frame:fid ~kind:Dag.User ~view:entry_rid ~label:"enter"
-      ~preds:[ t.f_strand.(ctx.depth) ];
+  t.f_strand.(d) <- next_strand t;
   let c = { eng = t; fid; depth = d; ost = no_ost } in
   let result = f c in
   (* Cilk functions implicitly sync before returning. *)
@@ -512,9 +434,9 @@ let run_child ctx ~spawned f =
 let serial_call ctx f =
   require_user ctx "call";
   let result = run_child ctx ~spawned:false f in
-  (* Continuation after a call is in series with the child. *)
   let t = ctx.eng in
-  continue_strand t ctx.depth ~pred:t.f_strand.(ctx.depth + 1);
+  record t Tape.return;
+  continue_strand t ctx.depth;
   result
 
 let call ctx f =
@@ -546,24 +468,21 @@ let serial_spawn ctx f =
   let t = ctx.eng in
   require_user ctx "spawn";
   let d = ctx.depth in
-  let spawn_strand = t.f_strand.(d) in
   let fut = { value = None; owner = ctx.fid; born_block = t.f_block.(d) } in
   fut.value <- Some (run_child ctx ~spawned:true f);
-  (* The spawned child joins at the sync: its last strand feeds the tail
-     set of the region it ran in. *)
-  if t.record then add_tail t t.f_strand.(d + 1);
   t.c_spawns <- t.c_spawns + 1;
   let local = t.f_cont.(d) + 1 in
   t.f_cont.(d) <- local;
   if local > t.max_local_seen then t.max_local_seen <- local;
   let spawn_index = t.spawn_counter in
   t.spawn_counter <- spawn_index + 1;
-  if steals t d ~spawn_index ~local then begin
+  let stolen = steals t d ~spawn_index ~local in
+  (* The child's return entry carries the steal decision, ahead of the
+     steal's merges. *)
+  if t.record then Dynarr.push t.tape (Tape.entry Tape.return (Bool.to_int stolen));
+  if stolen then begin
     let ordinal = t.f_steals.(d) + 1 in
     t.f_steals.(d) <- ordinal;
-    (* The stolen continuation closes the current region's segment: the
-       spawn strand is the segment's last strand. *)
-    if t.record then add_tail t spawn_strand;
     let k =
       Steal_spec.merges_before_steal t.spec ~steal_ordinal:ordinal
         ~n_open:(t.rtop - t.f_rbase.(d))
@@ -576,12 +495,10 @@ let serial_spawn ctx f =
     push_region t rid;
     flush_pend t;
     Tool.steal t.tool ~frame:ctx.fid ~region:rid;
+    record t Tape.steal;
     t.c_steals <- t.c_steals + 1
   end;
-  (* Continuation after a spawn depends only on the spawn strand. *)
-  continue_strand t d ~pred:spawn_strand;
-  if t.record then
-    Dynarr.push t.spawn_log (spawn_index, spawn_strand, t.f_strand.(d));
+  continue_strand t d;
   fut
 
 let spawn ctx f =
@@ -637,18 +554,18 @@ let run t main =
   | Fresh -> ()
   | Running | Done -> err "Engine.run: engine values are single-use");
   t.state <- Running;
-  let d = push_frame t ~parent:(-1) ~spawned:false ~kind:Tool.User_fn ~entry_rid:0 in
+  let d =
+    push_frame t ~spawned:false ~kind:Tool.User_fn ~reducer:(-1) ~entry_rid:0
+  in
   let fid = t.f_fid.(d) in
   Tool.frame_enter t.tool ~frame:fid ~parent:(-1) ~spawned:false
     ~kind:Tool.User_fn;
-  let s = next_strand t in
-  t.f_strand.(d) <- s;
-  if t.record then
-    record_strand t s ~frame:fid ~kind:Dag.User ~view:0 ~label:"main" ~preds:[];
+  t.f_strand.(d) <- next_strand t;
   let ctx = { eng = t; fid; depth = d; ost = no_ost } in
   let result = main ctx in
   do_sync ctx;
   pop_frame t d;
+  record t Tape.return;
   flush_pend t;
   Tool.frame_return t.tool ~frame:fid ~parent:(-1) ~spawned:false
     ~kind:Tool.User_fn;
@@ -673,7 +590,7 @@ let failure_origin t =
 
 (* Unwind after a contained failure: kill every frame still on the stack
    (so a captured ctx cannot be used post-mortem), drop merge state, and
-   retire the engine. Tool callbacks are NOT invoked during unwinding —
+   retire the engine. The tape keeps the completed prefix. Tool callbacks are NOT invoked during unwinding —
    attached detectors simply stop receiving events, leaving them holding
    their verdicts over the completed prefix. *)
 let unwind t =
@@ -688,7 +605,6 @@ let unwind t =
   t.top <- -1;
   t.rtop <- 0;
   t.in_merge <- false;
-  t.pending_deps <- [];
   t.state <- Done;
   flush_obs t
 
@@ -781,13 +697,7 @@ let stats t =
 
 let loc_registry t = t.registry
 let loc_label t loc = Loc.label t.registry loc
-let dag t = t.dag_store
-let accesses t = Dynarr.to_list t.accesses_log
-let merges t = Dynarr.to_list t.merges_log
-let reducer_reads t = Dynarr.to_list t.rreads_log
-let aux_frames t = Dynarr.to_list t.aux_log
-let spawn_log t = Dynarr.to_list t.spawn_log
-let frames t = Dynarr.to_list t.frames_log
+let tape t = if t.record then Some (Dynarr.to_array t.tape) else None
 
 (* -------- low-level hooks -------- *)
 
@@ -833,15 +743,7 @@ let serial_emit_access ctx k loc =
    else if k = 1 then Tool.read t.tool ~frame:fid ~loc ~view_aware
    else Tool.write t.tool ~frame:fid ~loc ~view_aware);
   if k = 1 then t.c_reads <- t.c_reads + 1 else t.c_writes <- t.c_writes + 1;
-  if t.record then
-    Dynarr.push t.accesses_log
-      {
-        a_loc = loc;
-        a_strand = t.f_strand.(ctx.depth);
-        a_frame = fid;
-        a_is_write = k = 2;
-        a_view_aware = view_aware;
-      }
+  if t.record then Dynarr.push t.tape (Tape.access_entry ~loc ~write:(k = 2))
 
 let emit_read ctx loc =
   match ctx.eng.online with
@@ -859,7 +761,7 @@ let serial_emit_reducer_read ctx reducer =
   flush_pend t;
   Tool.reducer_read t.tool ~frame:ctx.fid ~reducer;
   t.c_reducer_reads <- t.c_reducer_reads + 1;
-  if t.record then Dynarr.push t.rreads_log (reducer, t.f_strand.(ctx.depth))
+  if t.record then Dynarr.push t.tape (Tape.entry Tape.reducer_read reducer)
 
 let emit_reducer_read ctx reducer =
   match ctx.eng.online with
@@ -875,30 +777,21 @@ let serial_run_aux_frame ~reducer ctx kind f a =
   | Tool.User_fn -> invalid_arg "run_aux_frame: kind must be view-aware"
   | Tool.Update_fn | Tool.Reduce_fn | Tool.Identity_fn -> ());
   let entry_rid = cur_region t in
-  let d = push_frame t ~parent:ctx.fid ~spawned:false ~kind ~entry_rid in
+  let d = push_frame t ~spawned:false ~kind ~reducer ~entry_rid in
   let fid = t.f_fid.(d) in
   flush_pend t;
   Tool.frame_enter t.tool ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
   let in_reduce = kind = Tool.Reduce_fn && t.in_merge in
-  let s = next_strand t in
-  t.f_strand.(d) <- s;
-  if t.record then begin
-    record_strand t s ~frame:fid
-      ~kind:(dag_kind_of_frame_kind kind)
-      ~view:entry_rid
-      ~label:(Tool.frame_kind_name kind)
-      ~preds:(if in_reduce then t.pending_deps else [ t.f_strand.(ctx.depth) ]);
-    Dynarr.push t.aux_log (kind, reducer, s)
-  end;
+  t.f_strand.(d) <- next_strand t;
   let result = f { eng = t; fid; depth = d; ost = no_ost } a in
   pop_frame t d;
+  record t Tape.return;
   flush_pend t;
   Tool.frame_return t.tool ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
-  if in_reduce then begin
-    if t.record then t.pending_deps <- [ s ];
-    t.c_reduce_calls <- t.c_reduce_calls + 1
-  end
-  else continue_strand t ctx.depth ~pred:s;
+  (* A reduce frame run by a merge has no continuation: the merge's next
+     reduce, or the sync, follows it. *)
+  if in_reduce then t.c_reduce_calls <- t.c_reduce_calls + 1
+  else continue_strand t ctx.depth;
   result
 
 let run_aux_frame ~reducer ctx kind f a =

@@ -13,9 +13,11 @@
       the spec's reduce policy, and all regions of a sync block are merged
       back to the block's base region before the sync completes (view
       invariants 1–3 of paper §5);
-    - optionally recording the full {e performance dag} (user strands plus
-      reduce strands and reduce-tree dependencies, paper §5) and the access
-      trace, for the testing oracles and for visualization.
+    - optionally recording the run as a {!Tape}: one int per event, from
+      which [Rader_core.Trace] recounts every id and rebuilds the
+      {e performance dag} (user strands plus reduce strands and reduce-tree
+      dependencies, paper §5) and the access trace, for the testing
+      oracles, the static analyses and visualization.
 
     An engine value is single-use: create, configure, {!run} once, then
     query results.
@@ -26,8 +28,8 @@
     execution order. A new strand begins: when a frame is entered; when a
     frame returns (the parent's continuation strand); at every sync
     (explicit or the implicit one before each frame return); and at each
-    runtime-invoked [Reduce] operation. When dag recording is on, strand
-    ids coincide with dag vertex ids. *)
+    runtime-invoked [Reduce] operation. The dag decoded from a recorded
+    run numbers its vertices the same way. *)
 
 exception Cilk_error of string
 (** Raised on violations of Cilk discipline: spawning/syncing inside
@@ -52,8 +54,8 @@ type 'a future
 (** [create ()] makes a fresh engine.
     @param tool the detector callbacks; default {!Tool.null}.
     @param spec the steal specification; default [Steal_spec.none].
-    @param record if true (default false), record the performance dag,
-    access trace, merge log and reducer-read log for later inspection.
+    @param record if true (default false), record the run's {!tape} for
+    later decoding.
     @param max_events abort the run (as [Fault.Budget_exceeded]) once this
     many events — strand starts plus instrumented accesses — have
     happened. Budget interrupts are contained by {!run_result}; under the
@@ -79,14 +81,15 @@ val create :
 val set_tool : t -> Tool.t -> unit
 
 (** [reset t] recycles the engine for another run: observationally
-    equivalent to {!create} with the same arguments (all counters, logs
-    and the location registry go back to their initial values; the engine
-    returns to the runnable state), but the grown arenas behind the
-    internal logs and the registry are kept, skipping per-run reallocation
+    equivalent to {!create} with the same arguments (all counters, the
+    tape and the location registry go back to their initial values; the
+    engine returns to the runnable state), but the grown arenas behind the
+    internal stacks, the tape and the registry are kept, skipping per-run
+    reallocation
     — the batching primitive behind the parallel coverage sweep, where one
     engine per worker domain replays hundreds of steal specifications.
-    Contexts, futures, location ids and recorded traces obtained before
-    the reset are dangling and must not be used. Like [create], the tool
+    Contexts, futures and location ids obtained before the reset are
+    dangling and must not be used. Like [create], the tool
     defaults to {!Tool.null}: pass [~tool] to keep a detector installed
     (and reset the detector itself, e.g. [Sp_hot.reset]).
     @raise Cilk_error if called while the engine is running. *)
@@ -183,50 +186,13 @@ val loc_label : t -> int -> string
     reducer self-checks during the run, in detection order. *)
 val contract_violations : t -> Fault.contract_violation list
 
-(** {1 Recorded trace} (only when [~record:true]) *)
+(** {1 Recording} *)
 
-type access = {
-  a_loc : int;
-  a_strand : int;
-  a_frame : int;
-  a_is_write : bool;
-  a_view_aware : bool;
-}
-
-type merge_rec = {
-  m_from : int;  (** region merged away (the dominated view) *)
-  m_into : int;  (** surviving region *)
-  m_at : int;  (** strand counter value when the merge happened *)
-}
-
-(** [dag t] is the recorded performance dag. [None] unless recording. *)
-val dag : t -> Rader_dag.Dag.t option
-
-(** [accesses t] is the instrumented access trace in serial order. *)
-val accesses : t -> access list
-
-(** [merges t] is the region-merge log in serial order. *)
-val merges : t -> merge_rec list
-
-(** [reducer_reads t] is the list of (reducer id, strand id) for every
-    reducer-read, in serial order. *)
-val reducer_reads : t -> (int * int) list
-
-(** [aux_frames t] is, for every view-aware auxiliary frame in serial
-    order, [(kind, reducer, strand)]: the frame's kind (update / reduce /
-    identity), the id of the reducer it belongs to, and the frame's first
-    strand — the strand↔reducer provenance the static analyzer keys off. *)
-val aux_frames : t -> (Tool.frame_kind * int * int) list
-
-(** [spawn_log t] is, for every spawn in serial order,
-    [(spawn_index, spawn_strand, continuation_strand)] — the coordinates
-    the work-stealing simulator needs to translate simulated steals back
-    into a {!Steal_spec.t}. *)
-val spawn_log : t -> (int * int * int) list
-
-(** [frames t] is, for every frame in creation order,
-    [(frame, parent, spawned, kind)] ([parent = -1] for the root). *)
-val frames : t -> (int * int * bool * Tool.frame_kind) list
+(** [tape t] is a copy of the {!Tape} entries recorded so far: the whole
+    run after a successful one, the completed prefix after a contained
+    failure. [None] unless the engine was created (or reset) with
+    [~record:true]. Decode it with [Rader_core.Trace]. *)
+val tape : t -> int array option
 
 (** {1 Low-level hooks} — used by {!Cell}, {!Rarray} and {!Reducer}; not
     intended for end users. *)
@@ -241,7 +207,7 @@ val emit_reducer_read : ctx -> int -> unit
     frame, where [c] is the auxiliary frame's context, and returns its
     result. Passing the argument separately lets a reducer operation run
     without building a closure per call. [reducer] attributes the frame to
-    a reducer id in the recorded {!aux_frames} log. *)
+    a reducer id in the recorded {!tape}. *)
 val run_aux_frame :
   reducer:int -> ctx -> Tool.frame_kind -> (ctx -> 'b -> 'a) -> 'b -> 'a
 

@@ -42,8 +42,11 @@ let hash64 seed x =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+(* NaN fails both comparisons, so it is rejected too. *)
+let is_probability p = p >= 0.0 && p <= 1.0
+
 let random ?(policy = Reduce_eagerly) ~seed ~density () =
-  if density < 0.0 || density > 1.0 then invalid_arg "Steal_spec.random: density";
+  if not (is_probability density) then invalid_arg "Steal_spec.random: density";
   let steal info =
     let h = hash64 seed info.spawn_index in
     let u = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0 in
@@ -127,7 +130,8 @@ let parse ~seed ~density s =
   match s with
   | "none" -> Ok none
   | "all" -> Ok (all ())
-  | "random" -> Ok (random ~seed ~density ())
+  | "random" when is_probability density -> Ok (random ~seed ~density ())
+  | "random" -> Error (Printf.sprintf "steal density %g is not in [0, 1]" density)
   | s -> (
       match List.map int_of_string (String.split_on_char ',' s) with
       | idxs when List.for_all (fun i -> i >= 1) idxs ->

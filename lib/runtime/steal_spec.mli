@@ -81,7 +81,8 @@ val all : ?policy:reduce_policy -> unit -> t
     independently with probability [density], deterministically derived
     from [seed] and the continuation's spawn ordinal (so the same spec
     value always names the same schedule) — the paper's "a random seed …
-    points are chosen randomly" mode. *)
+    points are chosen randomly" mode.
+    @raise Invalid_argument unless [0 <= density <= 1] (NaN included). *)
 val random : ?policy:reduce_policy -> seed:int -> density:float -> unit -> t
 
 (** [at_local_indices ?policy idxs] steals exactly the continuations whose
@@ -124,5 +125,6 @@ val merges_before_steal : t -> steal_ordinal:int -> n_open:int -> int
     ["none"], ["all"], ["random"] (derived from [seed] and [density]), or
     a comma-separated list of 1-based sync-block continuation indices
     (parsed as {!at_local_indices} with [Reduce_eagerly]). Total — the
-    serve daemon feeds it untrusted request fields. *)
+    serve daemon feeds it untrusted request fields: ["random"] with a
+    density outside [[0, 1]], or NaN, is an [Error]. *)
 val parse : seed:int -> density:float -> string -> (t, string) result

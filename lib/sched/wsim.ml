@@ -1,5 +1,6 @@
 module Engine = Rader_runtime.Engine
 module Steal_spec = Rader_runtime.Steal_spec
+module Trace = Rader_core.Trace
 module Dag = Rader_dag.Dag
 module Deque = Rader_support.Deque
 module Rng = Rader_support.Rng
@@ -13,11 +14,10 @@ type result = {
 
 let simulate ~workers ~seed eng =
   if workers < 1 then invalid_arg "Wsim.simulate: workers < 1";
-  let dag =
-    match Engine.dag eng with
-    | Some d -> d
-    | None -> invalid_arg "Wsim.simulate: engine run was not recorded"
-  in
+  if Engine.tape eng = None then
+    invalid_arg "Wsim.simulate: engine run was not recorded";
+  let tr = Trace.of_engine eng in
+  let dag = Trace.dag tr in
   let n = Dag.n_strands dag in
   let indeg = Array.make n 0 in
   for v = 0 to n - 1 do
@@ -73,10 +73,10 @@ let simulate ~workers ~seed eng =
   done;
   let stolen =
     List.filter_map
-      (fun (idx, spawn_strand, cont_strand) ->
-        if executed_by.(cont_strand) <> executed_by.(spawn_strand) then Some idx
+      (fun { Trace.sp_index; sp_strand; sp_cont; _ } ->
+        if executed_by.(sp_cont) <> executed_by.(sp_strand) then Some sp_index
         else None)
-      (Engine.spawn_log eng)
+      tr.Trace.spawns
   in
   { makespan = !time; work = n; n_steals = !steals; stolen_continuations = stolen }
 

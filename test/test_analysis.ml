@@ -112,10 +112,10 @@ let test_ir_reducer_free () =
   check "result" 21 ir.Ir.result;
   (* every access strand is a leaf of the indexed tree *)
   List.iter
-    (fun (a : Engine.access) ->
+    (fun (a : Trace.access) ->
       checkb "access strand is a leaf" true
-        (Rader_dag.Sp_tree.all_s_path ir.Ir.ix a.Engine.a_strand
-           a.Engine.a_strand))
+        (Rader_dag.Sp_tree.all_s_path ir.Ir.ix a.Trace.a_strand
+           a.Trace.a_strand))
     (Ir.accesses ir)
 
 let test_ir_provenance () =
@@ -125,7 +125,7 @@ let test_ir_provenance () =
   check "eight updates" 8 (List.length (Ir.updates ir 0));
   (* update frames appear in the aux log as Update_fn *)
   checkb "aux kinds are updates" true
-    (List.for_all (fun (k, _, _) -> k = Tool.Update_fn) ir.Ir.aux)
+    (List.for_all (fun (k, _, _) -> k = Tool.Update_fn) ir.Ir.trace.Trace.aux_frames)
 
 let test_ir_contains_failure () =
   match Ir.of_program (fun _ -> failwith "boom") with

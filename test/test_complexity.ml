@@ -206,25 +206,48 @@ let fib_opadd n ctx =
   ignore ((Rader_benchsuite.Bm_fib.bench ~n).Rader_benchsuite.Bench_def.cilk ctx)
 
 let alloc_programs =
-  [
-    ("bare tree", Steal_spec.none, fun n ctx -> bare_tree ctx n);
-    ("fib+opadd", Steal_spec.none, fib_opadd);
-    ("fib+opadd -s all", Steal_spec.all (), fib_opadd);
-  ]
+  let programs =
+    [
+      ("bare tree", Steal_spec.none, fun n ctx -> bare_tree ctx n);
+      ("fib+opadd", Steal_spec.none, fib_opadd);
+      ("fib+opadd -s all", Steal_spec.all (), fib_opadd);
+    ]
+  in
+  List.map (fun (name, spec, p) -> (name, false, spec, p)) programs
+  @ List.map (fun (name, spec, p) -> (name ^ " recorded", true, spec, p)) programs
 
 (* Committed words per spawn, per compiler series: the measured slopes
    rounded up to a tenth of a word (5.1.1 measured 26.00, 36.00 and 55.01;
-   the last carries the reducer view stack's doubling with depth). A
-   series without a row is held to the first one. *)
+   the last carries the reducer view stack's doubling with depth; recorded,
+   39.84, 68.19 and 119.31, the tape's doubling store included). A series
+   without a row is held to the first one. *)
 let alloc_table =
-  [ ("5.1", [ ("bare tree", 26.0); ("fib+opadd", 36.0); ("fib+opadd -s all", 55.1) ]) ]
+  [
+    ( "5.1",
+      [
+        ("bare tree", 26.0);
+        ("fib+opadd", 36.0);
+        ("fib+opadd -s all", 55.1);
+        ("bare tree recorded", 39.9);
+        ("fib+opadd recorded", 68.2);
+        ("fib+opadd -s all recorded", 119.4);
+      ] );
+  ]
 
 (* One engine, recycled with [Engine.reset] after a warm-up run at the
-   larger size, so its stacks are already grown at both measured sizes. *)
-let words_per_spawn ~spec program =
+   larger size, so its stacks are already grown at both measured sizes. A
+   recorded run gets a fresh engine instead: a recycled one keeps its
+   tape's grown store, which would hide the cost of the tape itself. *)
+let words_per_spawn ~record ~spec program =
   let eng = Engine.create ~spec () in
   let measure n =
-    Engine.reset ~spec eng;
+    let eng =
+      if record then Engine.create ~spec ~record ()
+      else begin
+        Engine.reset ~spec eng;
+        eng
+      end
+    in
     let main = program n in
     let w0 = words_allocated () in
     ignore (Engine.run eng main);
@@ -245,8 +268,8 @@ let test_alloc_per_spawn () =
   in
   let measured =
     List.map
-      (fun (name, spec, program) ->
-        let w = words_per_spawn ~spec program in
+      (fun (name, record, spec, program) ->
+        let w = words_per_spawn ~record ~spec program in
         let limit = List.assoc name row in
         Printf.printf "%s: %.4f words/spawn (table %.1f, OCaml %s)\n" name w
           limit Sys.ocaml_version;

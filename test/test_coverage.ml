@@ -4,6 +4,7 @@
 
 open Rader_runtime
 open Rader_core
+module G = Rader_testkit.Gen_program
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -27,6 +28,139 @@ let test_profile_parallel_for () =
   let p = Coverage.profile (fun ctx -> Cilk.parallel_for ctx ~lo:0 ~hi:64 (fun _ _ -> ())) in
   checkb "k small (spawn chain per block)" true (p.Coverage.k >= 1);
   check "spawns = segments - 1" 63 p.Coverage.n_spawns
+
+(* The profile as it was computed before it became a fold over the tape:
+   an external tool on an unrecorded run, marking the whole frame stack on
+   every event. Kept as the fold's oracle. *)
+let reference_profile ?max_events program =
+  let max_k = ref 0 and max_d = ref 0 and max_k_rel = ref 0 in
+  let conts = Hashtbl.create 64 and depth = Hashtbl.create 64 in
+  let rel = Hashtbl.create 64 and rel_depths = Hashtbl.create 8 in
+  let stack = ref [] and saw_reducer = ref false in
+  let mark () =
+    List.iter
+      (fun f ->
+        let c = Hashtbl.find conts f in
+        if c >= 1 && c > Option.value ~default:0 (Hashtbl.find_opt rel f) then
+          Hashtbl.replace rel f c)
+      !stack
+  in
+  let fold_block f =
+    (match Hashtbl.find_opt rel f with
+    | Some r when r >= 1 ->
+        max_k_rel := max !max_k_rel r;
+        Hashtbl.replace rel_depths (Hashtbl.find depth f) ()
+    | _ -> ());
+    Hashtbl.remove rel f
+  in
+  let hooks =
+    {
+      Tool.hooks_null with
+      Tool.on_frame_enter =
+        (fun ~frame ~parent ~spawned:_ ~kind ->
+          if kind <> Tool.User_fn then begin
+            saw_reducer := true;
+            mark ()
+          end;
+          let d = if parent < 0 then 0 else Hashtbl.find depth parent + 1 in
+          Hashtbl.replace depth frame d;
+          max_d := max !max_d d;
+          Hashtbl.replace conts frame 0;
+          stack := frame :: !stack);
+      on_frame_return =
+        (fun ~frame ~parent ~spawned ~kind:_ ->
+          fold_block frame;
+          stack := List.tl !stack;
+          if spawned then begin
+            let c = Hashtbl.find conts parent + 1 in
+            Hashtbl.replace conts parent c;
+            max_k := max !max_k c
+          end);
+      on_sync =
+        (fun ~frame ->
+          fold_block frame;
+          Hashtbl.replace conts frame 0);
+      on_read = (fun ~frame:_ ~loc:_ ~view_aware:_ -> mark ());
+      on_write = (fun ~frame:_ ~loc:_ ~view_aware:_ -> mark ());
+      on_reducer_read =
+        (fun ~frame:_ ~reducer:_ ->
+          saw_reducer := true;
+          mark ());
+    }
+  in
+  let eng = Engine.create ~tool:(Tool.extern hooks) ?max_events () in
+  ignore (Engine.run_result eng program);
+  let k_rel, rel_depths =
+    if not !saw_reducer then (0, [])
+    else
+      ( !max_k_rel,
+        List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) rel_depths []) )
+  in
+  {
+    Coverage.k = !max_k;
+    d = !max_d;
+    n_spawns = (Engine.stats eng).Engine.n_spawns;
+    k_rel;
+    rel_depths;
+  }
+
+let show_profile (p : Coverage.profile) =
+  Printf.sprintf "k=%d d=%d spawns=%d k_rel=%d depths=[%s]" p.Coverage.k
+    p.Coverage.d p.Coverage.n_spawns p.Coverage.k_rel
+    (String.concat ";" (List.map string_of_int p.Coverage.rel_depths))
+
+(* The fold equals the stack-walking tool on whole runs and, under an
+   event budget, on the prefix the budget leaves. *)
+let prop_profile_fold =
+  QCheck2.Test.make ~name:"profile fold = stack-walking profile" ~count:300
+    ~print:G.print
+    (G.gen ~with_reducers:true ~racy:true)
+    (fun p ->
+      let program = G.interpret p in
+      let same what got want =
+        got = want
+        || QCheck2.Test.fail_reportf "%s: fold %s, reference %s" what
+             (show_profile got) (show_profile want)
+      in
+      same "whole run" (Coverage.profile program) (reference_profile program)
+      && List.for_all
+           (fun m ->
+             same
+               (Printf.sprintf "max_events %d" m)
+               (Coverage.exhaustive_check ~max_events:m ~max_specs:0 program).Coverage.prof
+               (reference_profile ~max_events:m program))
+           [ 5; 20; 60 ])
+
+(* The sweep's profiling run honours the event budget: a program counting
+   its own leaves stops far short of a full run, and the blown budget is
+   charged to the profile. *)
+let test_profile_honours_budget () =
+  let runs = ref 0 and first_run_leaves = ref 0 in
+  let rec tree ctx n =
+    if n < 2 then (if !runs = 1 then incr first_run_leaves)
+    else begin
+      ignore (Cilk.spawn ctx (fun ctx -> tree ctx (n - 1)));
+      Cilk.call ctx (fun ctx -> tree ctx (n - 2));
+      Cilk.sync ctx
+    end
+  in
+  let program ctx =
+    incr runs;
+    tree ctx 20
+  in
+  ignore (Engine.run (Engine.create ()) program);
+  let full = !first_run_leaves in
+  runs := 0;
+  first_run_leaves := 0;
+  let res = Coverage.exhaustive_check ~max_events:200 program in
+  checkb
+    (Printf.sprintf "profile ran %d of %d leaves" !first_run_leaves full)
+    true
+    (!first_run_leaves * 10 < full);
+  checkb "the profile is charged first" true
+    (match res.Coverage.incomplete with
+    | ("profile", Diag.Budget_exceeded (Diag.Max_events 200)) :: _ -> true
+    | _ -> false)
 
 let count_triples k = k * (k - 1) * (k - 2) / 6
 
@@ -138,7 +272,7 @@ let test_update_depth_specs_elicit_identities () =
     (fun spec ->
       let eng = Engine.create ~spec ~record:true () in
       ignore (Engine.run eng program);
-      let dag = Option.get (Engine.dag eng) in
+      let dag = Trace.dag (Trace.of_engine eng) in
       for i = 0 to Rader_dag.Dag.n_strands dag - 1 do
         if (Rader_dag.Dag.strand dag i).Rader_dag.Dag.kind = Rader_dag.Dag.Identity then
           identity_seen := true
@@ -177,9 +311,12 @@ let test_expired_sweep_deadline_consistent_across_jobs () =
   let check_one jobs (res : Coverage.result) =
     let tag = Printf.sprintf "jobs=%d: " jobs in
     check (tag ^ "no spec ran") 0 res.Coverage.n_run;
+    (* the profiling run runs under the sweep deadline too *)
+    checkb (tag ^ "the profile is charged first") true
+      (match res.Coverage.incomplete with ("profile", _) :: _ -> true | _ -> false);
     check
-      (tag ^ "every spec charged to the deadline")
-      res.Coverage.n_specs
+      (tag ^ "the profile and every spec charged to the deadline")
+      (res.Coverage.n_specs + 1)
       (List.length res.Coverage.incomplete);
     checkb (tag ^ "all incomplete entries are Deadline") true
       (List.for_all
@@ -237,6 +374,9 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_profile;
           Alcotest.test_case "parallel_for" `Quick test_profile_parallel_for;
+          Alcotest.test_case "honours the event budget" `Quick
+            test_profile_honours_budget;
+          QCheck_alcotest.to_alcotest prop_profile_fold;
         ] );
       ( "spec families",
         [

@@ -57,27 +57,40 @@ let test_dag_edge_order_enforced () =
 
 let test_reach_fig2 () =
   let dag = fig2 () in
-  let r = Reach.compute dag in
+  let r = Dag.closure dag in
   (* Paper §3: "strands 4 and 9 are logically in series, because strand 4
      precedes strand 9, while strands 9 and 10 are logically in parallel". *)
-  checkb "4 < 9" true (Reach.precedes r (s 4) (s 9));
-  checkb "9 || 10" true (Reach.parallel r (s 9) (s 10));
-  checkb "strict" false (Reach.precedes r (s 4) (s 4));
-  checkb "2 || 5" true (Reach.parallel r (s 2) (s 5));
-  checkb "6 < 9" true (Reach.precedes r (s 6) (s 9));
-  checkb "6 || 8" true (Reach.parallel r (s 6) (s 8));
+  checkb "4 < 9" true (Dag.precedes r (s 4) (s 9));
+  checkb "9 || 10" true (Dag.parallel r (s 9) (s 10));
+  checkb "strict" false (Dag.precedes r (s 4) (s 4));
+  checkb "2 || 5" true (Dag.parallel r (s 2) (s 5));
+  checkb "6 < 9" true (Dag.precedes r (s 6) (s 9));
+  checkb "6 || 8" true (Dag.parallel r (s 6) (s 8));
   checkb "everything < 16" true
-    (List.for_all (fun k -> Reach.precedes r (s k) (s 16)) [ 1; 2; 3; 4; 5; 9; 14; 15 ]);
+    (List.for_all (fun k -> Dag.precedes r (s k) (s 16)) [ 1; 2; 3; 4; 5; 9; 14; 15 ]);
   checkb "1 < everything" true
-    (List.for_all (fun k -> Reach.precedes r (s 1) (s k)) [ 2; 5; 11; 13; 16 ])
+    (List.for_all (fun k -> Dag.precedes r (s 1) (s k)) [ 2; 5; 11; 13; 16 ])
 
-let test_reach_desc_anc_consistency () =
+(* The closure is reachability: [u ≺ v] iff a walk along successor
+   edges from [u] reaches [v]. *)
+let test_closure_is_reachability () =
   let dag = fig2 () in
-  let r = Reach.compute dag in
-  for u = 0 to 15 do
-    for v = 0 to 15 do
-      checkb "desc/anc transpose" (Bitset.mem (Reach.descendants r u) v)
-        (Bitset.mem (Reach.ancestors r v) u)
+  let r = Dag.closure dag in
+  let n = Dag.n_strands dag in
+  for u = 0 to n - 1 do
+    let seen = Array.make n false in
+    let rec walk v =
+      List.iter
+        (fun w ->
+          if not seen.(w) then begin
+            seen.(w) <- true;
+            walk w
+          end)
+        (Dag.succs dag v)
+    in
+    walk u;
+    for v = 0 to n - 1 do
+      checkb "precedes = reachable" seen.(v) (Dag.precedes r u v)
     done
   done
 
@@ -152,14 +165,14 @@ let test_sp_tree_fig4_matches_dag () =
      tree queries agree with the explicit dag's peers/parallelism. *)
   let ix = Sp_tree.index (fig4_tree ()) in
   let dag = fig2 () in
-  let reach = Reach.compute dag in
+  let reach = Dag.closure dag in
   let peers = Peers.compute dag in
   for u = 0 to 15 do
     for v = 0 to 15 do
       if u <> v then begin
         checkb
           (Printf.sprintf "parallel %d,%d" (u + 1) (v + 1))
-          (Reach.parallel reach u v) (Sp_tree.parallel ix u v);
+          (Dag.parallel reach u v) (Sp_tree.parallel ix u v);
         checkb
           (Printf.sprintf "peer-equal %d,%d" (u + 1) (v + 1))
           (Peers.equal_peers peers u v)
@@ -172,14 +185,14 @@ let test_sp_tree_to_dag_roundtrip () =
   let tree = fig4_tree () in
   let dag, mapping = Sp_tree.to_dag tree in
   Alcotest.(check int) "strand count" 16 (Dag.n_strands dag);
-  let reach = Reach.compute dag in
+  let reach = Dag.closure dag in
   let ix = Sp_tree.index tree in
   for u = 0 to 15 do
     for v = 0 to 15 do
       if u <> v then
         checkb "roundtrip parallelism"
           (Sp_tree.parallel ix u v)
-          (Reach.parallel reach (mapping u) (mapping v))
+          (Dag.parallel reach (mapping u) (mapping v))
     done
   done
 
@@ -238,7 +251,7 @@ let prop_sp_tree_vs_dag =
     ~count:300 gen_sp_tree (fun tree ->
       let ix = Sp_tree.index tree in
       let dag, mapping = Sp_tree.to_dag tree in
-      let reach = Reach.compute dag in
+      let reach = Dag.closure dag in
       let peers = Peers.compute dag in
       let ls = Sp_tree.leaves tree in
       List.for_all
@@ -246,7 +259,7 @@ let prop_sp_tree_vs_dag =
           List.for_all
             (fun v ->
               u = v
-              || Sp_tree.parallel ix u v = Reach.parallel reach (mapping u) (mapping v)
+              || Sp_tree.parallel ix u v = Dag.parallel reach (mapping u) (mapping v)
                  && Sp_tree.all_s_path ix u v
                     = Peers.equal_peers peers (mapping u) (mapping v))
             ls)
@@ -266,7 +279,7 @@ let () =
       ( "reach",
         [
           Alcotest.test_case "fig2 relations" `Quick test_reach_fig2;
-          Alcotest.test_case "desc/anc transpose" `Quick test_reach_desc_anc_consistency;
+          Alcotest.test_case "closure = reachability" `Quick test_closure_is_reachability;
         ] );
       ("peers", [ Alcotest.test_case "fig2 peer facts" `Quick test_peers_fig2 ]);
       ( "sp_tree",

@@ -44,20 +44,12 @@ let specs =
 type leg = {
   l_result : int * int;
   l_stats : Engine.stats * Engine.stats;
-  l_trace : int * int;
+  l_trace : int array option * int array option;
   l_sp_reports : string list;
   l_peer_reports : string list;
   l_sp_racy : int list;
   l_obs : (string * int) list;
 }
-
-let trace_fingerprint eng =
-  Hashtbl.hash
-    ( Engine.accesses eng,
-      Engine.frames eng,
-      Engine.merges eng,
-      Engine.reducer_reads eng,
-      Engine.spawn_log eng )
 
 (* Run [p] on [eng] with [tool] installed, either directly or behind the
    closure record; Obs keys get [name] as a prefix so the two detectors'
@@ -72,7 +64,7 @@ let run_engine ~extern ~name eng tool p =
   Obs.set_enabled false;
   ( result,
     Engine.stats eng,
-    trace_fingerprint eng,
+    Engine.tape eng,
     List.map (fun (k, v) -> (name ^ "." ^ k, v)) obs )
 
 let run_leg ~extern p spec =

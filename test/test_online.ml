@@ -374,18 +374,18 @@ let test_endpoint_attribution () =
               checkb (tag ^ ": first endpoint is a recorded access") true
                 (List.exists
                    (fun a ->
-                     a.Engine.a_loc = r.Report.subject
-                     && a.Engine.a_frame = r.Report.first_frame
-                     && a.Engine.a_is_write
+                     a.Trace.a_loc = r.Report.subject
+                     && a.Trace.a_frame = r.Report.first_frame
+                     && a.Trace.a_is_write
                         = (r.Report.first_access = Report.Write))
                    tr.Trace.accesses);
               checkb (tag ^ ": second endpoint is a recorded access") true
                 (List.exists
                    (fun a ->
-                     a.Engine.a_loc = r.Report.subject
-                     && a.Engine.a_frame = r.Report.second_frame
-                     && a.Engine.a_strand = r.Report.second_strand
-                     && a.Engine.a_is_write
+                     a.Trace.a_loc = r.Report.subject
+                     && a.Trace.a_frame = r.Report.second_frame
+                     && a.Trace.a_strand = r.Report.second_strand
+                     && a.Trace.a_is_write
                         = (r.Report.second_access = Report.Write))
                    tr.Trace.accesses)
           | Report.View_read_race ->

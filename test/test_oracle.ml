@@ -119,12 +119,12 @@ let test_pairs_report_exact_strands () =
   ignore (Engine.run eng program);
   match Oracle.determinacy_pairs eng with
   | [ (loc, s1, s2) ] ->
-      let accesses = Engine.accesses eng in
-      let writes = List.filter (fun a -> a.Engine.a_is_write) accesses in
-      let reads = List.filter (fun a -> not a.Engine.a_is_write) accesses in
-      Alcotest.(check int) "loc is the cell" (List.hd writes).Engine.a_loc loc;
-      Alcotest.(check int) "first strand = the write" (List.hd writes).Engine.a_strand s1;
-      Alcotest.(check int) "second strand = the read" (List.hd reads).Engine.a_strand s2
+      let accesses = (Trace.of_engine eng).Trace.accesses in
+      let writes = List.filter (fun a -> a.Trace.a_is_write) accesses in
+      let reads = List.filter (fun a -> not a.Trace.a_is_write) accesses in
+      Alcotest.(check int) "loc is the cell" (List.hd writes).Trace.a_loc loc;
+      Alcotest.(check int) "first strand = the write" (List.hd writes).Trace.a_strand s1;
+      Alcotest.(check int) "second strand = the read" (List.hd reads).Trace.a_strand s2
   | pairs -> Alcotest.failf "expected 1 pair, got %d" (List.length pairs)
 
 let test_view_read_pairs_endpoints () =
@@ -136,7 +136,7 @@ let test_view_read_pairs_endpoints () =
   in
   let eng = Engine.create ~record:true () in
   ignore (Engine.run eng program);
-  let rreads = Engine.reducer_reads eng in
+  let rreads = (Trace.of_engine eng).Trace.reducer_reads in
   Alcotest.(check int) "two reducer-reads (create + get)" 2 (List.length rreads);
   match Oracle.view_read_pairs eng with
   | [ (rid, s1, s2) ] ->

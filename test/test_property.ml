@@ -224,19 +224,19 @@ let prop_sp_tree_of_trace_matches_dag =
       ignore (Engine.run eng (G.interpret p));
       let tr = Trace.of_engine eng in
       let tree = Trace.sp_tree tr in
-      let n = Rader_dag.Dag.n_strands tr.Trace.dag in
+      let n = Rader_dag.Dag.n_strands (Trace.dag tr) in
       let leaves = List.sort compare (Rader_dag.Sp_tree.leaves tree) in
       if leaves <> List.init n Fun.id then
         QCheck2.Test.fail_reportf "leaves are not exactly the %d strands" n
       else begin
         let ix = Rader_dag.Sp_tree.index tree in
-        let reach = Rader_dag.Reach.compute tr.Trace.dag in
-        let peers = Rader_dag.Peers.compute tr.Trace.dag in
+        let reach = Rader_dag.Dag.closure (Trace.dag tr) in
+        let peers = Rader_dag.Peers.compute (Trace.dag tr) in
         let ok = ref true in
         for u = 0 to n - 1 do
           for v = 0 to n - 1 do
             if u <> v then begin
-              if Rader_dag.Sp_tree.parallel ix u v <> Rader_dag.Reach.parallel reach u v
+              if Rader_dag.Sp_tree.parallel ix u v <> Rader_dag.Dag.parallel reach u v
               then ok := false;
               if
                 Rader_dag.Sp_tree.all_s_path ix u v
@@ -291,11 +291,12 @@ let prop_engine_invariants =
           let eng = Engine.create ~spec ~record:true () in
           ignore (Engine.run eng (G.interpret p));
           let s = Engine.stats eng in
-          let dag = Option.get (Engine.dag eng) in
+          let tr = Trace.of_engine eng in
+          let dag = Trace.dag tr in
           let ok_counts =
             Rader_dag.Dag.n_strands dag = s.Engine.n_strands
             && s.Engine.n_steals <= s.Engine.n_spawns
-            && List.length (Engine.spawn_log eng) = s.Engine.n_spawns
+            && List.length tr.Trace.spawns = s.Engine.n_spawns
           in
           (* single sink: the root's final sync strand *)
           let sinks = ref 0 in

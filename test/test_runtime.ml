@@ -4,7 +4,7 @@
 
 open Rader_runtime
 module Dag = Rader_dag.Dag
-module Reach = Rader_dag.Reach
+module Trace = Rader_core.Trace
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -530,7 +530,7 @@ let diamond ctx =
 let test_dag_recorded_structure () =
   let v, eng = Cilk.exec ~record:true diamond in
   check "result" 3 v;
-  let dag = Option.get (Engine.dag eng) in
+  let dag = Trace.dag (Trace.of_engine eng) in
   check "strand ids = dag size" (Engine.stats eng).Engine.n_strands (Dag.n_strands dag);
   let n = Dag.n_strands dag in
   (* single source, single sink *)
@@ -541,23 +541,23 @@ let test_dag_recorded_structure () =
   done;
   check "one source" 1 !sources;
   check "one sink" 1 !sinks;
-  let reach = Reach.compute dag in
+  let reach = Dag.closure dag in
   checkb "source precedes all" true
     (List.for_all
-       (fun i -> Reach.precedes reach 0 i)
+       (fun i -> Dag.precedes reach 0 i)
        (List.init (n - 1) (fun i -> i + 1)))
 
 let test_dag_children_parallel () =
   let _, eng = Cilk.exec ~record:true diamond in
-  let dag = Option.get (Engine.dag eng) in
-  let reach = Reach.compute dag in
+  let dag = Trace.dag (Trace.of_engine eng) in
+  let reach = Dag.closure dag in
   (* find the two children's first strands by frame id *)
   let first_of_frame f =
     let rec go i = if (Dag.strand dag i).Dag.frame = f then i else go (i + 1) in
     go 0
   in
   let c1 = first_of_frame 1 and c2 = first_of_frame 2 in
-  checkb "children parallel" true (Reach.parallel reach c1 c2)
+  checkb "children parallel" true (Dag.parallel reach c1 c2)
 
 let test_performance_dag_reduce_strands () =
   let program ctx =
@@ -567,7 +567,7 @@ let test_performance_dag_reduce_strands () =
     Rmonoid.int_cell_value ctx r
   in
   let _, eng = Cilk.exec ~spec:(Steal_spec.all ()) ~record:true program in
-  let dag = Option.get (Engine.dag eng) in
+  let dag = Trace.dag (Trace.of_engine eng) in
   let kinds = Hashtbl.create 4 in
   for i = 0 to Dag.n_strands dag - 1 do
     let k = (Dag.strand dag i).Dag.kind in
@@ -580,25 +580,24 @@ let test_performance_dag_reduce_strands () =
     (Engine.stats eng).Engine.n_reduce_calls
     (Hashtbl.find kinds Dag.Reduce);
   (* merges recorded, timestamps nondecreasing *)
-  let merges = Engine.merges eng in
+  let merges = (Trace.of_engine eng).Trace.merges in
   checkb "merges logged" true (List.length merges > 0);
   let rec sorted = function
-    | a :: (b :: _ as tl) -> a.Engine.m_at <= b.Engine.m_at && sorted tl
+    | a :: (b :: _ as tl) -> a.Trace.m_at <= b.Trace.m_at && sorted tl
     | _ -> true
   in
   checkb "merge log ordered" true (sorted merges)
 
 let test_spawn_log () =
   let _, eng = Cilk.exec ~record:true diamond in
-  let log = Engine.spawn_log eng in
-  check "two spawns logged" 2 (List.length log);
-  let dag = Option.get (Engine.dag eng) in
-  let reach = Reach.compute dag in
+  let tr = Trace.of_engine eng in
+  check "two spawns logged" 2 (List.length tr.Trace.spawns);
+  let reach = Dag.closure (Trace.dag tr) in
   List.iter
-    (fun (_, spawn_strand, cont_strand) ->
+    (fun { Trace.sp_strand; sp_cont; _ } ->
       checkb "spawn precedes continuation" true
-        (Reach.precedes reach spawn_strand cont_strand))
-    log
+        (Dag.precedes reach sp_strand sp_cont))
+    tr.Trace.spawns
 
 let test_access_log () =
   let _, eng =
@@ -607,12 +606,12 @@ let test_access_log () =
         Cell.write ctx c 1;
         ignore (Cell.read ctx c))
   in
-  match Engine.accesses eng with
+  match (Trace.of_engine eng).Trace.accesses with
   | [ w; r ] ->
-      checkb "write first" true w.Engine.a_is_write;
-      checkb "read second" false r.Engine.a_is_write;
-      check "same loc" w.Engine.a_loc r.Engine.a_loc;
-      checkb "view oblivious" false (w.Engine.a_view_aware || r.Engine.a_view_aware)
+      checkb "write first" true w.Trace.a_is_write;
+      checkb "read second" false r.Trace.a_is_write;
+      check "same loc" w.Trace.a_loc r.Trace.a_loc;
+      checkb "view oblivious" false (w.Trace.a_view_aware || r.Trace.a_view_aware)
   | l -> Alcotest.failf "expected 2 accesses, got %d" (List.length l)
 
 let test_view_aware_accesses_flagged () =
@@ -622,7 +621,7 @@ let test_view_aware_accesses_flagged () =
         Rmonoid.add ctx r 1)
   in
   checkb "update accesses are view-aware" true
-    (List.exists (fun a -> a.Engine.a_view_aware) (Engine.accesses eng))
+    (List.exists (fun a -> a.Trace.a_view_aware) (Trace.of_engine eng).Trace.accesses)
 
 (* ---------- Steal_spec unit behaviour ---------- *)
 
@@ -653,6 +652,30 @@ let test_spec_random_stable () =
   let b = List.init 50 (fun i -> spec.Steal_spec.steal (info i)) in
   checkb "stateless decisions" true (a = b);
   checkb "mixed decisions" true (List.mem true a && List.mem false a)
+
+(* [parse] reads untrusted request fields, so it must never raise: any
+   spec string with any density — NaN, infinities, negatives, above 1 —
+   gives [Ok] or [Error], and [random] is accepted exactly for densities
+   in [0, 1]. *)
+let prop_spec_parse_total =
+  let open QCheck2 in
+  let density =
+    Gen.oneof
+      [
+        Gen.oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1.0 ];
+        Gen.float;
+        Gen.float_range (-2.0) 2.0;
+      ]
+  in
+  let spec = Gen.oneof [ Gen.oneofl [ "random"; "none"; "all"; "1,2" ]; Gen.string ] in
+  Test.make ~name:"Steal_spec.parse is total" ~count:1000
+    ~print:(fun (s, p) -> Printf.sprintf "%S density %h" s p)
+    (Gen.pair spec density)
+    (fun (s, density) ->
+      match Steal_spec.parse ~seed:1 ~density s with
+      | Ok _ -> s <> "random" || (density >= 0.0 && density <= 1.0)
+      | Error _ -> s <> "random" || not (density >= 0.0 && density <= 1.0)
+      | exception e -> Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 (* ---------- Tools ---------- *)
 
@@ -959,6 +982,7 @@ let () =
         [
           Alcotest.test_case "merge clamping" `Quick test_spec_merge_clamping;
           Alcotest.test_case "random stable" `Quick test_spec_random_stable;
+          QCheck_alcotest.to_alcotest prop_spec_parse_total;
         ] );
       ( "tool",
         [

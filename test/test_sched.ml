@@ -58,8 +58,8 @@ let test_sim_blumofe_leiserson_bound () =
      allows one steal attempt per idle worker per step, so allow a
      generous constant. *)
   let _, eng = recorded fanout_program in
-  let dag = Option.get (Engine.dag eng) in
-  let reach = Rader_dag.Reach.compute dag in
+  let dag = Rader_core.Trace.(dag (of_engine eng)) in
+  let reach = Rader_dag.Dag.closure dag in
   let n = Rader_dag.Dag.n_strands dag in
   (* critical path = longest path, via DP over the topological id order *)
   let depth = Array.make n 1 in

@@ -146,6 +146,32 @@ let test_parity_and_cache () =
       | _ -> Alcotest.fail "bad spec not rejected");
       Client.close c)
 
+(* A random spec whose density is no probability is a bad spec, answered
+   as such by the worker that parses it — which survives. *)
+let test_bad_density () =
+  let t = Server.start (Server.default_config ~addr:(fresh_addr ())) in
+  Fun.protect
+    ~finally:(fun () -> ignore (Server.stop t))
+    (fun () ->
+      let c = connect (Server.bound_addr t) in
+      List.iter
+        (fun density ->
+          match submit_ok c (sub ~spec:"random" ~density "fib") with
+          | Client.Rejected e ->
+              Alcotest.(check int)
+                (Printf.sprintf "density %g: bad spec code" density)
+                Proto.err_bad_spec e.Proto.code
+          | _ -> Alcotest.failf "density %g not rejected" density)
+        [ 2.0; -0.5; Float.nan; Float.infinity ];
+      let v = verdict_of (submit_ok c (sub ~spec:"random" ~density:0.5 "fig1-fixed")) in
+      Alcotest.(check bool) "still serving verdicts" true (v.Proto.status = Proto.Clean);
+      (match Client.health c with
+      | Ok json ->
+          Alcotest.(check int) "no fault" 0 (json_int json "faults");
+          Alcotest.(check int) "no worker restarted" 0 (json_int json "restarts")
+      | Error e -> Alcotest.failf "health: %s" e);
+      Client.close c)
+
 (* ------------------------------------------------------------------ *)
 (* Quotas                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -460,6 +486,7 @@ let () =
         [
           Alcotest.test_case "hostile frames on a live server" `Quick
             test_malformed_frames_live;
+          Alcotest.test_case "bad density is a bad spec" `Quick test_bad_density;
           Alcotest.test_case "chaos acceptance: 500 requests" `Quick
             test_chaos_acceptance;
         ] );

@@ -52,14 +52,15 @@ let test_trace_contents () =
   let tr = Trace.of_engine eng in
   let stats = Engine.stats eng in
   Alcotest.(check int) "strands" stats.Engine.n_strands
-    (Rader_dag.Dag.n_strands tr.Trace.dag);
+    (Rader_dag.Dag.n_strands (Trace.dag tr));
+  Alcotest.(check int) "decoded strands" stats.Engine.n_strands tr.Trace.n_strands;
   Alcotest.(check int) "accesses"
     (stats.Engine.n_reads + stats.Engine.n_writes)
     (List.length tr.Trace.accesses);
   Alcotest.(check int) "spawns" stats.Engine.n_spawns (List.length tr.Trace.spawns);
   checkb "labels cover accesses" true
     (List.for_all
-       (fun a -> Trace.loc_label tr a.Engine.a_loc <> "?")
+       (fun a -> Trace.loc_label tr a.Trace.a_loc <> "?")
        tr.Trace.accesses);
   checkb "has mylist label" true
     (List.exists (fun (_, l) -> l = "mylist.next") tr.Trace.loc_labels)
@@ -96,10 +97,16 @@ let test_offline_oracle_equals_online () =
             (Oracle.view_read_races_t tr')))
     [ Steal_spec.none; Steal_spec.all (); Steal_spec.at_local_indices [ 1; 2 ] ]
 
-let expect_load_error path =
+(* [load] refuses the file, with an error that mentions [mentions]. *)
+let expect_load_error ?(mentions = "") path =
   match Trace.load path with
   | Ok _ -> Alcotest.fail "expected a load error"
-  | Error _ -> ()
+  | Error msg ->
+      let n = String.length mentions in
+      let rec found i =
+        i + n <= String.length msg && (String.sub msg i n = mentions || found (i + 1))
+      in
+      if not (found 0) then Alcotest.failf "error %S does not mention %S" msg mentions
 
 let test_load_rejects_garbage () =
   with_temp (fun path ->
@@ -110,24 +117,69 @@ let test_load_rejects_missing_file () =
   expect_load_error (Filename.concat (Filename.get_temp_dir_name ()) "no-such.trace");
   expect_load_error (Filename.get_temp_dir_name ())
 
+(* v2 bodies: one tape entry per line (tag in the low three bits). *)
+let entry tag arg = string_of_int ((arg lsl 3) lor tag)
+
+let v2 entries =
+  String.concat "\n" ("rader-trace 2" :: entries) ^ "\n"
+
+(* the root enters, syncs and returns *)
+let enter_root = entry 0 0
+let sync_e = entry 2 0
+let return_e = entry 1 0
+
+let test_load_minimal_run () =
+  with_temp (fun path ->
+      write_file path (v2 [ enter_root; sync_e; return_e ]);
+      let tr = load_ok path in
+      Alcotest.(check int) "main + sync strands" 2 tr.Trace.n_strands)
+
 let test_load_rejects_bad_integer () =
   with_temp (fun path ->
-      write_file path "rader-trace 1\ns 0 0 0 main\ns x 0 0 cont\n";
-      expect_load_error path)
+      write_file path (v2 [ enter_root; "x"; sync_e; return_e ]);
+      expect_load_error ~mentions:"bad integer" path)
 
-let test_load_rejects_backward_edge () =
+let test_load_rejects_unknown_tag () =
   with_temp (fun path ->
-      write_file path "rader-trace 1\ns 0 0 0 main\ns 0 0 0 cont\ne 1 0\n";
-      expect_load_error path;
-      write_file path "rader-trace 1\ns 0 0 0 main\ne 0 0\n";
-      expect_load_error path)
+      write_file path (v2 [ enter_root; entry 7 0; sync_e; return_e ]);
+      expect_load_error ~mentions:"unknown tag 7" path)
+
+(* A tape cut inside the run leaves frames open: the decoder wants the
+   whole run. *)
+let test_load_rejects_truncated_tape () =
+  with_temp (fun path ->
+      write_file path (v2 [ enter_root; entry 0 4; sync_e ]);
+      expect_load_error ~mentions:"incomplete run" path)
+
+let test_load_rejects_return_without_frame () =
+  with_temp (fun path ->
+      write_file path (v2 [ return_e ]);
+      expect_load_error ~mentions:"no open frame" path;
+      write_file path (v2 [ enter_root; sync_e; return_e; return_e ]);
+      expect_load_error ~mentions:"after the root frame returned" path)
+
+let test_load_rejects_short_merge () =
+  with_temp (fun path ->
+      write_file path (v2 [ enter_root; entry 3 0; sync_e; return_e ]);
+      expect_load_error ~mentions:"fewer than two open regions" path)
+
+(* There is one format: a version-1 file, even one holding only its
+   header, is an error that names the version. So is an empty v2 tape. *)
+let test_load_rejects_v1_header () =
+  with_temp (fun path ->
+      write_file path "rader-trace 1\ns 0 0 0 main\n";
+      expect_load_error ~mentions:"version 1" path;
+      write_file path "rader-trace 1\n";
+      expect_load_error ~mentions:"version 1" path;
+      write_file path "rader-trace 2\n";
+      expect_load_error ~mentions:"empty tape" path)
 
 (* Every failure path closes the channel: repeated failed loads leave the
    process's descriptor count where it was. *)
 let test_load_closes_channel () =
   if Sys.file_exists "/proc/self/fd" then
     with_temp (fun path ->
-        write_file path "rader-trace 1\ns 0 0 0 main\ne 0 7\n";
+        write_file path (v2 [ enter_root; entry 7 0 ]);
         let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
         let before = open_fds () in
         for _ = 1 to 50 do
@@ -136,7 +188,9 @@ let test_load_closes_channel () =
         Alcotest.(check int) "no leaked descriptors" before (open_fds ()))
 
 (* Totality under mutation, over saved demo traces: flip random bytes,
-   truncate, extend — [load] returns [Ok] or [Error], never raises. *)
+   truncate, extend — [load] returns [Ok] or [Error], never raises, and
+   every [Ok] trace runs through both oracles and [sp_tree], which may
+   only refuse a performance dag. *)
 let demo_traces =
   lazy
     (List.map
@@ -168,16 +222,59 @@ let mutate body flips cut extend =
   let s = if cut mod 3 = 0 then String.sub s 0 (cut mod n) else s in
   s ^ extend
 
+let usable tr =
+  ignore (Oracle.determinacy_pairs_t tr);
+  ignore (Oracle.view_read_pairs_t tr);
+  match Trace.sp_tree tr with
+  | _ -> ()
+  | exception Invalid_argument msg
+    when String.starts_with ~prefix:"Trace.sp_tree: performance dag" msg ->
+      ()
+
+let load_total body =
+  with_temp (fun path ->
+      write_file path body;
+      match Trace.load path with
+      | Ok tr -> (
+          match usable tr with
+          | () -> true
+          | exception e ->
+              QCheck2.Test.fail_reportf "a loaded trace raised %s"
+                (Printexc.to_string e))
+      | Error _ -> true
+      | exception e ->
+          QCheck2.Test.fail_reportf "load raised %s" (Printexc.to_string e))
+
 let prop_load_total =
   QCheck2.Test.make ~name:"load is total under byte mutation" ~count:300
     gen_mutation (fun (base, flips, cut, extend) ->
-      let body = List.nth (Lazy.force demo_traces) base in
-      with_temp (fun path ->
-          write_file path (mutate body flips cut extend);
-          match Trace.load path with
-          | Ok _ | Error _ -> true
-          | exception e ->
-              QCheck2.Test.fail_reportf "load raised %s" (Printexc.to_string e)))
+      load_total (mutate (List.nth (Lazy.force demo_traces) base) flips cut extend))
+
+(* Random tapes over every tag, with small arguments: most are rejected,
+   and every accepted one must be usable. *)
+let gen_tape =
+  let open QCheck2.Gen in
+  let kinds = int_bound 3 and bit = int_bound 1 in
+  let enter = map2 (fun k sp -> entry 0 ((sp lsl 2) lor k)) kinds bit in
+  let e =
+    oneof
+      [
+        enter;
+        map (fun b -> entry 1 b) bit;
+        return sync_e;
+        return (entry 2 0);
+        return (entry 3 0);
+        return (entry 4 0);
+        map (fun l -> entry 5 l) (int_bound 7);
+        map (fun r -> entry 6 r) (int_bound 1);
+      ]
+  in
+  map
+    (fun body -> v2 (enter_root :: body @ [ sync_e; return_e ]))
+    (list_size (int_bound 30) e)
+
+let prop_random_tapes =
+  QCheck2.Test.make ~name:"random tapes load totally" ~count:2000 gen_tape load_total
 
 let test_label_with_spaces_roundtrip () =
   let eng = Engine.create ~record:true () in
@@ -199,17 +296,17 @@ let test_sp_tree_reconstruction () =
   let eng = recorded ~spec:Steal_spec.none fig1_like in
   let tr = Trace.of_engine eng in
   let tree = Trace.sp_tree tr in
-  let n = Rader_dag.Dag.n_strands tr.Trace.dag in
+  let n = Rader_dag.Dag.n_strands (Trace.dag tr) in
   Alcotest.(check (list int))
     "leaves = all strands" (List.init n Fun.id)
     (List.sort compare (Rader_dag.Sp_tree.leaves tree));
   (* spot-check: the probe child's strands are parallel to the helper's *)
   let ix = Rader_dag.Sp_tree.index tree in
-  let reach = Rader_dag.Reach.compute tr.Trace.dag in
+  let reach = Rader_dag.Dag.closure (Trace.dag tr) in
   let ok = ref true in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      if Rader_dag.Sp_tree.parallel ix u v <> Rader_dag.Reach.parallel reach u v then
+      if Rader_dag.Sp_tree.parallel ix u v <> Rader_dag.Dag.parallel reach u v then
         ok := false
     done
   done;
@@ -222,29 +319,13 @@ let test_sp_tree_rejects_performance_dag () =
   | _ -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ()
 
-(* A serial execution numbers strands depth-first, so a child frame's
-   strands form one contiguous run. A trace that interleaves them is not
-   a serial execution and has no canonical parse tree. *)
-let test_sp_tree_rejects_interleaved_frames () =
-  let dag = Rader_dag.Dag.create () in
-  List.iter
-    (fun frame ->
-      ignore
-        (Rader_dag.Dag.add_strand dag ~frame ~kind:Rader_dag.Dag.User ~view:0
-           ~label:""))
-    [ 0; 1; 0; 1 ];
-  let tr =
-    {
-      Trace.dag;
-      accesses = [];
-      merges = [];
-      reducer_reads = [];
-      spawns = [];
-      frames = [ (0, -1, false, Tool.User_fn); (1, 0, true, Tool.User_fn) ];
-      loc_labels = [];
-    }
-  in
-  match Trace.sp_tree tr with
+(* The decoder wants a complete run: the prefix a crash leaves is refused. *)
+let test_of_engine_requires_complete_run () =
+  let eng = Engine.create ~record:true () in
+  (match Engine.run_result eng (fun ctx -> Cilk.call ctx (fun _ -> failwith "boom")) with
+  | Ok () -> Alcotest.fail "expected a contained failure"
+  | Error _ -> ());
+  match Trace.of_engine eng with
   | _ -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ()
 
@@ -263,15 +344,24 @@ let () =
           Alcotest.test_case "SP-tree reconstruction" `Quick test_sp_tree_reconstruction;
           Alcotest.test_case "SP-tree rejects performance dag" `Quick
             test_sp_tree_rejects_performance_dag;
-          Alcotest.test_case "SP-tree rejects interleaved frames" `Quick
-            test_sp_tree_rejects_interleaved_frames;
+          Alcotest.test_case "requires a complete run" `Quick
+            test_of_engine_requires_complete_run;
           Alcotest.test_case "rejects a missing file" `Quick
             test_load_rejects_missing_file;
+          Alcotest.test_case "loads a minimal run" `Quick test_load_minimal_run;
           Alcotest.test_case "rejects a bad integer" `Quick
             test_load_rejects_bad_integer;
-          Alcotest.test_case "rejects a backward edge" `Quick
-            test_load_rejects_backward_edge;
+          Alcotest.test_case "rejects an unknown tag" `Quick
+            test_load_rejects_unknown_tag;
+          Alcotest.test_case "rejects a truncated tape" `Quick
+            test_load_rejects_truncated_tape;
+          Alcotest.test_case "rejects a return with no open frame" `Quick
+            test_load_rejects_return_without_frame;
+          Alcotest.test_case "rejects a merge of fewer than two regions" `Quick
+            test_load_rejects_short_merge;
+          Alcotest.test_case "rejects a v1 header" `Quick test_load_rejects_v1_header;
           Alcotest.test_case "closes its channel" `Quick test_load_closes_channel;
           QCheck_alcotest.to_alcotest prop_load_total;
+          QCheck_alcotest.to_alcotest prop_random_tapes;
         ] );
     ]

@@ -156,10 +156,10 @@ let test_zero_replays () =
   checkb "family nonempty" true (w.Witness.n_specs > 0);
   checkb "not truncated" false w.Witness.truncated
 
-(* The front end executes the program twice: the uninstrumented profile
-   and the one recording that both the IR and the scan are built from. A
-   certified family adds no replay. *)
-let test_two_executions () =
+(* The front end executes the program once: the recording that the IR,
+   the scan and the profile are all built from. A certified family adds
+   no replay. *)
+let test_one_execution () =
   let runs = ref 0 in
   let w =
     verify_ok ~name:"read-only" (fun ctx ->
@@ -167,7 +167,22 @@ let test_two_executions () =
         read_only_prog ctx)
   in
   check "replays" 0 w.Witness.n_replays;
-  check "program executions" 2 !runs
+  check "program executions" 1 !runs
+
+(* Each replay executes the program once more, and nothing else does. *)
+let test_executions_per_replay () =
+  List.iter
+    (fun name ->
+      let prog = demo name in
+      let runs = ref 0 in
+      let w =
+        verify_ok ~name (fun ctx ->
+            incr runs;
+            prog ctx)
+      in
+      checkb (name ^ ": replays ran") true (w.Witness.n_replays > 0);
+      check (name ^ ": 1 + replays executions") (1 + w.Witness.n_replays) !runs)
+    [ "fig1-buggy"; "racy-read"; "fib-racy" ]
 
 (* The recording honours the event budget: a 300k-iteration loop under
    [~max_events:1000] stops after at most a thousand iterations with the
@@ -329,8 +344,10 @@ let () =
         ] );
       ( "front end",
         [
-          Alcotest.test_case "profile + one recording" `Quick
-            test_two_executions;
+          Alcotest.test_case "one recording, no profiling run" `Quick
+            test_one_execution;
+          Alcotest.test_case "1 + replays executions" `Quick
+            test_executions_per_replay;
           Alcotest.test_case "recording honours budgets" `Quick
             test_recording_budget;
         ] );
