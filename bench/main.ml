@@ -1138,11 +1138,8 @@ let s11_print s11rows =
    The hot-path overhaul's own yardstick: how many instrumentation events
    per second the serial engine pushes through
 
-   - the [Null] tool (defunctionalized empty case — what Fig. 8
-     normalizes by),
-   - a no-op [Extern] closure-record tool (the seed's dispatch shape:
-     every event costs an indirect call and span batching is off),
-   - the full SP+ and Peer-Set detector stacks,
+   - [Tool.null], whose callbacks do nothing (what Fig. 8 normalizes by),
+   - the full SP+ and Peer-Set detectors,
 
    all under the same "check updates" steal specification so the
    steal/reduce machinery is exercised. "Events" is everything the tool
@@ -1159,8 +1156,6 @@ type s12_row = {
 let s12_configs =
   [
     ("null_tool", fun (_ : Engine.t) -> ());
-    ( "noop_extern",
-      fun eng -> Engine.set_tool eng (Tool.extern Tool.hooks_null) );
     ("sp_plus", fun eng -> ignore (Sp_plus.attach ~reach:Reach.Dset eng));
     ("peer_set", fun eng -> ignore (Peer_set.attach ~reach:Reach.Dset eng));
   ]
@@ -1199,9 +1194,8 @@ let s12_event_throughput rows =
 
 let s12_print s12rows =
   Printf.printf
-    "\nS12: engine event throughput under the \"check updates\" spec —\n\
-     defunctionalized dispatch ([Null]/variant) vs the seed's closure\n\
-     records ([Extern]), in observable events per second\n\
+    "\nS12: engine event throughput under the \"check updates\" spec,\n\
+     in observable events per second\n\
      --------------------------------------------------------------\n";
   let t =
     Tablefmt.create
@@ -1209,7 +1203,6 @@ let s12_print s12rows =
         "Benchmark";
         "events";
         "null tool Mev/s";
-        "no-op extern Mev/s";
         "SP+ Mev/s";
         "Peer-Set Mev/s";
       ]
@@ -1222,7 +1215,6 @@ let s12_print s12rows =
           r.s12_bench;
           string_of_int r.s12_events;
           mev "null_tool";
-          mev "noop_extern";
           mev "sp_plus";
           mev "peer_set";
         ])
@@ -1469,9 +1461,8 @@ let bench_json rows (s4 : s4_data) s6rows s7rows (s8 : s8_data) s9rows s10progs
   in
   Obj
     [
-      (* rader-bench/8: s12_event_throughput added; base_times.noisy is
-         now constant false (batched-reps measurement) *)
-      ("schema", Str "rader-bench/8");
+      (* rader-bench/9: s12_event_throughput has no noop_extern row *)
+      ("schema", Str "rader-bench/9");
       ("scale", Num scale);
       ("fast", Bool fast);
       ("ncores", Int s4.s4_ncores);

@@ -54,8 +54,21 @@ let program_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
 
+(* A float argument whose values outside [ok] are a usage error. *)
+let checked_float ~expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_arg =
-  Arg.(value & opt float 0.25 & info [ "scale" ] ~docv:"X" ~doc:"Workload scale factor.")
+  let positive =
+    checked_float ~expected:"a finite number > 0" (fun x ->
+        x > 0.0 && Float.is_finite x)
+  in
+  Arg.(value & opt positive 0.25 & info [ "scale" ] ~docv:"X" ~doc:"Workload scale factor.")
 
 let seed_arg =
   Arg.(value & opt int 20150613 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
@@ -69,14 +82,7 @@ let spec_arg =
 
 let density_arg =
   let probability =
-    let parse s =
-      match float_of_string_opt s with
-      | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-      | _ ->
-          let msg = Printf.sprintf "invalid value '%s', expected a number in [0,1]" s in
-          Error (`Msg msg)
-    in
-    Arg.conv (parse, Format.pp_print_float)
+    checked_float ~expected:"a number in [0,1]" (fun p -> p >= 0.0 && p <= 1.0)
   in
   Arg.(
     value
@@ -926,8 +932,9 @@ let online_cmd =
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Write the steal trace of the first racy run (or the last run \
-             when all are clean) — replayable with $(b,rader check) via \
-             the equivalent steal spec.")
+             when all are clean): a human-readable record of which \
+             continuations were stolen. Nothing reads it back; the serial \
+             re-check of each racy run replays its trace in-process.")
   in
   let no_replay_arg =
     Arg.(

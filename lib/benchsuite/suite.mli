@@ -6,7 +6,8 @@
     (collision, dedup, ferret, fib, knapsack, pbfs). *)
 val all : ?seed:int -> ?scale:float -> unit -> Bench_def.t list
 
-(** [find name] picks a benchmark from [all ()] by name.
+(** [find name] is the element of [all ()] named [name], built alone:
+    no other benchmark's inputs are generated.
     @raise Not_found for unknown names. *)
 val find : ?seed:int -> ?scale:float -> string -> Bench_def.t
 

@@ -152,19 +152,18 @@ let on_write d ~frame ~loc =
   if not wpar then record d d.writer_h d.writer_frame loc ~frame
 
 let tool d =
-  Tool.extern
-    {
-      Tool.hooks_null with
-      Tool.on_frame_enter =
-        (fun ~frame ~parent:_ ~spawned ~kind:_ ->
-          on_frame_enter d ~frame ~spawned);
-      on_frame_return =
-        (fun ~frame ~parent:_ ~spawned ~kind:_ ->
-          on_frame_return d ~frame ~spawned);
-      on_sync = (fun ~frame -> on_sync d ~frame);
-      on_read = (fun ~frame ~loc ~view_aware:_ -> on_read d ~frame ~loc);
-      on_write = (fun ~frame ~loc ~view_aware:_ -> on_write d ~frame ~loc);
-    }
+  {
+    Tool.null with
+    on_frame_enter =
+      (fun ~frame ~parent:_ ~spawned ~kind:_ ->
+        on_frame_enter d ~frame ~spawned);
+    on_frame_return =
+      (fun ~frame ~parent:_ ~spawned ~kind:_ ->
+        on_frame_return d ~frame ~spawned);
+    on_sync = (fun ~frame -> on_sync d ~frame);
+    on_read = (fun ~frame ~loc ~view_aware:_ -> on_read d ~frame ~loc);
+    on_write = (fun ~frame ~loc ~view_aware:_ -> on_write d ~frame ~loc);
+  }
 
 let attach eng =
   let d = create eng in

@@ -39,63 +39,6 @@ let to_string t =
     t.entries;
   Buffer.contents b
 
-let of_string s =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match String.split_on_char '\n' (String.trim s) with
-  | [] -> fail "empty trace"
-  | header :: lines -> (
-      let parse_kv kvs key conv =
-        match List.assoc_opt key kvs with
-        | None -> Error (Printf.sprintf "missing %s= in trace header" key)
-        | Some v -> (
-            match conv v with
-            | Some x -> Ok x
-            | None -> Error (Printf.sprintf "bad %s=%s in trace header" key v))
-      in
-      match String.split_on_char ' ' (String.trim header) with
-      | magic :: kvs when magic = "steal-trace/1" -> (
-          let kvs =
-            List.filter_map
-              (fun tok ->
-                match String.index_opt tok '=' with
-                | None -> None
-                | Some i ->
-                    Some
-                      ( String.sub tok 0 i,
-                        String.sub tok (i + 1) (String.length tok - i - 1) ))
-              kvs
-          in
-          let ( let* ) = Result.bind in
-          let* workers = parse_kv kvs "workers" int_of_string_opt in
-          let* seed = parse_kv kvs "seed" int_of_string_opt in
-          let* density = parse_kv kvs "density" float_of_string_opt in
-          let parse_line ln =
-            match String.split_on_char ' ' (String.trim ln) with
-            | [ p; o ] -> (
-                let path =
-                  if p = "-" then Some []
-                  else
-                    let parts = String.split_on_char '.' p in
-                    let nums = List.filter_map int_of_string_opt parts in
-                    if List.length nums = List.length parts then Some nums
-                    else None
-                in
-                match (path, int_of_string_opt o) with
-                | Some path, Some ord -> Ok { e_path = path; e_ord = ord }
-                | _ -> Error (Printf.sprintf "bad trace line %S" ln))
-            | _ -> Error (Printf.sprintf "bad trace line %S" ln)
-          in
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | ln :: rest when String.trim ln = "" -> go acc rest
-            | ln :: rest ->
-                let* e = parse_line ln in
-                go (e :: acc) rest
-          in
-          let* entries = go [] lines in
-          Ok (make ~workers ~seed ~density entries))
-      | _ -> fail "not a steal-trace/1 file")
-
 (* ---------- trace -> serial steal spec ---------- *)
 
 let to_spec t program =

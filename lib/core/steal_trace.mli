@@ -43,11 +43,8 @@ val n_steals : t -> int
 
 (** One line per entry, plus a header — stable across runs of the same
     (program, seed, density), so traces can be diffed and archived as CI
-    artifacts. *)
+    artifacts. A human-readable record: nothing reads it back. *)
 val to_string : t -> string
-
-(** Parses {!to_string}'s format. *)
-val of_string : string -> (t, string) result
 
 (** [to_spec trace program] is the serial steal specification stealing
     exactly [trace]'s continuations, with [`Reduce_at_sync`] policy, or

@@ -660,7 +660,7 @@ module Sp = struct
      subtree, a sync only those of its block's parallel children (the
      ones in its single epoch), and a reduce only those whose survivor
      is the popped epoch — so each reports exactly that bit, and events
-     between noted frames leave [Sp_hot]'s memo alone. *)
+     between noted frames leave [Sp_plus]'s memo alone. *)
 
   type zstate = {
     mutable next_epoch : int;

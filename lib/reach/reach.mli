@@ -124,7 +124,7 @@ end
 (** {2 SP+ precedence core}
 
     Owns the per-frame S/P classification state of the SP+ detector: the
-    caller ([Rader_runtime.Sp_hot]) keeps shadow spaces, frame kinds and
+    caller ([Rader_core.Sp_plus]) keeps shadow spaces, frame kinds and
     report collection, and forwards the engine's frame/sync/steal/reduce
     events verbatim. Queries are anchored at the current (top) frame. *)
 module Sp : sig
@@ -162,7 +162,7 @@ module Sp : sig
       unions are pure no-ops), under both backends; [false] guarantees
       that no noted frame's classification changed. Callers memoizing
       [classify] results need to invalidate exactly when one of these
-      returns [true] — see [Sp_hot]'s generation counter. *)
+      returns [true] — see [Sp_plus]'s generation counter. *)
   val on_frame_return : t -> frame:int -> parallel:bool -> bool
 
   val on_sync : t -> frame:int -> bool

@@ -91,18 +91,6 @@ type t = {
      The serial path is untouched (one [None] branch per call). *)
   mutable online : online_ops option;
   contract_mu : Mutex.t; (* contract log guard; contended only online *)
-  (* Span batching: consecutive same-frame same-view-awareness reads (or
-     writes) coalesce into one pending run, dispatched as a single
-     [Tool.read_span]/[write_span] at the next non-access event. Only
-     when the tool stack allows it ([spans_on]); counters, the tape and the
-     event budget are still charged per access at accept time. *)
-  mutable spans_on : bool;
-  mutable pend_kind : int; (* 0 = none, 1 = read, 2 = write *)
-  mutable pend_frame : int;
-  mutable pend_va : bool;
-  mutable pend_base : int;
-  mutable pend_len : int;
-  mutable pend_stride : int; (* meaningful once pend_len >= 2 *)
 }
 
 and ctx = { eng : t; fid : int; depth : int; ost : Obj.t }
@@ -174,19 +162,11 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     c_reducer_reads = 0;
     online = None;
     contract_mu = Mutex.create ();
-    spans_on = Tool.spans_ok tool;
-    pend_kind = 0;
-    pend_frame = -1;
-    pend_va = false;
-    pend_base = 0;
-    pend_len = 0;
-    pend_stride = 0;
   }
 
 let set_tool t tool =
   if t.state <> Fresh then err "Engine.set_tool: engine already running";
-  t.tool <- tool;
-  t.spans_on <- Tool.spans_ok tool
+  t.tool <- tool
 
 (* Recycle an engine for another run: every counter and the tape go back
    to their [create] values, but the arenas behind the Dynarrs, the frame and
@@ -228,9 +208,7 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
   t.c_reads <- 0;
   t.c_writes <- 0;
   t.c_reducer_reads <- 0;
-  t.online <- None;
-  t.spans_on <- Tool.spans_ok tool;
-  t.pend_kind <- 0
+  t.online <- None
 
 (* An entry with no argument is its tag. Callers whose entry takes
    computing test [t.record] themselves, so an unrecorded run computes no
@@ -255,34 +233,9 @@ let bump_event t =
       raise (Fault.Stop (Fault.Deadline dl))
   | _ -> ()
 
-(* Deliver the pending access run. Every coalesced access was already
-   accepted — counted, recorded and charged against the budget — so the
-   flush is pure tool dispatch: a single-access run degrades to the plain
-   per-access event. *)
-let really_flush t =
-  let k = t.pend_kind in
-  t.pend_kind <- 0;
-  if k = 1 then begin
-    if t.pend_len = 1 then
-      Tool.read t.tool ~frame:t.pend_frame ~loc:t.pend_base
-        ~view_aware:t.pend_va
-    else
-      Tool.read_span t.tool ~frame:t.pend_frame ~base:t.pend_base
-        ~len:t.pend_len ~stride:t.pend_stride ~view_aware:t.pend_va
-  end
-  else if t.pend_len = 1 then
-    Tool.write t.tool ~frame:t.pend_frame ~loc:t.pend_base
-      ~view_aware:t.pend_va
-  else
-    Tool.write_span t.tool ~frame:t.pend_frame ~base:t.pend_base
-      ~len:t.pend_len ~stride:t.pend_stride ~view_aware:t.pend_va
-
-let[@inline] flush_pend t = if t.pend_kind <> 0 then really_flush t
-
 (* Allocate the next strand id. The tape records no strand starts: the
    decoder recounts them from the entries around them. *)
 let next_strand t =
-  flush_pend t;
   bump_event t;
   let id = t.strand_counter in
   t.strand_counter <- id + 1;
@@ -371,8 +324,7 @@ let merge_top_two ctx =
   let fi = t.rtop - 1 in
   let from_region = t.r_id.(fi) and into_region = t.r_id.(fi - 1) in
   t.rtop <- fi;
-  flush_pend t;
-  Tool.reduce t.tool ~frame:ctx.fid ~into_region ~from_region;
+  t.tool.on_reduce ~frame:ctx.fid ~into_region ~from_region;
   record t Tape.merge;
   t.in_merge <- true;
   (* Index loop, not [Dynarr.iter], whose closure would be allocated per
@@ -395,8 +347,7 @@ let do_sync ctx =
   while t.rtop - t.f_rbase.(d) > 1 do
     merge_top_two ctx
   done;
-  flush_pend t;
-  Tool.sync t.tool ~frame:ctx.fid;
+  t.tool.on_sync ~frame:ctx.fid;
   record t Tape.sync;
   t.c_syncs <- t.c_syncs + 1;
   t.f_block.(d) <- t.f_block.(d) + 1;
@@ -418,17 +369,14 @@ let run_child ctx ~spawned f =
     push_frame t ~spawned ~kind:Tool.User_fn ~reducer:(-1) ~entry_rid
   in
   let fid = t.f_fid.(d) in
-  flush_pend t;
-  Tool.frame_enter t.tool ~frame:fid ~parent:ctx.fid ~spawned ~kind:Tool.User_fn;
+  t.tool.on_frame_enter ~frame:fid ~parent:ctx.fid ~spawned ~kind:Tool.User_fn;
   t.f_strand.(d) <- next_strand t;
   let c = { eng = t; fid; depth = d; ost = no_ost } in
   let result = f c in
   (* Cilk functions implicitly sync before returning. *)
   do_sync c;
   pop_frame t d;
-  flush_pend t;
-  Tool.frame_return t.tool ~frame:fid ~parent:ctx.fid ~spawned
-    ~kind:Tool.User_fn;
+  t.tool.on_frame_return ~frame:fid ~parent:ctx.fid ~spawned ~kind:Tool.User_fn;
   result
 
 let serial_call ctx f =
@@ -493,8 +441,7 @@ let serial_spawn ctx f =
     let rid = t.next_rid in
     t.next_rid <- rid + 1;
     push_region t rid;
-    flush_pend t;
-    Tool.steal t.tool ~frame:ctx.fid ~region:rid;
+    t.tool.on_steal ~frame:ctx.fid ~region:rid;
     record t Tape.steal;
     t.c_steals <- t.c_steals + 1
   end;
@@ -558,17 +505,14 @@ let run t main =
     push_frame t ~spawned:false ~kind:Tool.User_fn ~reducer:(-1) ~entry_rid:0
   in
   let fid = t.f_fid.(d) in
-  Tool.frame_enter t.tool ~frame:fid ~parent:(-1) ~spawned:false
-    ~kind:Tool.User_fn;
+  t.tool.on_frame_enter ~frame:fid ~parent:(-1) ~spawned:false ~kind:Tool.User_fn;
   t.f_strand.(d) <- next_strand t;
   let ctx = { eng = t; fid; depth = d; ost = no_ost } in
   let result = main ctx in
   do_sync ctx;
   pop_frame t d;
   record t Tape.return;
-  flush_pend t;
-  Tool.frame_return t.tool ~frame:fid ~parent:(-1) ~spawned:false
-    ~kind:Tool.User_fn;
+  t.tool.on_frame_return ~frame:fid ~parent:(-1) ~spawned:false ~kind:Tool.User_fn;
   t.state <- Done;
   flush_obs t;
   result
@@ -590,15 +534,11 @@ let failure_origin t =
 
 (* Unwind after a contained failure: kill every frame still on the stack
    (so a captured ctx cannot be used post-mortem), drop merge state, and
-   retire the engine. The tape keeps the completed prefix. Tool callbacks are NOT invoked during unwinding —
-   attached detectors simply stop receiving events, leaving them holding
-   their verdicts over the completed prefix. *)
+   retire the engine. The tape keeps the completed prefix. Tool
+   callbacks are NOT invoked during unwinding — attached detectors simply
+   stop receiving events, leaving them holding their verdicts over the
+   completed prefix. *)
 let unwind t =
-  (* Deliver any pending access run first: the coalesced accesses were
-     accepted (counted, logged, budget-charged) before the failure, so the
-     detectors must see them to hold verdicts over the exact completed
-     prefix. *)
-  flush_pend t;
   for d = t.top downto 0 do
     t.f_fid.(d) <- -1
   done;
@@ -706,60 +646,37 @@ let alloc_locs t ~label n =
   | Some o -> o.oo_alloc_locs ~label n
   | None -> Loc.alloc_range t.registry ~label n
 
-(* One instrumented access of kind [k] (1 = read, 2 = write). *)
-let serial_emit_access ctx k loc =
+(* One instrumented access, delivered to the tool as it is accepted. *)
+let serial_emit_access ctx ~write loc =
   let t = ctx.eng in
   check_ctx ctx;
   bump_event t;
-  let fid = ctx.fid in
+  let frame = ctx.fid in
   let view_aware = t.f_kind.(ctx.depth) <> Tool.User_fn in
-  (if t.spans_on then begin
-     if t.pend_kind = k && t.pend_frame = fid && t.pend_va = view_aware
-     then begin
-       if t.pend_len = 1 then begin
-         t.pend_stride <- loc - t.pend_base;
-         t.pend_len <- 2
-       end
-       else if loc = t.pend_base + (t.pend_len * t.pend_stride) then
-         t.pend_len <- t.pend_len + 1
-       else begin
-         really_flush t;
-         t.pend_kind <- k;
-         t.pend_frame <- fid;
-         t.pend_va <- view_aware;
-         t.pend_base <- loc;
-         t.pend_len <- 1
-       end
-     end
-     else begin
-       flush_pend t;
-       t.pend_kind <- k;
-       t.pend_frame <- fid;
-       t.pend_va <- view_aware;
-       t.pend_base <- loc;
-       t.pend_len <- 1
-     end
-   end
-   else if k = 1 then Tool.read t.tool ~frame:fid ~loc ~view_aware
-   else Tool.write t.tool ~frame:fid ~loc ~view_aware);
-  if k = 1 then t.c_reads <- t.c_reads + 1 else t.c_writes <- t.c_writes + 1;
-  if t.record then Dynarr.push t.tape (Tape.access_entry ~loc ~write:(k = 2))
+  if write then begin
+    t.tool.on_write ~frame ~loc ~view_aware;
+    t.c_writes <- t.c_writes + 1
+  end
+  else begin
+    t.tool.on_read ~frame ~loc ~view_aware;
+    t.c_reads <- t.c_reads + 1
+  end;
+  if t.record then Dynarr.push t.tape (Tape.access_entry ~loc ~write)
 
 let emit_read ctx loc =
   match ctx.eng.online with
   | Some o -> o.oo_emit_read ctx loc
-  | None -> serial_emit_access ctx 1 loc
+  | None -> serial_emit_access ctx ~write:false loc
 
 let emit_write ctx loc =
   match ctx.eng.online with
   | Some o -> o.oo_emit_write ctx loc
-  | None -> serial_emit_access ctx 2 loc
+  | None -> serial_emit_access ctx ~write:true loc
 
 let serial_emit_reducer_read ctx reducer =
   let t = ctx.eng in
   require_user ctx "reducer read (create/get/set)";
-  flush_pend t;
-  Tool.reducer_read t.tool ~frame:ctx.fid ~reducer;
+  t.tool.on_reducer_read ~frame:ctx.fid ~reducer;
   t.c_reducer_reads <- t.c_reducer_reads + 1;
   if t.record then Dynarr.push t.tape (Tape.entry Tape.reducer_read reducer)
 
@@ -779,15 +696,13 @@ let serial_run_aux_frame ~reducer ctx kind f a =
   let entry_rid = cur_region t in
   let d = push_frame t ~spawned:false ~kind ~reducer ~entry_rid in
   let fid = t.f_fid.(d) in
-  flush_pend t;
-  Tool.frame_enter t.tool ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
+  t.tool.on_frame_enter ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
   let in_reduce = kind = Tool.Reduce_fn && t.in_merge in
   t.f_strand.(d) <- next_strand t;
   let result = f { eng = t; fid; depth = d; ost = no_ost } a in
   pop_frame t d;
   record t Tape.return;
-  flush_pend t;
-  Tool.frame_return t.tool ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
+  t.tool.on_frame_return ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
   (* A reduce frame run by a merge has no continuation: the merge's next
      reduce, or the sync, follows it. *)
   if in_reduce then t.c_reduce_calls <- t.c_reduce_calls + 1

@@ -5,8 +5,8 @@
     exactly the execution the Peer-Set, SP-bags and SP+ algorithms analyze —
     while:
 
-    - dispatching every parallel-control construct and instrumented memory
-      access to the installed {!Tool.t} (the detector);
+    - calling the installed {!Tool.t} (the detector) at every
+      parallel-control construct and instrumented memory access;
     - simulating the Cilk runtime's reducer-view management according to a
       {!Steal_spec.t}: a fresh view {e region} is opened at every stolen
       continuation, regions are merged by [Reduce] operations scheduled per
@@ -91,7 +91,7 @@ val set_tool : t -> Tool.t -> unit
     Contexts, futures and location ids obtained before the reset are
     dangling and must not be used. Like [create], the tool
     defaults to {!Tool.null}: pass [~tool] to keep a detector installed
-    (and reset the detector itself, e.g. [Sp_hot.reset]).
+    (and reset the detector itself, e.g. [Rader_core.Sp_plus.reset]).
     @raise Cilk_error if called while the engine is running. *)
 val reset :
   ?tool:Tool.t ->

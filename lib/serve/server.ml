@@ -332,6 +332,13 @@ let serve_verify prog ~program_name ~max_events ~remaining_s ~reach =
           failures;
         }
 
+(* A program's inputs are built before its engine starts, so neither the
+   deadline nor the event budget bounds them: a scale outside (0, 16] is
+   refused before the program is resolved. At 16 the largest suite input,
+   pbfs's graph, takes about 0.8 s and 166 MB to build (2-vCPU Xeon,
+   OCaml 5.1). *)
+let max_scale = 16.0
+
 let serve_job t arena job =
   let sub = job.sub in
   (* deterministic per-job chaos roll: same seed, same jid => same fate,
@@ -352,6 +359,12 @@ let serve_job t arena job =
      way — the dispatch-time re-check mirrors Coverage's *)
   let abs_deadline = if stalled then now -. 1.0 else job.abs_deadline in
   if now > abs_deadline then partial_deadline_verdict ~kind:sub.kind ~abs_deadline
+  else if not (sub.scale > 0.0 && sub.scale <= max_scale) then
+    Proto.Proto_error
+      {
+        Proto.code = Proto.err_bad_field;
+        msg = Printf.sprintf "scale %g is not in (0, %g]" sub.scale max_scale;
+      }
   else
     match Demos.resolve ~scale:sub.scale sub.program with
     | Error msg ->

@@ -72,34 +72,33 @@ type outcome = {
 exception Chaos_injected
 
 (* Run [program] under SP+ through the contained entry point. An engine
-   runs one tool, so with a [tick] injector SP+ and the injector share one
-   [Extern] record: [tick] runs after SP+ on every frame entry, read and
-   write, so the detector records each event before the injector gets a
-   chance to raise. *)
+   runs one tool, so with a [tick] injector the run's tool is SP+'s record
+   with [tick] after SP+ on every frame entry, read and write: the
+   detector records each event before the injector gets a chance to
+   raise. *)
 let contained_run ?tick ?max_events ?deadline ?clock ~spec program =
   let eng = Engine.create ~spec ?max_events ?deadline ?clock () in
   let d = Sp_plus.create eng in
+  let sp = Sp_plus.tool d in
   let tool =
     match tick with
-    | None -> Sp_plus.tool d
+    | None -> sp
     | Some tick ->
-        let h = Tool.hooks_of (Sp_plus.tool d) in
-        Tool.extern
-          {
-            h with
-            Tool.on_frame_enter =
-              (fun ~frame ~parent ~spawned ~kind ->
-                h.Tool.on_frame_enter ~frame ~parent ~spawned ~kind;
-                tick ());
-            on_read =
-              (fun ~frame ~loc ~view_aware ->
-                h.Tool.on_read ~frame ~loc ~view_aware;
-                tick ());
-            on_write =
-              (fun ~frame ~loc ~view_aware ->
-                h.Tool.on_write ~frame ~loc ~view_aware;
-                tick ());
-          }
+        {
+          sp with
+          Tool.on_frame_enter =
+            (fun ~frame ~parent ~spawned ~kind ->
+              sp.on_frame_enter ~frame ~parent ~spawned ~kind;
+              tick ());
+          on_read =
+            (fun ~frame ~loc ~view_aware ->
+              sp.on_read ~frame ~loc ~view_aware;
+              tick ());
+          on_write =
+            (fun ~frame ~loc ~view_aware ->
+              sp.on_write ~frame ~loc ~view_aware;
+              tick ());
+        }
   in
   Engine.set_tool eng tool;
   let verdict = Engine.run_result eng program in

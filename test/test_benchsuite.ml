@@ -160,11 +160,21 @@ let test_stencil_race_injection () =
   ignore (Engine.run eng broken);
   Alcotest.(check bool) "sp-order catches" true (Sp_order.races d <> [])
 
+(* [find] builds one benchmark alone; its inputs must be those [all]
+   builds, since each generator seeds its own RNG. *)
 let test_suite_lookup () =
   Alcotest.(check (list string)) "names" Suite.names
     (List.map (fun b -> b.Bench_def.name) (Suite.all ()));
-  let b = Suite.find ~scale:0.05 "fib" in
-  Alcotest.(check string) "find" "fib" b.Bench_def.name;
+  List.iter
+    (fun b ->
+      let name = b.Bench_def.name in
+      let f = Suite.find ~seed:7 ~scale:0.05 name in
+      Alcotest.(check (list string))
+        (name ^ ": find = all")
+        [ name; b.Bench_def.descr; b.Bench_def.input ]
+        [ f.Bench_def.name; f.Bench_def.descr; f.Bench_def.input ];
+      check (name ^ ": plain checksum") (b.Bench_def.plain ()) (f.Bench_def.plain ()))
+    (small ());
   Alcotest.check_raises "unknown" Not_found (fun () -> ignore (Suite.find "nope"))
 
 let test_fnv_hash_stability () =

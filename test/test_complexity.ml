@@ -283,6 +283,146 @@ let test_alloc_per_spawn () =
         true (w <= limit))
     measured
 
+(* Exact Obs-operations gate. For a fixed program, spec and backend the
+   detector's operation counts are deterministic and independent of the
+   compiler, so they are gated for equality against one committed table:
+   the six §8 programs at scale 0.05 (the suite's default seed) under
+   Peer-Set without steals and SP+ without steals, stealing everything,
+   and stealing each sync block's first continuation with reduces at the
+   sync, each under both reachability backends. An increase is a
+   regression; a decrease updates the table in the same change. The
+   measured rows are printed in the table's syntax. *)
+
+let obs_keys =
+  [
+    "events";
+    "dset_adds";
+    "dset_finds";
+    "dset_unions";
+    "dset_compress_steps";
+    "bag_makes";
+    "bag_unions";
+    "bag_finds";
+    "shadow_lookups";
+    "shadow_updates";
+    "peerset_queries";
+    "reach_fp_queries";
+    "reach_fp_words";
+    "reach_epoch_ops";
+  ]
+
+let obs_configs =
+  [
+    ("peer_set.none", `Peer, Steal_spec.none);
+    ("sp_plus.none", `Sp, Steal_spec.none);
+    ("sp_plus.all", `Sp, Steal_spec.all ());
+    ( "sp_plus.local1",
+      `Sp,
+      Steal_spec.at_local_indices ~policy:Steal_spec.Reduce_at_sync [ 1 ] );
+  ]
+
+(* (program, config, backend) -> counts in [obs_keys] order *)
+let obs_table =
+  [
+    ("collision", "peer_set.none", "dset", [ 806; 1; 1; 0; 0; 600; 997; 1; 3; 4; 2; 0; 0; 0 ]);
+    ("collision", "sp_plus.none", "dset", [ 806; 2; 2; 1; 0; 802; 602; 2; 10; 5; 0; 0; 0; 0 ]);
+    ("collision", "sp_plus.all", "dset", [ 814; 3; 4; 2; 1; 1004; 803; 4; 20; 9; 0; 0; 0; 0 ]);
+    ("collision", "sp_plus.local1", "dset", [ 814; 3; 4; 2; 1; 877; 676; 4; 20; 9; 0; 0; 0; 0 ]);
+    ("collision", "peer_set.none", "depa", [ 806; 0; 0; 0; 0; 0; 0; 0; 3; 4; 2; 1; 1; 2 ]);
+    ("collision", "sp_plus.none", "depa", [ 806; 0; 0; 0; 0; 0; 0; 0; 10; 5; 0; 2; 2; 600 ]);
+    ("collision", "sp_plus.all", "depa", [ 814; 0; 0; 0; 0; 0; 0; 0; 20; 9; 0; 4; 4; 999 ]);
+    ("collision", "sp_plus.local1", "depa", [ 814; 0; 0; 0; 0; 0; 0; 0; 20; 9; 0; 4; 4; 745 ]);
+    ("dedup", "peer_set.none", "dset", [ 548; 1; 1; 0; 0; 24; 37; 1; 3; 4; 2; 0; 0; 0 ]);
+    ("dedup", "sp_plus.none", "dset", [ 548; 20; 40; 19; 20; 290; 172; 40; 518; 39; 0; 0; 0; 0 ]);
+    ("dedup", "sp_plus.all", "dset", [ 584; 133; 264; 132; 129; 320; 303; 264; 554; 262; 0; 0; 0; 0 ]);
+    ("dedup", "sp_plus.local1", "dset", [ 566; 82; 165; 81; 81; 305; 243; 165; 536; 162; 0; 0; 0; 0 ]);
+    ("dedup", "peer_set.none", "depa", [ 548; 0; 0; 0; 0; 0; 0; 0; 3; 4; 2; 1; 1; 2 ]);
+    ("dedup", "sp_plus.none", "depa", [ 548; 0; 0; 0; 0; 0; 0; 0; 518; 39; 0; 40; 40; 154 ]);
+    ("dedup", "sp_plus.all", "depa", [ 584; 0; 0; 0; 0; 0; 0; 0; 554; 262; 0; 264; 264; 185 ]);
+    ("dedup", "sp_plus.local1", "depa", [ 566; 0; 0; 0; 0; 0; 0; 0; 536; 162; 0; 165; 165; 173 ]);
+    ("ferret", "peer_set.none", "dset", [ 76; 1; 1; 0; 0; 30; 47; 1; 3; 4; 2; 0; 0; 0 ]);
+    ("ferret", "sp_plus.none", "dset", [ 76; 2; 5; 1; 0; 58; 40; 5; 38; 3; 0; 0; 0; 0 ]);
+    ("ferret", "sp_plus.all", "dset", [ 124; 14; 26; 13; 4; 98; 76; 26; 86; 23; 0; 0; 0; 0 ]);
+    ("ferret", "sp_plus.local1", "dset", [ 100; 8; 16; 7; 2; 78; 58; 16; 62; 13; 0; 0; 0; 0 ]);
+    ("ferret", "peer_set.none", "depa", [ 76; 0; 0; 0; 0; 0; 0; 0; 3; 4; 2; 1; 1; 2 ]);
+    ("ferret", "sp_plus.none", "depa", [ 76; 0; 0; 0; 0; 0; 0; 0; 38; 3; 0; 5; 5; 41 ]);
+    ("ferret", "sp_plus.all", "depa", [ 124; 0; 0; 0; 0; 0; 0; 0; 86; 23; 0; 26; 26; 82 ]);
+    ("ferret", "sp_plus.local1", "depa", [ 100; 0; 0; 0; 0; 0; 0; 0; 62; 13; 0; 16; 16; 64 ]);
+    ("fib", "peer_set.none", "dset", [ 194820; 1; 1; 0; 0; 106266; 141685; 1; 3; 4; 2; 0; 0; 0 ]);
+    ("fib", "sp_plus.none", "dset", [ 194820; 2; 22; 1; 0; 159398; 106266; 22; 70846; 3; 0; 0; 0; 0 ]);
+    ("fib", "sp_plus.all", "dset", [ 301080; 35422; 53132; 35421; 6764; 247948; 194816; 53132; 177106; 53133; 0; 0; 0; 0 ]);
+    ("fib", "sp_plus.local1", "dset", [ 301080; 35422; 53132; 35421; 6764; 247948; 194816; 53132; 177106; 53133; 0; 0; 0; 0 ]);
+    ("fib", "peer_set.none", "depa", [ 194820; 0; 0; 0; 0; 0; 0; 0; 3; 4; 2; 1; 1; 2 ]);
+    ("fib", "sp_plus.none", "depa", [ 194820; 0; 0; 0; 0; 0; 0; 0; 70846; 3; 0; 22; 22; 106284 ]);
+    ("fib", "sp_plus.all", "depa", [ 301080; 0; 0; 0; 0; 0; 0; 0; 177106; 53133; 0; 53132; 53132; 194814 ]);
+    ("fib", "sp_plus.local1", "depa", [ 301080; 0; 0; 0; 0; 0; 0; 0; 177106; 53133; 0; 53132; 53132; 194814 ]);
+    ("knapsack", "peer_set.none", "dset", [ 495205; 1; 1; 0; 0; 302004; 402669; 1; 3; 4; 2; 0; 0; 0 ]);
+    ("knapsack", "sp_plus.none", "dset", [ 495205; 2; 12; 1; 0; 448930; 302004; 12; 92552; 3; 0; 0; 0; 0 ]);
+    ("knapsack", "sp_plus.all", "dset", [ 818996; 92518; 138776; 92517; 23565; 680220; 533294; 138776; 462586; 138777; 0; 0; 0; 0 ]);
+    ("knapsack", "sp_plus.local1", "dset", [ 818996; 92518; 138776; 92517; 23565; 680220; 533294; 138776; 462586; 138777; 0; 0; 0; 0 ]);
+    ("knapsack", "peer_set.none", "depa", [ 495205; 0; 0; 0; 0; 0; 0; 0; 3; 4; 2; 1; 1; 2 ]);
+    ("knapsack", "sp_plus.none", "depa", [ 495205; 0; 0; 0; 0; 0; 0; 0; 92552; 3; 0; 12; 12; 302012 ]);
+    ("knapsack", "sp_plus.all", "depa", [ 818996; 0; 0; 0; 0; 0; 0; 0; 462586; 138777; 0; 138776; 138776; 533292 ]);
+    ("knapsack", "sp_plus.local1", "depa", [ 818996; 0; 0; 0; 0; 0; 0; 0; 462586; 138777; 0; 138776; 138776; 533292 ]);
+    ("pbfs", "peer_set.none", "dset", [ 34230; 1; 4; 0; 0; 342; 567; 4; 12; 16; 8; 0; 0; 0 ]);
+    ("pbfs", "sp_plus.none", "dset", [ 34230; 108; 21518; 107; 18683; 9307; 4876; 21518; 49848; 10773; 0; 0; 0; 0 ]);
+    ("pbfs", "sp_plus.all", "dset", [ 34503; 108; 21518; 107; 18683; 9780; 5167; 21518; 49848; 10773; 0; 0; 0; 0 ]);
+    ("pbfs", "sp_plus.local1", "dset", [ 34350; 108; 21518; 107; 18402; 9515; 5004; 21518; 49848; 10773; 0; 0; 0; 0 ]);
+    ("pbfs", "peer_set.none", "depa", [ 34230; 0; 0; 0; 0; 0; 0; 0; 12; 16; 8; 4; 4; 8 ]);
+    ("pbfs", "sp_plus.none", "depa", [ 34230; 0; 0; 0; 0; 0; 0; 0; 49848; 10773; 0; 21518; 21518; 17696 ]);
+    ("pbfs", "sp_plus.all", "depa", [ 34503; 0; 0; 0; 0; 0; 0; 0; 49848; 10773; 0; 21518; 21518; 31024 ]);
+    ("pbfs", "sp_plus.local1", "depa", [ 34350; 0; 0; 0; 0; 0; 0; 0; 49848; 10773; 0; 21518; 21518; 30800 ]);
+  ]
+
+let obs_counts (b : Rader_benchsuite.Bench_def.t) det reach spec =
+  let c =
+    snd
+      (Obs.with_enabled (fun () ->
+           let eng = Engine.create ~spec () in
+           (match det with
+           | `Peer -> ignore (Peer_set.attach ~reach eng)
+           | `Sp -> ignore (Sp_plus.attach ~reach eng));
+           ignore (Engine.run_result eng b.Rader_benchsuite.Bench_def.cilk)))
+  in
+  let all = Obs.to_assoc c in
+  List.map (fun k -> List.assoc k all) obs_keys
+
+let test_obs_exact () =
+  let module Reach = Rader_reach.Reach in
+  let measured =
+    List.concat_map
+      (fun (b : Rader_benchsuite.Bench_def.t) ->
+        List.concat_map
+          (fun reach ->
+            List.map
+              (fun (config, det, spec) ->
+                ( (b.name, config, Reach.show reach),
+                  obs_counts b det reach spec ))
+              obs_configs)
+          [ Reach.Dset; Reach.Depa ])
+      (Rader_benchsuite.Suite.all ~scale:0.05 ())
+  in
+  List.iter
+    (fun ((p, c, r), got) ->
+      Printf.printf "    (%S, %S, %S, [ %s ]);\n" p c r
+        (String.concat "; " (List.map string_of_int got)))
+    measured;
+  Alcotest.(check int) "one committed row per run" (List.length measured)
+    (List.length obs_table);
+  List.iter
+    (fun (((p, c, r) as key), got) ->
+      match
+        List.find_opt (fun (p', c', r', _) -> (p', c', r') = key) obs_table
+      with
+      | None -> Alcotest.failf "%s/%s.%s: no committed row" p c r
+      | Some (_, _, _, want) ->
+          List.iter2
+            (fun k (w, g) ->
+              if w <> g then
+                Alcotest.failf "%s/%s.%s: %s is %d, table says %d" p c r k g w)
+            obs_keys (List.combine want got))
+    measured
+
 let () =
   Alcotest.run "complexity"
     [
@@ -307,4 +447,6 @@ let () =
         ] );
       ( "engine-alloc",
         [ Alcotest.test_case "words per spawn" `Quick test_alloc_per_spawn ] );
+      ( "obs-exact",
+        [ Alcotest.test_case "§8 operation counts" `Quick test_obs_exact ] );
     ]

@@ -30,7 +30,7 @@ let test_profile_parallel_for () =
   check "spawns = segments - 1" 63 p.Coverage.n_spawns
 
 (* The profile as it was computed before it became a fold over the tape:
-   an external tool on an unrecorded run, marking the whole frame stack on
+   a tool of its own on an unrecorded run, marking the whole frame stack on
    every event. Kept as the fold's oracle. *)
 let reference_profile ?max_events program =
   let max_k = ref 0 and max_d = ref 0 and max_k_rel = ref 0 in
@@ -53,10 +53,10 @@ let reference_profile ?max_events program =
     | _ -> ());
     Hashtbl.remove rel f
   in
-  let hooks =
+  let tool =
     {
-      Tool.hooks_null with
-      Tool.on_frame_enter =
+      Tool.null with
+      on_frame_enter =
         (fun ~frame ~parent ~spawned:_ ~kind ->
           if kind <> Tool.User_fn then begin
             saw_reducer := true;
@@ -88,7 +88,7 @@ let reference_profile ?max_events program =
           mark ());
     }
   in
-  let eng = Engine.create ~tool:(Tool.extern hooks) ?max_events () in
+  let eng = Engine.create ~tool ?max_events () in
   ignore (Engine.run_result eng program);
   let k_rel, rel_depths =
     if not !saw_reducer then (0, [])

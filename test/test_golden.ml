@@ -26,7 +26,6 @@ let record_lines spec program =
       fmt
   in
   let tool =
-    Tool.extern
     {
       Tool.on_frame_enter =
         (fun ~frame ~parent ~spawned ~kind ->
@@ -190,40 +189,6 @@ let parity_case_for name prog spec_name () =
     (peer_set_verdict ~reach:Rader_reach.Reach.Dset program)
     (peer_set_verdict ~reach:Rader_reach.Reach.Depa program)
 
-(* --- dispatch-shape verdict parity over the same corpus ---------------- *)
-
-(* The third thing that could drift: the dispatch SHAPE. The same corpus
-   pins "the defunctionalized variant dispatch (direct match + span
-   batching) and the seed's closure-record dispatch ([Tool.extern] over
-   [Tool.hooks_of], per-access events) produce byte-identical reports" —
-   the deterministic anchor for the randomized test_dispatch suite. *)
-
-let sp_plus_verdict_extern spec program =
-  let eng = Engine.create ~spec () in
-  let d = Core.Sp_plus.create eng in
-  Engine.set_tool eng (Tool.extern (Tool.hooks_of (Core.Sp_plus.tool d)));
-  ignore (Engine.run_result eng program);
-  List.map Core.Report.to_string (Core.Sp_plus.races d)
-
-let peer_set_verdict_extern program =
-  let eng = Engine.create () in
-  let d = Core.Peer_set.create eng in
-  Engine.set_tool eng (Tool.extern (Tool.hooks_of (Core.Peer_set.tool d)));
-  ignore (Engine.run_result eng program);
-  List.map Core.Report.to_string (Core.Peer_set.races d)
-
-let dispatch_case_for name prog spec_name () =
-  let spec = List.assoc spec_name specs in
-  let program ctx = ignore (prog ctx) in
-  Alcotest.(check (list string))
-    (Printf.sprintf "%s under %s: SP+ variant vs extern dispatch" name spec_name)
-    (sp_plus_verdict ~reach:Rader_reach.Reach.Dset spec program)
-    (sp_plus_verdict_extern spec program);
-  Alcotest.(check (list string))
-    "Peer-Set variant vs extern dispatch"
-    (peer_set_verdict ~reach:Rader_reach.Reach.Dset program)
-    (peer_set_verdict_extern program)
-
 let () =
   let cases =
     List.concat_map
@@ -249,21 +214,8 @@ let () =
           specs_used)
       corpus
   in
-  let dispatch_cases =
-    List.concat_map
-      (fun (program, prog, specs_used) ->
-        List.map
-          (fun spec_name ->
-            Alcotest.test_case
-              (Printf.sprintf "%s under %s" program spec_name)
-              `Quick
-              (dispatch_case_for program prog spec_name))
-          specs_used)
-      corpus
-  in
   Alcotest.run "golden"
     [
       ("event-sequence fingerprints", cases);
       ("reach-backend verdict parity", parity_cases);
-      ("dispatch-shape verdict parity", dispatch_cases);
     ]

@@ -311,12 +311,7 @@ let test_soak () =
     (match expect with
     | `Races ->
         checkb (tag ^ ": races detected") true (out.O.races <> [])
-    | _ -> ());
-    (* every outcome is structurally well-formed *)
-    checkb (tag ^ ": trace parses back") true
-      (match Steal_trace.of_string (Steal_trace.to_string out.O.trace) with
-      | Ok tr -> tr.Steal_trace.entries = out.O.trace.Steal_trace.entries
-      | Error _ -> false)
+    | _ -> ())
   done;
   checkb "soak: both clean and contained outcomes exercised" true
     (!n_ok > 0 && !n_contained > 0 && !n_racy > 0)

@@ -342,21 +342,20 @@ let observed_run spec p =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.bprintf buf fmt in
   let tool =
-    Tool.extern
-      {
-        Tool.on_frame_enter =
-          (fun ~frame ~parent ~spawned ~kind ->
-            add "E%d,%d,%b,%s;" frame parent spawned (Tool.frame_kind_name kind));
-        on_frame_return = (fun ~frame ~parent:_ ~spawned:_ ~kind:_ -> add "R%d;" frame);
-        on_sync = (fun ~frame -> add "S%d;" frame);
-        on_steal = (fun ~frame ~region -> add "T%d,%d;" frame region);
-        on_reduce =
-          (fun ~frame ~into_region ~from_region ->
-            add "M%d,%d,%d;" frame into_region from_region);
-        on_read = (fun ~frame ~loc ~view_aware -> add "r%d,%d,%b;" frame loc view_aware);
-        on_write = (fun ~frame ~loc ~view_aware -> add "w%d,%d,%b;" frame loc view_aware);
-        on_reducer_read = (fun ~frame ~reducer -> add "q%d,%d;" frame reducer);
-      }
+    {
+      Tool.on_frame_enter =
+        (fun ~frame ~parent ~spawned ~kind ->
+          add "E%d,%d,%b,%s;" frame parent spawned (Tool.frame_kind_name kind));
+      on_frame_return = (fun ~frame ~parent:_ ~spawned:_ ~kind:_ -> add "R%d;" frame);
+      on_sync = (fun ~frame -> add "S%d;" frame);
+      on_steal = (fun ~frame ~region -> add "T%d,%d;" frame region);
+      on_reduce =
+        (fun ~frame ~into_region ~from_region ->
+          add "M%d,%d,%d;" frame into_region from_region);
+      on_read = (fun ~frame ~loc ~view_aware -> add "r%d,%d,%b;" frame loc view_aware);
+      on_write = (fun ~frame ~loc ~view_aware -> add "w%d,%d,%b;" frame loc view_aware);
+      on_reducer_read = (fun ~frame ~reducer -> add "q%d,%d;" frame reducer);
+    }
   in
   let eng = Engine.create ~tool ~spec ~record:true () in
   let result = Engine.run eng (G.interpret p) in

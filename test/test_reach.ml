@@ -73,10 +73,9 @@ let mirror_run p spec =
     end
   in
   let tool =
-    Tool.extern
     {
-      Tool.hooks_null with
-      Tool.on_frame_enter =
+      Tool.null with
+      on_frame_enter =
         (fun ~frame ~parent:_ ~spawned:_ ~kind:_ ->
           Reach.Sp.on_frame_enter a ~frame;
           Reach.Sp.on_frame_enter b ~frame;
@@ -316,7 +315,7 @@ let prop_fp_relate_deep =
    Each structural hook must also be exact: both backends report a change
    at the same events, and an event reported as no change (including
    every enter and steal) leaves every noted frame's classification as it
-   was — the contract [Sp_hot]'s memo relies on. *)
+   was — the contract [Sp_plus]'s memo relies on. *)
 let lazy_mirror_run p spec =
   let backends =
     Array.map Reach.Sp.create [| Reach.Dset; Reach.Depa |]
@@ -364,43 +363,42 @@ let lazy_mirror_run p spec =
     end
   in
   let tool =
-    Tool.extern
-      {
-        Tool.hooks_null with
-        Tool.on_frame_enter =
-          (fun ~frame ~parent:_ ~spawned:_ ~kind:_ ->
-            incr depth;
-            structural "enter" (fun r ->
-                Reach.Sp.on_frame_enter r ~frame;
-                false));
-        on_frame_return =
-          (fun ~frame ~parent:_ ~spawned ~kind ->
-            let parallel = kind = Tool.Reduce_fn || spawned in
-            if !depth > 1 then begin
-              structural "return" (fun r -> Reach.Sp.on_frame_return r ~frame ~parallel);
-              decr depth
-            end
-            else begin
-              (* the root's: nothing is left to classify against *)
-              depth := 0;
-              Array.iter
-                (fun r ->
-                  if Reach.Sp.on_frame_return r ~frame ~parallel then
-                    fail "root return reported a change")
-                backends
-            end);
-        on_sync = (fun ~frame -> structural "sync" (fun r -> Reach.Sp.on_sync r ~frame));
-        on_steal =
-          (fun ~frame ~region ->
-            structural "steal" (fun r ->
-                Reach.Sp.on_steal r ~frame ~region;
-                false));
-        on_reduce =
-          (fun ~frame ~into_region:_ ~from_region:_ ->
-            structural "reduce" (fun r -> Reach.Sp.on_reduce r ~frame));
-        on_read = (fun ~frame ~loc:_ ~view_aware:_ -> access ~frame);
-        on_write = (fun ~frame ~loc:_ ~view_aware:_ -> access ~frame);
-      }
+    {
+      Tool.null with
+      on_frame_enter =
+        (fun ~frame ~parent:_ ~spawned:_ ~kind:_ ->
+          incr depth;
+          structural "enter" (fun r ->
+              Reach.Sp.on_frame_enter r ~frame;
+              false));
+      on_frame_return =
+        (fun ~frame ~parent:_ ~spawned ~kind ->
+          let parallel = kind = Tool.Reduce_fn || spawned in
+          if !depth > 1 then begin
+            structural "return" (fun r -> Reach.Sp.on_frame_return r ~frame ~parallel);
+            decr depth
+          end
+          else begin
+            (* the root's: nothing is left to classify against *)
+            depth := 0;
+            Array.iter
+              (fun r ->
+                if Reach.Sp.on_frame_return r ~frame ~parallel then
+                  fail "root return reported a change")
+              backends
+          end);
+      on_sync = (fun ~frame -> structural "sync" (fun r -> Reach.Sp.on_sync r ~frame));
+      on_steal =
+        (fun ~frame ~region ->
+          structural "steal" (fun r ->
+              Reach.Sp.on_steal r ~frame ~region;
+              false));
+      on_reduce =
+        (fun ~frame ~into_region:_ ~from_region:_ ->
+          structural "reduce" (fun r -> Reach.Sp.on_reduce r ~frame));
+      on_read = (fun ~frame ~loc:_ ~view_aware:_ -> access ~frame);
+      on_write = (fun ~frame ~loc:_ ~view_aware:_ -> access ~frame);
+    }
   in
   let eng = Engine.create ~spec () in
   Engine.set_tool eng tool;
@@ -418,7 +416,7 @@ let prop_sp_lazy_backends_agree =
           | Some msg -> QCheck2.Test.fail_reportf "lazy mirror: %s" msg)
         [ Steal_spec.none; spec ])
 
-(* Exact change reporting end to end: [Sp_hot]'s classification memo
+(* Exact change reporting end to end: [Sp_plus]'s classification memo
    misses, and so queries the backend, at the same accesses under both
    backends — depa's fingerprint queries equal dset's bag finds. *)
 let sp_plus_queries reach p spec =

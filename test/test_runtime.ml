@@ -5,6 +5,9 @@
 open Rader_runtime
 module Dag = Rader_dag.Dag
 module Trace = Rader_core.Trace
+module Report = Rader_core.Report
+module Sp_plus = Rader_core.Sp_plus
+module Peer_set = Rader_core.Peer_set
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -679,7 +682,7 @@ let prop_spec_parse_total =
 
 (* ---------- Tools ---------- *)
 
-let recording_hooks push =
+let recording_tool push =
   {
     Tool.on_frame_enter =
       (fun ~frame ~parent ~spawned ~kind ->
@@ -707,8 +710,8 @@ let recording_hooks push =
       (fun ~frame ~reducer -> push (Printf.sprintf "rread %d %d" frame reducer));
   }
 
-(* Every hook of [a], then the same hook of [b]. *)
-let seq_hooks a b =
+(* Every callback of [a], then the same callback of [b]. *)
+let seq_tools a b =
   {
     Tool.on_frame_enter =
       (fun ~frame ~parent ~spawned ~kind ->
@@ -763,36 +766,34 @@ let tool_prog ctx =
 let tool_spec () =
   Steal_spec.at_local_indices ~policy:Steal_spec.Reduce_eagerly [ 1 ]
 
-type detector = Sp of Sp_hot.t | Peer of Peer_hot.t
+type detector = Sp of Sp_plus.t | Peer of Peer_set.t
 
-let detector_tool = function Sp d -> Tool.sp_plus d | Peer d -> Tool.peer_set d
+let detector_tool = function Sp d -> Sp_plus.tool d | Peer d -> Peer_set.tool d
 
 let detector_races = function
-  | Sp d -> List.map Report.to_string (Sp_hot.races d)
-  | Peer d -> List.map Report.to_string (Peer_hot.races d)
+  | Sp d -> List.map Report.to_string (Sp_plus.races d)
+  | Peer d -> List.map Report.to_string (Peer_set.races d)
 
 let make_detector eng = function
-  | `Sp ->
-      Sp (Sp_hot.create ~label:(Engine.loc_label eng)
-            ~strand:(fun () -> Engine.current_strand eng) ())
-  | `Peer -> Peer (Peer_hot.create ~strand:(fun () -> Engine.current_strand eng) ())
+  | `Sp -> Sp (Sp_plus.create eng)
+  | `Peer -> Peer (Peer_set.create eng)
 
 (* Run [tool_prog] with [make eng] as the engine's one tool; the value and
    the recorder's event stream. *)
 let tool_run make =
   let log = ref [] in
   let eng = Engine.create ~spec:(tool_spec ()) () in
-  Engine.set_tool eng (make eng (recording_hooks (fun s -> log := s :: !log)));
+  Engine.set_tool eng (make eng (recording_tool (fun s -> log := s :: !log)));
   let v = Engine.run eng tool_prog in
   (v, List.rev !log)
 
-(* An engine runs one tool, so a second observer shares one [Extern]
-   record with a detector's [Tool.hooks_of], as the chaos harness does
-   with its fault injector. Composed that way, neither side changes: the
-   detector reports what it reports installed directly, and the observer
-   sees the same events, in the same order, as when it runs alone. *)
-let test_extern_composition () =
-  let v0, alone = tool_run (fun _ rec_hooks -> Tool.extern rec_hooks) in
+(* An engine runs one tool, so a second observer shares one record with
+   a detector's, as the chaos harness does with its fault injector.
+   Composed that way, neither side changes: the detector reports what it
+   reports installed directly, and the observer sees the same events, in
+   the same order, as when it runs alone. *)
+let test_tool_composition () =
+  let v0, alone = tool_run (fun _ recorder -> recorder) in
   let has prefix =
     List.exists
       (fun s ->
@@ -813,10 +814,10 @@ let test_extern_composition () =
             detector_tool d)
       in
       let v2, stream =
-        tool_run (fun eng rec_hooks ->
+        tool_run (fun eng recorder ->
             let d = make_detector eng kind in
             composed := Some d;
-            Tool.extern (seq_hooks (Tool.hooks_of (detector_tool d)) rec_hooks))
+            seq_tools (detector_tool d) recorder)
       in
       let direct = detector_races (Option.get !direct)
       and composed = detector_races (Option.get !composed) in
@@ -826,74 +827,6 @@ let test_extern_composition () =
       Alcotest.(check (list string)) "composed detector = direct" direct composed;
       Alcotest.(check (list string)) "composed observer = alone" alone stream)
     [ `Sp; `Peer ]
-
-(* Detector cores name a race's location and strand through the closures
-   given to [create]. Reports are cold: both closures are read only when
-   a race is reported, so a race-free run never calls them, and a report
-   carries exactly what they returned. *)
-let test_report_closures_cold () =
-  let labels = ref 0 and strands = ref 0 in
-  let label loc =
-    incr labels;
-    Printf.sprintf "loc-%d" loc
-  in
-  let strand () =
-    incr strands;
-    -7
-  in
-  let run tool prog =
-    let eng = Engine.create ~tool ~spec:(Steal_spec.all ()) () in
-    ignore (Engine.run eng prog)
-  in
-  let clean ctx =
-    let eng = Engine.engine ctx in
-    let r = Rmonoid.new_int_add ctx ~init:0 in
-    let a = Rarray.make eng ~label:"a" 16 0 in
-    Cilk.parallel_for ctx ~lo:0 ~hi:16 (fun ctx i ->
-        Rmonoid.add ctx r i;
-        Rarray.write ctx a i (Rarray.read ctx a i + i));
-    Cilk.sync ctx;
-    Rmonoid.int_cell_value ctx r
-  in
-  List.iter
-    (fun (name, prog) ->
-      labels := 0;
-      strands := 0;
-      let sp = Sp_hot.create ~label ~strand () in
-      run (Tool.sp_plus sp) prog;
-      let sp_races = Sp_hot.races sp in
-      let sp_labels = !labels and sp_strands = !strands in
-      strands := 0;
-      let peer = Peer_hot.create ~strand () in
-      run (Tool.peer_set peer) prog;
-      let peer_races = Peer_hot.races peer in
-      let peer_strands = !strands in
-      if name = "clean" then begin
-        check "clean: no SP+ race" 0 (List.length sp_races);
-        check "clean: no Peer-Set race" 0 (List.length peer_races);
-        check "clean: SP+ never reads label" 0 sp_labels;
-        check "clean: SP+ never reads strand" 0 sp_strands;
-        check "clean: Peer-Set never reads strand" 0 peer_strands
-      end
-      else begin
-        checkb "racy: SP+ reports" true (sp_races <> []);
-        checkb "racy: Peer-Set reports" true (peer_races <> []);
-        checkb "racy: SP+ read label" true (sp_labels >= List.length sp_races);
-        checkb "racy: SP+ read strand" true (sp_strands >= List.length sp_races);
-        checkb "racy: Peer-Set read strand" true
-          (peer_strands >= List.length peer_races);
-        List.iter
-          (fun r ->
-            Alcotest.(check string) "label from closure"
-              (Printf.sprintf "loc-%d" r.Report.subject)
-              r.Report.subject_label;
-            check "strand from closure" (-7) r.Report.second_strand)
-          sp_races;
-        List.iter
-          (fun r -> check "strand from closure" (-7) r.Report.second_strand)
-          peer_races
-      end)
-    [ ("clean", clean); ("racy", tool_prog) ]
 
 let () =
   Alcotest.run "runtime"
@@ -986,8 +919,6 @@ let () =
         ] );
       ( "tool",
         [
-          Alcotest.test_case "extern composition" `Quick test_extern_composition;
-          Alcotest.test_case "report closures cold" `Quick
-            test_report_closures_cold;
+          Alcotest.test_case "tool composition" `Quick test_tool_composition;
         ] );
     ]

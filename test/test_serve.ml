@@ -172,6 +172,36 @@ let test_bad_density () =
       | Error e -> Alcotest.failf "health: %s" e);
       Client.close c)
 
+(* Inputs are built before the engine starts, outside every budget: a
+   scale that is not a finite number in (0, 16] is a bad field, answered
+   before the program is resolved, and no worker faults. *)
+let test_bad_scale () =
+  let t = Server.start (Server.default_config ~addr:(fresh_addr ())) in
+  Fun.protect
+    ~finally:(fun () -> ignore (Server.stop t))
+    (fun () ->
+      let c = connect (Server.bound_addr t) in
+      List.iter
+        (fun program ->
+          List.iter
+            (fun scale ->
+              match submit_ok c (sub ~scale program) with
+              | Client.Rejected e ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s at scale %g: bad field code" program scale)
+                    Proto.err_bad_field e.Proto.code
+              | _ -> Alcotest.failf "%s at scale %g not rejected" program scale)
+            [ Float.nan; Float.infinity; 0.0; -1.0; 1e15 ])
+        [ "fib"; "collision" ];
+      let v = verdict_of (submit_ok c (sub "fig1-fixed")) in
+      Alcotest.(check bool) "still serving verdicts" true (v.Proto.status = Proto.Clean);
+      (match Client.health c with
+      | Ok json ->
+          Alcotest.(check int) "no fault" 0 (json_int json "faults");
+          Alcotest.(check int) "no worker restarted" 0 (json_int json "restarts")
+      | Error e -> Alcotest.failf "health: %s" e);
+      Client.close c)
+
 (* ------------------------------------------------------------------ *)
 (* Quotas                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -487,6 +517,7 @@ let () =
           Alcotest.test_case "hostile frames on a live server" `Quick
             test_malformed_frames_live;
           Alcotest.test_case "bad density is a bad spec" `Quick test_bad_density;
+          Alcotest.test_case "bad scale is a bad field" `Quick test_bad_scale;
           Alcotest.test_case "chaos acceptance: 500 requests" `Quick
             test_chaos_acceptance;
         ] );
