@@ -16,7 +16,9 @@ let checkb = Alcotest.(check bool)
 
 (* --- the recorder ------------------------------------------------------ *)
 
-let record_lines spec program =
+(* [observe eng recorder] is the record installed on [eng]: the recorder
+   itself, or the recorder composed with a detector bound to [eng]. *)
+let record_lines ?(observe = fun _ recorder -> recorder) spec program =
   let buf = Buffer.create 4096 in
   let addf fmt =
     Printf.ksprintf
@@ -50,7 +52,8 @@ let record_lines spec program =
         (fun ~frame ~reducer -> addf "rread %d reducer=%d" frame reducer);
     }
   in
-  let eng = Engine.create ~tool ~spec () in
+  let eng = Engine.create ~spec () in
+  Engine.set_tool eng (observe eng tool);
   (match Engine.run_result eng program with
   | Ok _ -> addf "end ok"
   | Error f -> addf "end %s" (Rader_core.Diag.class_name f));
@@ -189,6 +192,51 @@ let parity_case_for name prog spec_name () =
     (peer_set_verdict ~reach:Rader_reach.Reach.Dset program)
     (peer_set_verdict ~reach:Rader_reach.Reach.Depa program)
 
+(* --- detector-composed streams over the same corpus -------------------- *)
+
+(* A detector holds its engine and reads labels and strand ids from it.
+   With a detector's record ahead of the recorder in one record (the
+   chaos harness's composition), the recorder must see the stream it
+   sees alone, which the section above pins, and the detector must
+   report what it reports installed alone: reading the engine perturbs
+   neither. *)
+
+let composed_case_for program prog spec_name () =
+  let spec = List.assoc spec_name specs in
+  let run ctx = ignore (prog ctx) in
+  let alone = record_lines spec run in
+  let composed what tool =
+    let rendered =
+      record_lines spec run ~observe:(fun eng recorder ->
+          Rader_testkit.Tools.seq (tool eng) recorder)
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%s under %s: stream with %s ahead" program spec_name what)
+      alone rendered
+  in
+  List.iter
+    (fun reach ->
+      let what = "SP+ " ^ Rader_reach.Reach.show reach in
+      let sp = ref None in
+      composed what (fun eng ->
+          let d = Core.Sp_plus.create ~reach eng in
+          sp := Some d;
+          Core.Sp_plus.tool d);
+      Alcotest.(check (list string))
+        (what ^ ": composed = alone")
+        (sp_plus_verdict ~reach spec run)
+        (List.map Core.Report.to_string (Core.Sp_plus.races (Option.get !sp))))
+    Rader_reach.Reach.all;
+  let peer = ref None in
+  composed "Peer-Set" (fun eng ->
+      let d = Core.Peer_set.create eng in
+      peer := Some d;
+      Core.Peer_set.tool d);
+  Alcotest.(check (list string))
+    "Peer-Set: composed = alone"
+    (peer_set_verdict ~reach:Rader_reach.Reach.Dset run)
+    (List.map Core.Report.to_string (Core.Peer_set.races (Option.get !peer)))
+
 let () =
   let cases =
     List.concat_map
@@ -214,8 +262,21 @@ let () =
           specs_used)
       corpus
   in
+  let composed_cases =
+    List.concat_map
+      (fun (program, prog, specs_used) ->
+        List.map
+          (fun spec_name ->
+            Alcotest.test_case
+              (Printf.sprintf "%s under %s" program spec_name)
+              `Quick
+              (composed_case_for program prog spec_name))
+          specs_used)
+      corpus
+  in
   Alcotest.run "golden"
     [
       ("event-sequence fingerprints", cases);
       ("reach-backend verdict parity", parity_cases);
+      ("detector-composed streams", composed_cases);
     ]

@@ -682,70 +682,7 @@ let prop_spec_parse_total =
 
 (* ---------- Tools ---------- *)
 
-let recording_tool push =
-  {
-    Tool.on_frame_enter =
-      (fun ~frame ~parent ~spawned ~kind ->
-        push
-          (Printf.sprintf "enter %d %d %b %s" frame parent spawned
-             (Tool.frame_kind_name kind)));
-    on_frame_return =
-      (fun ~frame ~parent ~spawned ~kind ->
-        push
-          (Printf.sprintf "return %d %d %b %s" frame parent spawned
-             (Tool.frame_kind_name kind)));
-    on_sync = (fun ~frame -> push (Printf.sprintf "sync %d" frame));
-    on_steal =
-      (fun ~frame ~region -> push (Printf.sprintf "steal %d %d" frame region));
-    on_reduce =
-      (fun ~frame ~into_region ~from_region ->
-        push (Printf.sprintf "reduce %d %d %d" frame into_region from_region));
-    on_read =
-      (fun ~frame ~loc ~view_aware ->
-        push (Printf.sprintf "read %d %d %b" frame loc view_aware));
-    on_write =
-      (fun ~frame ~loc ~view_aware ->
-        push (Printf.sprintf "write %d %d %b" frame loc view_aware));
-    on_reducer_read =
-      (fun ~frame ~reducer -> push (Printf.sprintf "rread %d %d" frame reducer));
-  }
-
-(* Every callback of [a], then the same callback of [b]. *)
-let seq_tools a b =
-  {
-    Tool.on_frame_enter =
-      (fun ~frame ~parent ~spawned ~kind ->
-        a.Tool.on_frame_enter ~frame ~parent ~spawned ~kind;
-        b.Tool.on_frame_enter ~frame ~parent ~spawned ~kind);
-    on_frame_return =
-      (fun ~frame ~parent ~spawned ~kind ->
-        a.Tool.on_frame_return ~frame ~parent ~spawned ~kind;
-        b.Tool.on_frame_return ~frame ~parent ~spawned ~kind);
-    on_sync =
-      (fun ~frame ->
-        a.Tool.on_sync ~frame;
-        b.Tool.on_sync ~frame);
-    on_steal =
-      (fun ~frame ~region ->
-        a.Tool.on_steal ~frame ~region;
-        b.Tool.on_steal ~frame ~region);
-    on_reduce =
-      (fun ~frame ~into_region ~from_region ->
-        a.Tool.on_reduce ~frame ~into_region ~from_region;
-        b.Tool.on_reduce ~frame ~into_region ~from_region);
-    on_read =
-      (fun ~frame ~loc ~view_aware ->
-        a.Tool.on_read ~frame ~loc ~view_aware;
-        b.Tool.on_read ~frame ~loc ~view_aware);
-    on_write =
-      (fun ~frame ~loc ~view_aware ->
-        a.Tool.on_write ~frame ~loc ~view_aware;
-        b.Tool.on_write ~frame ~loc ~view_aware);
-    on_reducer_read =
-      (fun ~frame ~reducer ->
-        a.Tool.on_reducer_read ~frame ~reducer;
-        b.Tool.on_reducer_read ~frame ~reducer);
-  }
+module Tools = Rader_testkit.Tools
 
 (* A small program exercising every event class — spawns, syncs, cell
    accesses, reducer updates and reads, and (under [tool_spec]) steals
@@ -774,16 +711,16 @@ let detector_races = function
   | Sp d -> List.map Report.to_string (Sp_plus.races d)
   | Peer d -> List.map Report.to_string (Peer_set.races d)
 
-let make_detector eng = function
-  | `Sp -> Sp (Sp_plus.create eng)
-  | `Peer -> Peer (Peer_set.create eng)
+let make_detector ?reach eng = function
+  | `Sp -> Sp (Sp_plus.create ?reach eng)
+  | `Peer -> Peer (Peer_set.create ?reach eng)
 
 (* Run [tool_prog] with [make eng] as the engine's one tool; the value and
    the recorder's event stream. *)
 let tool_run make =
   let log = ref [] in
   let eng = Engine.create ~spec:(tool_spec ()) () in
-  Engine.set_tool eng (make eng (recording_tool (fun s -> log := s :: !log)));
+  Engine.set_tool eng (make eng (Tools.recorder (fun s -> log := s :: !log)));
   let v = Engine.run eng tool_prog in
   (v, List.rev !log)
 
@@ -817,7 +754,7 @@ let test_tool_composition () =
         tool_run (fun eng recorder ->
             let d = make_detector eng kind in
             composed := Some d;
-            seq_tools (detector_tool d) recorder)
+            Tools.seq (detector_tool d) recorder)
       in
       let direct = detector_races (Option.get !direct)
       and composed = detector_races (Option.get !composed) in
@@ -827,6 +764,176 @@ let test_tool_composition () =
       Alcotest.(check (list string)) "composed detector = direct" direct composed;
       Alcotest.(check (list string)) "composed observer = alone" alone stream)
     [ `Sp; `Peer ]
+
+(* A detector builds its record once, at [create]: [tool d] is that one
+   record before and after a run and a [reset], so recycling an engine
+   and detector per spec with [Engine.reset ~tool:(tool d)] installs the
+   same record each time instead of building a new one. *)
+let test_records_built_once () =
+  List.iter
+    (fun kind ->
+      let eng = Engine.create ~spec:(tool_spec ()) () in
+      let d = make_detector eng kind in
+      let t0 = detector_tool d in
+      checkb "same record" true (detector_tool d == t0);
+      Engine.set_tool eng t0;
+      ignore (Engine.run eng tool_prog);
+      let first = detector_races d in
+      checkb "detector finds a race" true (first <> []);
+      (match d with Sp d -> Sp_plus.reset d | Peer d -> Peer_set.reset d);
+      checkb "same record after reset" true (detector_tool d == t0);
+      Engine.reset ~tool:(detector_tool d) ~spec:(tool_spec ()) eng;
+      ignore (Engine.run eng tool_prog);
+      Alcotest.(check (list string)) "recycled = first run" first
+        (detector_races d))
+    [ `Sp; `Peer ]
+
+module G = Rader_testkit.Gen_program
+module Obs = Rader_obs.Obs
+
+(* Steal specifications for the generated-program properties below:
+   serial, every continuation stolen (eager and at-sync reduces),
+   Bernoulli, and explicit local indices. *)
+let tool_specs =
+  [
+    Steal_spec.none;
+    Steal_spec.all ();
+    Steal_spec.all ~policy:Steal_spec.Reduce_at_sync ();
+    Steal_spec.random ~seed:11 ~density:0.4 ();
+    Steal_spec.at_local_indices ~policy:Steal_spec.Reduce_eagerly [ 1; 2 ];
+  ]
+
+(* A detector reads a race's label and strand from its engine when it
+   reports the race, inside the callback of the access that exposed it,
+   and the engine delivers each access as it accepts it. So every report
+   names an access the recorded trace holds: an SP+ report the location,
+   frame, strand, kind and view-awareness of a recorded access, a
+   Peer-Set report the reducer and strand of a recorded reducer-read. An
+   access delivered late, after the next strand began, would name the
+   wrong strand. *)
+let prop_reports_name_recorded_accesses =
+  QCheck2.Test.make ~name:"reports name a recorded access" ~count:200
+    ~print:G.print
+    (G.gen ~with_reducers:true ~racy:true)
+    (fun p ->
+      let recorded_run spec attach =
+        let eng = Engine.create ~spec ~record:true () in
+        let d = attach eng in
+        ignore (Engine.run eng (G.interpret p));
+        (d, Trace.of_engine eng)
+      in
+      List.for_all
+        (fun spec ->
+          let sp, sp_tr = recorded_run spec (fun eng -> Sp_plus.attach eng) in
+          let peer, peer_tr =
+            recorded_run spec (fun eng -> Peer_set.attach eng)
+          in
+          let names_access (r : Report.t) =
+            r.subject_label = Trace.loc_label sp_tr r.subject
+            && List.exists
+                 (fun (a : Trace.access) ->
+                   a.a_loc = r.subject
+                   && a.a_frame = r.second_frame
+                   && a.a_strand = r.second_strand
+                   && a.a_is_write = (r.second_access = Report.Write)
+                   && a.a_view_aware = r.second_view_aware)
+                 sp_tr.accesses
+          in
+          let names_read (r : Report.t) =
+            List.mem (r.subject, r.second_strand) peer_tr.reducer_reads
+          in
+          let unmatched found races =
+            match List.find_opt (fun r -> not (found r)) races with
+            | Some r ->
+                QCheck2.Test.fail_reportf "%s: no recorded access for %s"
+                  spec.Steal_spec.name (Report.to_string r)
+            | None -> true
+          in
+          unmatched names_access (Sp_plus.races sp)
+          && unmatched names_read (Peer_set.races peer))
+        tool_specs)
+
+(* One recorded run of [p] under [spec] with [tool eng] installed: the
+   value, the engine counters, the tape and the Obs operation totals. *)
+let observed_run ~spec p tool =
+  let eng = Engine.create ~spec ~record:true () in
+  Engine.set_tool eng (tool eng);
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let before = Obs.snapshot () in
+      let result = Engine.run eng (G.interpret p) in
+      ( result,
+        Engine.stats eng,
+        Engine.tape eng,
+        Obs.to_assoc (Obs.since before) ))
+
+(* [test_tool_composition] over generated programs: with a recorder after
+   the detector in one record, the value, the engine counters, the tape,
+   the detector's reports and racy locations and its Obs operation totals
+   are those of the detector installed alone, and the recorder sees the
+   stream it sees alone. For SP+ under both reachability backends and
+   for Peer-Set: the detectors do the same work, not only reach the same
+   verdicts. *)
+let prop_composed_observer_changes_nothing =
+  QCheck2.Test.make ~name:"a composed observer changes no detector" ~count:100
+    ~print:G.print
+    (G.gen ~with_reducers:true ~racy:true)
+    (fun p ->
+      List.for_all
+        (fun spec ->
+          let log = ref [] in
+          let push s = log := s :: !log in
+          let stream () =
+            let s = List.rev !log in
+            log := [];
+            s
+          in
+          ignore (observed_run ~spec p (fun _ -> Tools.recorder push));
+          let alone = stream () in
+          List.for_all
+            (fun (name, kind, reach) ->
+              let ctxt = Printf.sprintf "%s, %s" spec.Steal_spec.name name in
+              let run compose =
+                let d = ref None in
+                let obs =
+                  observed_run ~spec p (fun eng ->
+                      let det = make_detector ~reach eng kind in
+                      d := Some det;
+                      if compose then
+                        Tools.seq (detector_tool det) (Tools.recorder push)
+                      else detector_tool det)
+                in
+                let d = Option.get !d in
+                let racy =
+                  match d with Sp d -> Sp_plus.racy_locs d | Peer _ -> []
+                in
+                (obs, detector_races d, racy)
+              in
+              let (r1, s1, t1, o1), reports1, racy1 = run false in
+              let (r2, s2, t2, o2), reports2, racy2 = run true in
+              let composed = stream () in
+              if r1 <> r2 || s1 <> s2 || t1 <> t2 then
+                QCheck2.Test.fail_reportf "%s: value, counters or tape differ"
+                  ctxt
+              else if reports1 <> reports2 || racy1 <> racy2 then
+                QCheck2.Test.fail_reportf
+                  "%s: reports differ:\n%s\n-- vs --\n%s" ctxt
+                  (String.concat "\n" reports1)
+                  (String.concat "\n" reports2)
+              else if o1 <> o2 then
+                QCheck2.Test.fail_reportf "%s: Obs totals differ" ctxt
+              else if composed <> alone then
+                QCheck2.Test.fail_reportf "%s: the recorder's stream differs"
+                  ctxt
+              else true)
+            [
+              ("SP+ dset", `Sp, Rader_reach.Reach.Dset);
+              ("SP+ depa", `Sp, Rader_reach.Reach.Depa);
+              ("Peer-Set", `Peer, Rader_reach.Reach.Dset);
+            ])
+        tool_specs)
 
 let () =
   Alcotest.run "runtime"
@@ -920,5 +1027,9 @@ let () =
       ( "tool",
         [
           Alcotest.test_case "tool composition" `Quick test_tool_composition;
+          Alcotest.test_case "detector records built once" `Quick
+            test_records_built_once;
+          QCheck_alcotest.to_alcotest prop_reports_name_recorded_accesses;
+          QCheck_alcotest.to_alcotest prop_composed_observer_changes_nothing;
         ] );
     ]
