@@ -732,30 +732,10 @@ let sim_cmd =
   let doc = "Simulate randomized work stealing over the recorded dag." in
   Cmd.v (Cmd.info "sim" ~doc) Term.(const do_sim $ program_arg $ scale_arg $ seed_arg)
 
-(* ---------- online: work-stealing runtime with on-the-fly detection ---------- *)
+(* ---------- online: work-stealing runtime, judged by serial replay ---------- *)
 
-let online_kind_subjects races kind =
-  List.filter_map
-    (fun r -> if r.Report.kind = kind then Some r.Report.subject else None)
-    races
-  |> List.sort_uniq compare
-
-(* Serial re-check of an online run: convert its steal trace to a spec and
-   run SP+ (determinacy) and Peer-Set (view-reads) under it. *)
-let replay_subjects prog spec reach =
-  let eng = Engine.create ~spec () in
-  let sp = Sp_plus.attach ?reach eng in
-  let r1 = Engine.run_result eng (fun ctx -> ignore (prog ctx)) in
-  let eng2 = Engine.create ~spec () in
-  let pe = Peer_set.attach ?reach eng2 in
-  let r2 = Engine.run_result eng2 (fun ctx -> ignore (prog ctx)) in
-  let ok = Result.is_ok r1 && Result.is_ok r2 in
-  ( Sp_plus.racy_locs sp,
-    online_kind_subjects (Peer_set.races pe) Report.View_read_race,
-    ok )
-
-let do_online program scale seed runs workers stripes density reach max_events
-    deadline_s metrics trace_out no_replay =
+let do_online program scale seed runs workers density reach max_events
+    deadline_s metrics trace_out =
   if workers < 1 then begin
     Printf.eprintf "rader online: --workers must be >= 1\n";
     exit 2
@@ -764,25 +744,22 @@ let do_online program scale seed runs workers stripes density reach max_events
     Printf.eprintf "rader online: --runs must be >= 1\n";
     exit 2
   end;
-  (match stripes with
-  | Some s when s < 1 ->
-      Printf.eprintf "rader online: --stripes must be >= 1\n";
-      exit 2
-  | _ -> ());
-  (match reach with
-  | Some Reach.Dset ->
-      Printf.eprintf
-        "rader online: the dset backend is replay-only (serially anchored \
-         bags); online detection requires --reach depa\n";
-      exit 2
-  | _ -> ());
+  let module O = Rader_sched.Online in
   let prog = resolve_program ~scale program in
+  let judge = O.judge ?reach prog in
   let obs_on = metrics <> None in
   let obs_was = Obs.enabled () in
   if obs_on then Obs.set_enabled true;
-  let t0_us = Obs.now_us () in
+  let runtime_s = ref 0. and verdict_s = ref 0. in
+  let timed acc f =
+    let t0 = Obs.now_us () in
+    let v = f () in
+    acc := !acc +. ((Obs.now_us () -. t0) /. 1e6);
+    v
+  in
   let union : Report.t list ref = ref [] in
   let first_failure = ref None in
+  let note_failure f = if !first_failure = None then first_failure := Some f in
   let total_events = ref 0 in
   let total_steals = ref 0 in
   let total_tasks = ref 0 in
@@ -792,28 +769,43 @@ let do_online program scale seed runs workers stripes density reach max_events
   let last_trace = ref None in
   for i = 0 to runs - 1 do
     let run_seed = seed + i in
-    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline_s in
+    let deadline () =
+      Option.map (fun s -> Unix.gettimeofday () +. s) deadline_s
+    in
     let cfg =
       {
-        Rader_sched.Online.workers;
+        O.workers;
         seed = run_seed;
         density;
-        stripes;
         max_events;
-        deadline;
+        deadline = deadline ();
         clock = None;
       }
     in
-    let out = Rader_sched.Online.run cfg prog in
-    let module O = Rader_sched.Online in
+    let out = timed runtime_s (fun () -> O.run cfg prog) in
     total_events := !total_events + out.O.events;
     total_steals := !total_steals + out.O.n_structural_steals;
     total_tasks := !total_tasks + out.O.n_tasks;
     total_deque := !total_deque + out.O.n_deque_steals;
     Option.iter (fun c -> Obs.add ~into:counters c) out.O.counters;
     last_trace := Some out.O.trace;
-    if out.O.races <> [] && !racy_trace = None then
-      racy_trace := Some out.O.trace;
+    (* A run cut short made only part of its steals: it gets no verdict. *)
+    let verdict =
+      match out.O.value with
+      | Error f ->
+          note_failure f;
+          None
+      | Ok _ ->
+          let snap = if obs_on then Some (Obs.snapshot ()) else None in
+          let v =
+            timed verdict_s (fun () ->
+                O.verdict ?max_events ?deadline:(deadline ()) judge out.O.trace)
+          in
+          Option.iter (fun s -> Obs.add ~into:counters (Obs.since s)) snap;
+          Some v
+    in
+    let races = match verdict with Some (Ok races) -> races | _ -> [] in
+    if races <> [] && !racy_trace = None then racy_trace := Some out.O.trace;
     List.iter
       (fun r ->
         if
@@ -824,10 +816,7 @@ let do_online program scale seed runs workers stripes density reach max_events
                  && r'.Report.subject = r.Report.subject)
                !union)
         then union := r :: !union)
-      out.O.races;
-    (match out.O.value with
-    | Error f when !first_failure = None -> first_failure := Some f
-    | _ -> ());
+      races;
     Printf.printf
       "run seed=%-6d workers=%d: %3d structural steals, %4d tasks, %3d deque \
        steals, %s%s\n"
@@ -836,33 +825,14 @@ let do_online program scale seed runs workers stripes density reach max_events
       (match out.O.value with
       | Ok v -> Printf.sprintf "result %d" v
       | Error f -> Printf.sprintf "contained: %s" (Diag.class_name f))
-      (if out.O.races = [] then ""
-       else Printf.sprintf ", %d race(s)" (List.length out.O.races));
-    (* Serial re-check: the steal trace replayed as a spec must confirm
-       every online verdict (the serial detectors may see strictly more —
-       they also check reduce-strand accesses). *)
-    if (not no_replay) && out.O.races <> [] then begin
-      match Steal_trace.to_spec out.O.trace prog with
-      | Error msg -> Printf.printf "  replay: %s\n" msg
-      | Ok spec ->
-          let det_locs, view_reds, ok = replay_subjects prog spec reach in
-          let o_det = online_kind_subjects out.O.races Report.Determinacy_race in
-          let o_view = online_kind_subjects out.O.races Report.View_read_race in
-          let subset a b = List.for_all (fun x -> List.mem x b) a in
-          if subset o_det det_locs && subset o_view view_reds then
-            Printf.printf "  replay(%d steals): serial detectors confirm%s\n"
-              (Steal_trace.n_steals out.O.trace)
-              (if ok then "" else " (replay partially contained)")
-          else
-            Printf.printf
-              "  replay: DISAGREEMENT — online %s vs serial determinacy=[%s] \
-               view-read=[%s]\n"
-              (Rader_sched.Online.race_summary out.O.races)
-              (String.concat ";" (List.map string_of_int det_locs))
-              (String.concat ";" (List.map string_of_int view_reds))
-    end
+      (if races = [] then ""
+       else Printf.sprintf ", %d race(s)" (List.length races));
+    match verdict with
+    | Some (Error f) ->
+        note_failure f;
+        Printf.printf "  replay: contained: %s\n" (Diag.class_name f)
+    | _ -> ()
   done;
-  let t1_us = Obs.now_us () in
   Obs.set_enabled obs_was;
   let union =
     List.sort
@@ -881,11 +851,12 @@ let do_online program scale seed runs workers stripes density reach max_events
   (match metrics with
   | None -> ()
   | Some fmt ->
-      let dt = (t1_us -. t0_us) /. 1e6 in
+      let dt = !runtime_s in
       Printf.printf "throughput %.0f events/s over %.3f s\n"
         (float_of_int !total_events /. (if dt > 0. then dt else 1e-9))
         dt;
-      print_metrics fmt counters ~phases:[ ("online", dt) ]);
+      print_metrics fmt counters
+        ~phases:[ ("runtime", !runtime_s); ("verdict", !verdict_s) ]);
   (match (trace_out, if !racy_trace <> None then !racy_trace else !last_trace) with
   | Some path, Some tr ->
       let oc = open_out path in
@@ -901,8 +872,8 @@ let do_online program scale seed runs workers stripes density reach max_events
 
 let online_cmd =
   let doc =
-    "Run a program on the real work-stealing runtime (OCaml domains) with \
-     on-the-fly detection."
+    "Run a program on the real work-stealing runtime (OCaml domains); each \
+     run's verdict is the serial detectors' under the steals it made."
   in
   let online_runs_arg =
     Arg.(
@@ -915,16 +886,6 @@ let online_cmd =
       value & opt int 2
       & info [ "workers"; "p" ] ~docv:"P" ~doc:"Worker domains (>= 1).")
   in
-  let online_stripes_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stripes" ] ~docv:"N"
-          ~doc:
-            "Shadow-space lock stripes (>= 1, rounded up to a power of \
-             two). Default: derived from $(b,--workers). Striping only \
-             affects contention, never the verdict.")
-  in
   let online_trace_out_arg =
     Arg.(
       value
@@ -933,22 +894,15 @@ let online_cmd =
           ~doc:
             "Write the steal trace of the first racy run (or the last run \
              when all are clean): a human-readable record of which \
-             continuations were stolen. Nothing reads it back; the serial \
-             re-check of each racy run replays its trace in-process.")
-  in
-  let no_replay_arg =
-    Arg.(
-      value & flag
-      & info [ "no-replay" ]
-          ~doc:"Skip the serial re-check of racy runs' steal traces.")
+             continuations were stolen. Nothing reads it back; each run's \
+             verdict replays its trace in-process.")
   in
   Cmd.v
     (Cmd.info "online" ~doc)
     Term.(
       const do_online $ program_arg $ scale_arg $ seed_arg $ online_runs_arg
-      $ online_workers_arg $ online_stripes_arg $ density_arg $ reach_arg
-      $ max_events_arg $ deadline_arg $ metrics_arg $ online_trace_out_arg
-      $ no_replay_arg)
+      $ online_workers_arg $ density_arg $ reach_arg $ max_events_arg
+      $ deadline_arg $ metrics_arg $ online_trace_out_arg)
 
 (* ---------- dag ---------- *)
 

@@ -41,61 +41,54 @@ let to_string t =
 
 (* ---------- trace -> serial steal spec ---------- *)
 
-let to_spec t program =
-  let eng = Engine.create ~record:true () in
-  match Engine.run_result eng (fun ctx -> ignore (program ctx)) with
-  | Error f ->
-      Error
-        (Printf.sprintf "trace profiling replay failed: %s" (Fault.to_string f))
-  | Ok () ->
-      let tr = Trace.of_engine eng in
-      (* User path of every user frame, from the creation-ordered frames (a
-         frame's parent always precedes it). *)
-      let paths : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-      let next_ord : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (fid, parent, _spawned, kind) ->
-          if kind = Tool.User_fn then
-            if parent = -1 then Hashtbl.replace paths fid []
-            else
-              match Hashtbl.find_opt paths parent with
-              | None -> () (* parent is auxiliary: not a user path *)
-              | Some pp ->
-                  let ord =
-                    Option.value ~default:0 (Hashtbl.find_opt next_ord parent)
-                  in
-                  Hashtbl.replace next_ord parent (ord + 1);
-                  Hashtbl.replace paths fid (pp @ [ ord ]))
-        tr.Trace.frames;
-      (* Map (spawning frame path, per-frame spawn ordinal) to the global
-         spawn index: a frame's spawns come in spawn-index order. *)
-      let spawn_ord : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      let index : (int list * int, int) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun { Trace.sp_index; sp_frame = frame; _ } ->
-          let ord = Option.value ~default:0 (Hashtbl.find_opt spawn_ord frame) in
-          Hashtbl.replace spawn_ord frame (ord + 1);
-          match Hashtbl.find_opt paths frame with
-          | None -> ()
-          | Some p -> Hashtbl.replace index (p, ord) sp_index)
-        tr.Trace.spawns;
-      let rec resolve acc = function
-        | [] -> Ok (List.rev acc)
-        | e :: rest -> (
-            match Hashtbl.find_opt index (e.e_path, e.e_ord) with
-            | Some si -> resolve (si :: acc) rest
-            | None ->
-                Error
-                  (Printf.sprintf
-                     "trace entry (path %s, spawn %d) has no serial \
-                      counterpart: trace is not from this program"
-                     (path_to_string e.e_path) e.e_ord))
-      in
-      Result.map
-        (fun indices ->
-          Steal_spec.with_name
-            (Steal_spec.by_spawn_index ~policy:Steal_spec.Reduce_at_sync
-               indices)
-            (Printf.sprintf "online-trace(seed=%d,density=%g,steals=%d)"
-               t.seed t.density (List.length indices)))
-        (resolve [] t.entries)
+(* Per user frame of the no-steal run, its user children and its spawns'
+   global indices, each in serial order: an entry's path descends the
+   first from the root, its ordinal indexes the second. Frame ids count
+   up from the root in creation order; view-aware frames are no step of
+   a user path, and nor is anything below one. *)
+let to_spec (nosteal : Trace.t) =
+  let n = List.length nosteal.Trace.frames in
+  let user = Array.make n false in
+  let kids = Array.make n [] and spawns = Array.make n [] in
+  List.iter
+    (fun (fid, parent, _spawned, kind) ->
+      if kind = Tool.User_fn && (parent < 0 || user.(parent)) then begin
+        user.(fid) <- true;
+        if parent >= 0 then kids.(parent) <- fid :: kids.(parent)
+      end)
+    nosteal.Trace.frames;
+  List.iter
+    (fun { Trace.sp_index; sp_frame; _ } ->
+      spawns.(sp_frame) <- sp_index :: spawns.(sp_frame))
+    nosteal.Trace.spawns;
+  let in_order = Array.map (fun l -> Array.of_list (List.rev l)) in
+  let kids = in_order kids and spawns = in_order spawns in
+  let nth a i = if i >= 0 && i < Array.length a then Some a.(i) else None in
+  let rec descend frame = function
+    | [] -> Some frame
+    | ord :: rest -> Option.bind (nth kids.(frame) ord) (fun c -> descend c rest)
+  in
+  let resolve e =
+    Option.bind (descend 0 e.e_path) (fun f -> nth spawns.(f) e.e_ord)
+  in
+  fun t ->
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | e :: rest -> (
+          match resolve e with
+          | Some si -> go (si :: acc) rest
+          | None ->
+              Error
+                (Printf.sprintf
+                   "trace entry (path %s, spawn %d) has no serial \
+                    counterpart: trace is not from this program"
+                   (path_to_string e.e_path) e.e_ord))
+    in
+    Result.map
+      (fun indices ->
+        Steal_spec.by_spawn_index ~policy:Steal_spec.Reduce_at_sync
+          ~name:
+            (Printf.sprintf "online-trace(seed=%d,density=%g,steals=%d)" t.seed
+               t.density (List.length indices))
+          indices)
+      (go [] t.entries)

@@ -15,13 +15,13 @@
     - the spawn's {e per-frame ordinal}: how many spawns the frame had
       performed before this one, across all its sync blocks.
 
-    [to_spec] replays the program serially once (recorded, no steals),
-    rebuilds every frame's user path from its decoded trace, maps each trace
-    entry to its global spawn index, and returns the equivalent
-    [Steal_spec.by_spawn_index] specification under the at-sync reduce
-    policy (the online runtime merges regions only at syncs) — so every
-    online run can be re-checked deterministically by the serial SP+
-    detector under exactly the schedule the runtime realized. *)
+    [to_spec] indexes the recorded no-steal run of the program by those
+    coordinates and maps each trace entry to its global spawn index: the
+    equivalent [Steal_spec.by_spawn_index] specification under the
+    at-sync reduce policy (the online runtime merges regions only at
+    syncs). Every online run can therefore be judged deterministically by
+    the serial detectors under exactly the schedule the runtime
+    realized. *)
 
 type entry = {
   e_path : int list;  (** user-child ordinals, root → spawning frame *)
@@ -46,12 +46,12 @@ val n_steals : t -> int
     artifacts. A human-readable record: nothing reads it back. *)
 val to_string : t -> string
 
-(** [to_spec trace program] is the serial steal specification stealing
+(** [to_spec nosteal trace] is the serial steal specification stealing
     exactly [trace]'s continuations, with [`Reduce_at_sync`] policy, or
-    [Error] if an entry names a frame or spawn the serial execution does
-    not have (a trace from a different program), or if the profiling
-    replay itself fails. *)
-val to_spec :
-  t ->
-  (Rader_runtime.Engine.ctx -> 'a) ->
-  (Rader_runtime.Steal_spec.t, string) result
+    [Error] if an entry names a frame or spawn that [nosteal] — the
+    decoded recording of the program's run under [Steal_spec.none] — does
+    not have (a trace from a different program). It runs nothing.
+    Partially applied, [to_spec nosteal] builds its index once, in
+    O(frames + spawns); each trace then costs the length of its entries'
+    paths. *)
+val to_spec : Trace.t -> t -> (Rader_runtime.Steal_spec.t, string) result

@@ -15,7 +15,7 @@ let parse = function
 let doc_alts = "dset|depa"
 
 (* ---------------------------------------------------------------------- *)
-(* Fork-path fingerprints (shared by the depa backends).
+(* Fork-path fingerprints (the depa [Sp] backend).
 
    A frame's fingerprint is the sequence of child ordinals along its path
    from the root, each ordinal [i] encoded as the Elias-gamma code of
@@ -69,9 +69,6 @@ let fp_ncodes h = h lsr 32
 let fp_nwords h = (h lsr 8) land 0xFF_FFFF
 let fp_len h = 1 + (3 * fp_nwords h)
 
-(* The root's (empty) fingerprint: a header with no codes and no words. *)
-let fp_root = [| 0 |]
-
 (* Append ordinal [ord]'s code to the fingerprint at [a.(0)]; [a] must
    have room for one more word. *)
 let fp_push a ~ord =
@@ -107,14 +104,6 @@ let fp_pop a h =
     a.(w + 1) <- a.(w + 1) land keep
   end
 
-(* A fresh immutable fingerprint: [fp] extended by ordinal [ord]. *)
-let fp_extend fp ~ord =
-  let len = fp_len fp.(0) in
-  let a = Array.make (len + 3) 0 in
-  Array.blit fp 0 a 0 len;
-  fp_push a ~ord;
-  a
-
 (* Ordinal of the code starting at the single set bit [s] of word [w]:
    the code is [z] zeros then the [z+1]-bit value, so its last bit sits
    as far below the leading 1 as the leading 1 sits below [s]. *)
@@ -126,7 +115,10 @@ let decode w s =
 (* [divergence a oa b ob] relates path [a] (the slice at [a.(oa)]) to
    path [b]: [-1] iff [a]'s codes are a prefix of [b]'s (ancestor-or-
    self), else [(level lsl ord_bits) lor ord] for the first level where
-   the paths differ and [a]'s child ordinal there. Counts one query and
+   the paths differ and [a]'s child ordinal there. Where they differ,
+   [a]'s ordinal must be the smaller — [a] lies in an earlier sibling
+   subtree, the only case [Sp] asks about — so [a]'s code there is no
+   longer than [b]'s and starts in the same word. Counts one query and
    the words compared. *)
 let divergence a oa b ob =
   let ha = a.(oa) and hb = b.(ob) in
@@ -157,192 +149,10 @@ let divergence a oa b ob =
     if level >= fp_ncodes ha then -1 (* [a] ended where [b] went on *)
     else begin
       let s = starts land (- starts) in
-      let ord =
-        if a.(p + 1) land s <> 0 then decode wa s
-        else (* [a]'s code did not fit here: it opens word [j+1] *)
-          decode a.(p + 3) (1 lsl (word_bits - 1))
-      in
-      (level lsl ord_bits) lor ord
+      assert (a.(p + 1) land s <> 0);
+      (level lsl ord_bits) lor decode wa s
     end
   end
-
-(* ---------------------------------------------------------------------- *)
-
-(* Pairwise structural precedence for the online runtime.
-
-   The serially-anchored backends below ([Sp], [Peer]) classify a
-   recorded frame against "the current strand" of one depth-first serial
-   execution — a notion that does not exist when many workers execute the
-   SP tree at once. [Fp] instead relates two arbitrary {e points} of the
-   computation from immutable per-frame records: each frame stores its
-   fork-path fingerprint plus the coordinates of its creation edge
-   (ordinal, spawned?, parent's sync block and in-frame sequence number),
-   and every access captures its frame, block, sequence number, view
-   region and chain-spawn stamp. Records are written once, by the frame's
-   creator, before any other worker can see them, so queries from
-   concurrent domains race with nothing — the reason the mutating [dset]
-   machinery is unusable online.
-
-   For a fully strict program, two points [a] (serially earlier) and [b]
-   are logically parallel iff, at their least common ancestor frame [L],
-   [a] lies strictly inside a {e spawned} child subtree of [L] whose
-   creation edge belongs to the same sync block of [L] as [b]'s side —
-   i.e. [L] has not yet passed the sync that joins [a]'s subtree when [b]
-   runs. The fingerprint divergence locates [L] in O(⌈depth/62⌉) word
-   compares; two bounded parent walks then fetch the edge records. *)
-
-module Fp = struct
-  type frame = {
-    f_fp : int array; (* fingerprint slice at offset 0, never mutated *)
-    f_parent : frame option;
-    f_depth : int;
-    f_spawned : bool;  (* creation edge: spawned (vs called) child *)
-    f_block : int;  (* parent's sync block at creation *)
-    f_seq : int;  (* parent's in-frame sequence number at creation *)
-    f_rid_entry : int;  (* view region the child starts in *)
-    f_cum_entry : int;
-        (* chain-spawn stamp just after this edge: parent's stamp plus
-           every spawn the parent had performed, including this edge's own
-           spawn when [f_spawned] *)
-  }
-
-  let root () =
-    {
-      f_fp = fp_root;
-      f_parent = None;
-      f_depth = 0;
-      f_spawned = false;
-      f_block = 0;
-      f_seq = 0;
-      f_rid_entry = 0;
-      f_cum_entry = 0;
-    }
-
-  let child parent ~ord ~spawned ~block ~seq ~rid_entry ~cum_entry =
-    {
-      f_fp = fp_extend parent.f_fp ~ord;
-      f_parent = Some parent;
-      f_depth = parent.f_depth + 1;
-      f_spawned = spawned;
-      f_block = block;
-      f_seq = seq;
-      f_rid_entry = rid_entry;
-      f_cum_entry = cum_entry;
-    }
-
-  let depth f = f.f_depth
-
-  type point = {
-    p_frame : frame;
-    p_block : int;  (* frame's sync block at the access *)
-    p_seq : int;  (* frame's sequence number at the access *)
-    p_rid : int;  (* view region at the access *)
-    p_cum : int;  (* chain-spawn stamp at the access *)
-  }
-
-  type verdict =
-    | Parallel of { a_before_b : bool; earlier_entry_rid : int }
-        (* [earlier_entry_rid]: entry region of the serially-earlier
-           point's child edge at the LCA — the region its whole subtree
-           has been folded back into by the time the later point runs
-           under the at-sync reduce policy, i.e. the surviving view id
-           the serial SP+ comparison sees. *)
-    | Serial of { a_before_b : bool; spawns_between_lb : int }
-        (* [spawns_between_lb]: a sound lower bound on the number of
-           spawns serially between the two points (chain spawns only —
-           spawns inside the earlier point's completed subtree are not
-           counted), used for the Peer-Set Lemma-3 spawn-count test. *)
-
-  let rec ancestor_at fr d =
-    if fr.f_depth = d then fr
-    else
-      match fr.f_parent with
-      | Some p -> ancestor_at p d
-      | None -> invalid_arg "Reach.Fp.ancestor_at: depth below root"
-
-  (* Relate an in-frame point of the LCA to a point below it through edge
-     [e]. In-frame coordinates at equal [f_seq] precede the edge: the
-     sequence number is bumped when the child is created, so an access
-     observing [seq = s] happened before the child whose edge records
-     [f_seq = s]. An in-frame point that precedes the edge is never
-     parallel to the subtree (the subtree is spawned after it). *)
-  let relate_inframe ~inframe_first pt e other_pt =
-    if pt.p_seq <= e.f_seq then
-      Serial
-        {
-          a_before_b = inframe_first;
-          spawns_between_lb = other_pt.p_cum - pt.p_cum;
-        }
-    else if e.f_spawned && e.f_block = pt.p_block then
-      Parallel
-        { a_before_b = not inframe_first; earlier_entry_rid = e.f_rid_entry }
-    else
-      Serial
-        {
-          a_before_b = not inframe_first;
-          spawns_between_lb = pt.p_cum - e.f_cum_entry;
-        }
-
-  let relate a b =
-    let fa = a.p_frame and fb = b.p_frame in
-    if fa == fb then
-      (* One frame executes its own statements serially. Equal sequence
-         numbers mean no child creation separated the two accesses; the
-         order is then immaterial to every client (identical coordinates),
-         so break the tie arbitrarily. *)
-      let a_first =
-        a.p_seq < b.p_seq || (a.p_seq = b.p_seq && a.p_cum <= b.p_cum)
-      in
-      let lo, hi = if a_first then (a, b) else (b, a) in
-      Serial { a_before_b = a_first; spawns_between_lb = hi.p_cum - lo.p_cum }
-    else begin
-      let d = divergence fa.f_fp 0 fb.f_fp 0 in
-      if d < 0 then
-        if fa.f_depth <= fb.f_depth then
-          (* [fa] is an ancestor of [fb]: the LCA is [fa] itself. *)
-          let e = ancestor_at fb (fa.f_depth + 1) in
-          relate_inframe ~inframe_first:true a e b
-        else
-          (* Equal-length distinct paths cannot happen (one frame record
-             per path); [fb] is an ancestor of [fa]. *)
-          let e = ancestor_at fa (fb.f_depth + 1) in
-          relate_inframe ~inframe_first:false b e a
-      else
-        let level = d lsr ord_bits in
-        if level >= fb.f_depth then
-          (* [divergence] is asymmetric: [fb] a strict ancestor of [fa]
-             comes back as a divergence at [fb]'s own depth, not as a
-             prefix. *)
-          let e = ancestor_at fa (fb.f_depth + 1) in
-          relate_inframe ~inframe_first:false b e a
-        else begin
-          let ea = ancestor_at fa (level + 1) in
-          let eb = ancestor_at fb (level + 1) in
-          (* Distinct children of one parent have distinct sequence
-             numbers. *)
-          let a_first = ea.f_seq < eb.f_seq in
-          let e_early, e_late, pt_late =
-            if a_first then (ea, eb, b) else (eb, ea, a)
-          in
-          if e_early.f_spawned && e_early.f_block = e_late.f_block then
-            Parallel
-              { a_before_b = a_first; earlier_entry_rid = e_early.f_rid_entry }
-          else
-            Serial
-              {
-                a_before_b = a_first;
-                spawns_between_lb = pt_late.p_cum - e_early.f_cum_entry;
-              }
-        end
-    end
-
-  (* [serial_before a b]: [a] strictly precedes [b] in the depth-first
-     serial order. Parallel points are ordered by their LCA edges — the
-     left subtree's strands all precede the right's serially. *)
-  let serial_before a b =
-    match relate a b with
-    | Serial { a_before_b; _ } | Parallel { a_before_b; _ } -> a_before_b
-end
 
 (* Flat union-find arena shared by the [dset] backends below.
 

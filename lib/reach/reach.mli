@@ -45,82 +45,6 @@ val parse : string -> (backend, string) result
 (** Cmdliner-friendly doc string: ["dset|depa"]. *)
 val doc_alts : string
 
-(** {2 Pairwise structural precedence (online runtime)}
-
-    The [Sp]/[Peer] cores below are {e serially anchored}: they classify a
-    recorded frame against "the current strand" of one depth-first replay,
-    mutating bags as execution advances — meaningless (and unsafe) when
-    several domains execute the SP tree at once. [Fp] relates {e two
-    arbitrary points} instead, entirely from immutable per-frame records
-    built on the [Depa] fork-path fingerprints: each record is written
-    once by the frame's creator before any other worker can reach it, so
-    concurrent queries race with nothing. This is the precedence oracle of
-    the online detector ([Rader_sched.Online]); the [dset] machinery stays
-    replay-only by construction. *)
-module Fp : sig
-  type frame
-  (** Immutable structural record of one user frame: fork-path
-      fingerprint, parent link, and creation-edge coordinates. *)
-
-  val root : unit -> frame
-
-  (** [child parent ~ord ~spawned ~block ~seq ~rid_entry ~cum_entry] is
-      the record of [parent]'s [ord]-th user child ([ord] counts both
-      spawned and called children), created while [parent] was in sync
-      block [block] at in-frame sequence number [seq] (the per-frame
-      counter bumped at every child creation), starting in view region
-      [rid_entry], with chain-spawn stamp [cum_entry] = parent's stamp +
-      parent's spawns so far {e including} this edge's own spawn when
-      [spawned]. Must be called by [parent]'s current executor (frame
-      bodies execute as one logical thread, so creation is race-free). *)
-  val child :
-    frame ->
-    ord:int ->
-    spawned:bool ->
-    block:int ->
-    seq:int ->
-    rid_entry:int ->
-    cum_entry:int ->
-    frame
-
-  val depth : frame -> int
-
-  type point = {
-    p_frame : frame;
-    p_block : int;  (** frame's sync block at the access *)
-    p_seq : int;  (** frame's sequence number at the access *)
-    p_rid : int;  (** view region at the access *)
-    p_cum : int;  (** chain-spawn stamp at the access *)
-  }
-  (** One access, as a structural coordinate. Capture is a few loads from
-      the current frame's counters; the captured value is immutable. *)
-
-  type verdict =
-    | Parallel of { a_before_b : bool; earlier_entry_rid : int }
-        (** Logically parallel. [a_before_b] is the serial (left-to-right)
-            order; [earlier_entry_rid] is the entry region of the earlier
-            point's child edge at the LCA — under the at-sync reduce
-            policy, exactly the surviving view the serial SP+ detector
-            compares against the later point's current region. *)
-    | Serial of { a_before_b : bool; spawns_between_lb : int }
-        (** In series. [spawns_between_lb] is a sound lower bound on the
-            spawns serially between the points (an under-approximation:
-            spawns inside the earlier point's completed subtree are not
-            visible from the coordinates) — the online stand-in for
-            Peer-Set's Lemma-3 spawn-count comparison. *)
-
-  (** [relate a b] classifies the pair from fingerprint divergence
-      (O(⌈depth/62⌉) word compares) plus two bounded parent walks to the
-      diverging edges. Symmetric: [relate b a] gives the mirrored
-      verdict. *)
-  val relate : point -> point -> verdict
-
-  (** [serial_before a b]: [a] strictly precedes [b] in depth-first serial
-      order (parallel pairs ordered by their LCA edges). A total order for
-      points with distinct coordinates. *)
-  val serial_before : point -> point -> bool
-end
-
 (** {2 SP+ precedence core}
 
     Owns the per-frame S/P classification state of the SP+ detector: the

@@ -90,7 +90,9 @@ type t = {
      installed work-stealing runtime instead of the serial interpreter.
      The serial path is untouched (one [None] branch per call). *)
   mutable online : online_ops option;
-  contract_mu : Mutex.t; (* contract log guard; contended only online *)
+  shell_mu : Mutex.t;
+      (* guards the registry, the reducer merges and the contract log
+         against concurrent online workers; the serial path never takes it *)
 }
 
 and ctx = { eng : t; fid : int; depth : int; ost : Obj.t }
@@ -104,15 +106,9 @@ and online_ops = {
   oo_get : 'a. ctx -> 'a future -> 'a;
   oo_sync : ctx -> unit;
   oo_call : 'a. ctx -> (ctx -> 'a) -> 'a;
-  oo_run_aux : 'a. reducer:int -> ctx -> Tool.frame_kind -> (ctx -> 'a) -> 'a;
-  oo_emit_read : ctx -> int -> unit;
-  oo_emit_write : ctx -> int -> unit;
-  oo_emit_reducer_read : ctx -> int -> unit;
-  oo_register_reducer :
-    merge:(ctx -> from_region:int -> into_region:int -> unit) -> int;
-  oo_alloc_locs : label:string -> int -> int;
+  oo_run_aux : 'a. ctx -> Tool.frame_kind -> (ctx -> 'a) -> 'a;
+  oo_event : unit -> unit;
   oo_current_region : ctx -> int;
-  oo_current_frame : ctx -> int;
   oo_view_find : ctx -> region:int -> reducer:int -> Obj.t option;
   oo_view_set : ctx -> region:int -> reducer:int -> Obj.t -> unit;
 }
@@ -161,11 +157,14 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     c_writes = 0;
     c_reducer_reads = 0;
     online = None;
-    contract_mu = Mutex.create ();
+    shell_mu = Mutex.create ();
   }
 
+(* An engine runs one tool: replacing an installed detector would leave
+   it attached yet deaf, reporting nothing. *)
 let set_tool t tool =
   if t.state <> Fresh then err "Engine.set_tool: engine already running";
+  if t.tool != Tool.null then err "Engine.set_tool: a tool is already installed";
   t.tool <- tool
 
 (* Recycle an engine for another run: every counter and the tape go back
@@ -550,9 +549,7 @@ let unwind t =
 
 (* Mutex-guarded: online reducer self-checks report from worker domains. *)
 let report_contract_violation t cv =
-  Mutex.lock t.contract_mu;
-  t.contract_log <- cv :: t.contract_log;
-  Mutex.unlock t.contract_mu
+  Mutex.protect t.shell_mu (fun () -> t.contract_log <- cv :: t.contract_log)
 let contract_violations t = List.rev t.contract_log
 
 (* Post-run spec check: if the spec never fired and its shape names
@@ -608,11 +605,6 @@ let run_result t main =
 
 let engine ctx = ctx.eng
 
-let current_frame ctx =
-  match ctx.eng.online with
-  | Some o -> o.oo_current_frame ctx
-  | None -> ctx.fid
-
 let current_strand t = t.strand_counter - 1
 
 let current_region ctx =
@@ -643,8 +635,9 @@ let tape t = if t.record then Some (Dynarr.to_array t.tape) else None
 
 let alloc_locs t ~label n =
   match t.online with
-  | Some o -> o.oo_alloc_locs ~label n
   | None -> Loc.alloc_range t.registry ~label n
+  | Some _ ->
+      Mutex.protect t.shell_mu (fun () -> Loc.alloc_range t.registry ~label n)
 
 (* One instrumented access, delivered to the tool as it is accepted. *)
 let serial_emit_access ctx ~write loc =
@@ -665,12 +658,12 @@ let serial_emit_access ctx ~write loc =
 
 let emit_read ctx loc =
   match ctx.eng.online with
-  | Some o -> o.oo_emit_read ctx loc
+  | Some o -> o.oo_event ()
   | None -> serial_emit_access ctx ~write:false loc
 
 let emit_write ctx loc =
   match ctx.eng.online with
-  | Some o -> o.oo_emit_write ctx loc
+  | Some o -> o.oo_event ()
   | None -> serial_emit_access ctx ~write:true loc
 
 let serial_emit_reducer_read ctx reducer =
@@ -682,7 +675,7 @@ let serial_emit_reducer_read ctx reducer =
 
 let emit_reducer_read ctx reducer =
   match ctx.eng.online with
-  | Some o -> o.oo_emit_reducer_read ctx reducer
+  | Some o -> o.oo_event ()
   | None -> serial_emit_reducer_read ctx reducer
 
 (* A view-aware frame runs exactly one strand: it can neither spawn nor
@@ -711,25 +704,27 @@ let serial_run_aux_frame ~reducer ctx kind f a =
 
 let run_aux_frame ~reducer ctx kind f a =
   match ctx.eng.online with
-  | Some o -> o.oo_run_aux ~reducer ctx kind (fun c -> f c a)
+  | Some o -> o.oo_run_aux ctx kind (fun c -> f c a)
   | None -> serial_run_aux_frame ~reducer ctx kind f a
+
+let push_merge t merge =
+  let id = Dynarr.length t.reducer_merges in
+  Dynarr.push t.reducer_merges merge;
+  id
 
 let register_reducer t ~merge =
   match t.online with
-  | Some o -> o.oo_register_reducer ~merge
-  | None ->
-      let id = Dynarr.length t.reducer_merges in
-      Dynarr.push t.reducer_merges merge;
-      id
+  | None -> push_merge t merge
+  | Some _ -> Mutex.protect t.shell_mu (fun () -> push_merge t merge)
 
 (* -------- online-runtime hooks (see Rader_sched.Online) -------- *)
 
 (* The engine value doubles as the online run's shell: it owns the location
-   registry and labels, the contract log and the reducer-merge dispatch,
-   while every DSL entry point above forwards to the installed ops. The
-   shell never enters [Running] state — the online runtime drives frames
-   itself — so [loc_label], [contract_violations] and friends keep working
-   on it after the run. *)
+   registry and labels, the contract log and the registered reducer
+   merges, each behind [shell_mu], while the scheduling entry points above
+   forward to the installed ops. The shell never enters [Running] state —
+   the online runtime drives frames itself — so [loc_label],
+   [contract_violations] and friends keep working on it after the run. *)
 
 let set_online t ops =
   if t.state <> Fresh then err "Engine.set_online: engine already running";
@@ -739,6 +734,14 @@ let clear_online t = t.online <- None
 let is_online ctx = match ctx.eng.online with Some _ -> true | None -> false
 let online_ctx t ost = { eng = t; fid = -1; depth = -1; ost }
 let ctx_ost ctx = ctx.ost
+
+(* Workers register reducers concurrently, so iterate a snapshot. *)
+let online_merge ctx ~from_region ~into_region =
+  let t = ctx.eng in
+  let merges =
+    Mutex.protect t.shell_mu (fun () -> Dynarr.to_list t.reducer_merges)
+  in
+  List.iter (fun merge -> merge ctx ~from_region ~into_region) merges
 
 let online_view_find ctx ~region ~reducer =
   match ctx.eng.online with
@@ -755,7 +758,3 @@ let online_future_fill fut v = fut.value <- Some v
 let online_future_peek fut = fut.value
 let future_owner fut = fut.owner
 let future_born_block fut = fut.born_block
-
-(* Serial raw registry access, bypassing the online dispatch — the online
-   ops implement [oo_alloc_locs] with this under their own lock. *)
-let raw_alloc_locs t ~label n = Loc.alloc_range t.registry ~label n

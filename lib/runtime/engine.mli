@@ -77,7 +77,11 @@ val create :
   unit ->
   t
 
-(** [set_tool t tool] replaces the tool; only allowed before [run]. *)
+(** [set_tool t tool] installs the tool; only allowed before [run], on an
+    engine whose tool is still {!Tool.null}. An engine runs one tool: to
+    observe events alongside a detector, build one record whose callbacks
+    call both.
+    @raise Cilk_error if the engine is running or already has a tool. *)
 val set_tool : t -> Tool.t -> unit
 
 (** [reset t] recycles the engine for another run: observationally
@@ -171,7 +175,6 @@ type stats = {
 }
 
 val engine : ctx -> t
-val current_frame : ctx -> int
 val current_strand : t -> int
 
 (** [current_region ctx] is the view region the current strand operates on
@@ -235,28 +238,24 @@ val register_reducer :
     interpreter's bodies (one frame stack, one strand counter, serial
     region stacks), but user programs and the reducer library are written
     against {e this} module's DSL. [set_online] therefore installs an
-    {!online_ops} record on an engine value and every DSL entry point —
-    [spawn]/[sync]/[call]/[get]/[parallel_for], the emit hooks,
-    [run_aux_frame], [alloc_locs], [register_reducer], [current_region] /
-    [current_frame] — dispatches to it, so the same [(ctx -> 'a)] program
-    runs unchanged on OCaml 5 domains. The engine value then acts only as
-    the run's shell (location registry and labels, contract log); it never
-    enters the [Running] state. *)
+    {!online_ops} record on an engine value, and the DSL entry points
+    dispatch to it, so the same [(ctx -> 'a)] program runs unchanged on
+    OCaml 5 domains. The engine value then acts only as the run's shell:
+    it keeps the location registry and labels, the registered reducer
+    merges and the contract log, each safe to use from several domains,
+    and it never enters the [Running] state. No detector runs online: a
+    run's verdict is a serial replay of its steals. *)
 
 type online_ops = {
   oo_spawn : 'a. ctx -> (ctx -> 'a) -> 'a future;
   oo_get : 'a. ctx -> 'a future -> 'a;
   oo_sync : ctx -> unit;
   oo_call : 'a. ctx -> (ctx -> 'a) -> 'a;
-  oo_run_aux : 'a. reducer:int -> ctx -> Tool.frame_kind -> (ctx -> 'a) -> 'a;
-  oo_emit_read : ctx -> int -> unit;
-  oo_emit_write : ctx -> int -> unit;
-  oo_emit_reducer_read : ctx -> int -> unit;
-  oo_register_reducer :
-    merge:(ctx -> from_region:int -> into_region:int -> unit) -> int;
-  oo_alloc_locs : label:string -> int -> int;
+  oo_run_aux : 'a. ctx -> Tool.frame_kind -> (ctx -> 'a) -> 'a;
+      (** {!run_aux_frame}: runs the body under a view-aware context *)
+  oo_event : unit -> unit;
+      (** one instrumented access or reducer-read, for the event budget *)
   oo_current_region : ctx -> int;
-  oo_current_frame : ctx -> int;
   oo_view_find : ctx -> region:int -> reducer:int -> Obj.t option;
   oo_view_set : ctx -> region:int -> reducer:int -> Obj.t -> unit;
 }
@@ -280,6 +279,11 @@ val online_ctx : t -> Obj.t -> ctx
 
 val ctx_ost : ctx -> Obj.t
 
+(** [online_merge ctx ~from_region ~into_region] runs every registered
+    reducer's merge callback (see {!register_reducer}) — how the runtime
+    folds a dying region's views into the surviving one at a sync. *)
+val online_merge : ctx -> from_region:int -> into_region:int -> unit
+
 (** Per-region reducer-view storage, dispatched to the runtime (regions
     own their view tables online; the serial engine keeps views inside
     each reducer instead). Values are [Obj.t]-erased: each reducer id's
@@ -297,8 +301,3 @@ val online_future_fill : 'a future -> 'a -> unit
 val online_future_peek : 'a future -> 'a option
 val future_owner : 'a future -> int
 val future_born_block : 'a future -> int
-
-(** [raw_alloc_locs t ~label n] allocates from the registry directly,
-    bypassing online dispatch — how the online ops implement
-    [oo_alloc_locs] under their own lock. *)
-val raw_alloc_locs : t -> label:string -> int -> int

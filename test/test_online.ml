@@ -1,18 +1,21 @@
-(* Tests for the online work-stealing runtime (Rader_sched.Online).
+(* Tests for the online work-stealing runtime (Rader_sched.Online) and its
+   verdicts.
 
-   - soundness: the online verdict (determinacy locs and view-read
-     reducers) over several seeded runs must be a subset of the serial
-     ground truth — §7 exhaustive coverage for determinacy, one serial
-     Peer-Set run for view-reads (its verdict is schedule-independent) —
-     on generated programs, and every racy run's steal trace must convert
-     to a spec under which the serial detectors confirm the verdict;
+   - soundness: on generated programs, every run's verdict equals an SP+
+     replay under the run's own steal trace plus a no-steal Peer-Set run,
+     both written out here, and its determinacy locs are a subset of the
+     §7 exhaustive sweep's (ground truth over all schedules);
+     [Steal_trace.to_spec] maps traces to the spawn indices of its first,
+     path-hashing algorithm, kept here as the reference;
    - determinism: same (program, seed, density) ⇒ identical steal trace,
-     race summary and result, for every worker count;
+     verdict and result, for every worker count;
    - integrity: race-free demos compute the same value online as the
      serial engine (reducer views survive being split across regions);
+   - budgets: the runtime and the verdict each contain an exhausted event
+     budget or deadline;
    - soak: 256 randomized-seed runs over racy / crashing / budgeted
-     programs at workers ∈ {1,2,4}, each deadline-guarded, must all end
-     in a structured verdict or a contained failure. *)
+     programs at workers ∈ {1,2,4,8}, each deadline-guarded, must all end
+     in a verdict or a contained failure. *)
 
 open Rader_runtime
 open Rader_core
@@ -24,16 +27,8 @@ let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
-let cfg ?(workers = 2) ?(seed = 1) ?stripes ?max_events ?deadline () =
-  {
-    O.workers;
-    seed;
-    density = 0.5;
-    stripes;
-    max_events;
-    deadline;
-    clock = None;
-  }
+let cfg ?(workers = 2) ?(seed = 1) ?max_events ?deadline () =
+  { O.workers; seed; density = 0.5; max_events; deadline; clock = None }
 
 let kind_subjects races kind =
   List.filter_map
@@ -45,58 +40,152 @@ let subset a b = List.for_all (fun x -> List.mem x b) a
 
 let ints l = String.concat ";" (List.map string_of_int l)
 
+(* A verdict's racy subjects on one line, e.g.
+   ["determinacy=[3;7] view-read=[0]"]. *)
+let race_summary races =
+  Printf.sprintf "determinacy=[%s] view-read=[%s]"
+    (ints (kind_subjects races Report.Determinacy_race))
+    (ints (kind_subjects races Report.View_read_race))
+
 let demo name =
   match Demos.resolve ~scale:0.25 name with
   | Ok p -> p
   | Error m -> Alcotest.fail m
 
+let value_string = function
+  | Ok v -> Printf.sprintf "ok:%d" v
+  | Error f -> "contained:" ^ Diag.class_name f
+
+(* The verdict on a completed run, from a judge of its own. *)
+let verdict_of prog (out : O.outcome) =
+  match out.O.value with
+  | Error f -> Alcotest.failf "run contained: %s" (Diag.to_string f)
+  | Ok _ -> (
+      match O.verdict (O.judge prog) out.O.trace with
+      | Ok races -> races
+      | Error f -> Alcotest.failf "verdict contained: %s" (Diag.to_string f))
+
+(* ---------- trace -> spec: the reference algorithm ---------- *)
+
+(* [Steal_trace.to_spec]'s first algorithm: every user frame's path from
+   the root in a table keyed by frame, every (path, per-frame ordinal) in
+   a table keyed by the path itself. [None] if an entry has no spawn. *)
+let reference_indices (nosteal : Trace.t) (t : Steal_trace.t) =
+  let paths = Hashtbl.create 64 and next_ord = Hashtbl.create 64 in
+  List.iter
+    (fun (fid, parent, _spawned, kind) ->
+      if kind = Tool.User_fn then
+        if parent = -1 then Hashtbl.replace paths fid []
+        else
+          match Hashtbl.find_opt paths parent with
+          | None -> ()
+          | Some pp ->
+              let ord =
+                Option.value ~default:0 (Hashtbl.find_opt next_ord parent)
+              in
+              Hashtbl.replace next_ord parent (ord + 1);
+              Hashtbl.replace paths fid (pp @ [ ord ]))
+    nosteal.Trace.frames;
+  let spawn_ord = Hashtbl.create 64 and index = Hashtbl.create 64 in
+  List.iter
+    (fun { Trace.sp_index; sp_frame; _ } ->
+      let ord = Option.value ~default:0 (Hashtbl.find_opt spawn_ord sp_frame) in
+      Hashtbl.replace spawn_ord sp_frame (ord + 1);
+      match Hashtbl.find_opt paths sp_frame with
+      | None -> ()
+      | Some p -> Hashtbl.replace index (p, ord) sp_index)
+    nosteal.Trace.spawns;
+  let found =
+    List.map
+      (fun e -> Hashtbl.find_opt index (e.Steal_trace.e_path, e.Steal_trace.e_ord))
+      t.Steal_trace.entries
+  in
+  if List.mem None found then None else Some (List.filter_map Fun.id found)
+
+let record_nosteal prog =
+  let eng = Engine.create ~record:true () in
+  match Engine.run_result eng (fun ctx -> ignore (prog ctx)) with
+  | Ok () -> Trace.of_engine eng
+  | Error f -> Alcotest.failf "no-steal recording: %s" (Diag.to_string f)
+
+let spec_indices nosteal trace =
+  match Steal_trace.to_spec nosteal trace with
+  | Error _ -> None
+  | Ok spec -> (
+      match spec.Steal_spec.shape with
+      | Steal_spec.Spawn_indices idxs -> Some idxs
+      | _ -> Alcotest.fail "to_spec: not a spawn-index spec")
+
+let prop_to_spec_reference =
+  QCheck2.Test.make ~name:"to_spec = reference on generated programs" ~count:40
+    ~print:(fun (p, _) -> G.print p)
+    QCheck2.Gen.(
+      pair
+        (G.gen ~with_reducers:true ~racy:true)
+        (G.gen ~with_reducers:true ~racy:false))
+    (fun (p, q) ->
+      let prog = G.interpret p in
+      let own = record_nosteal prog
+      and other = record_nosteal (G.interpret q)
+      and spawn_free = record_nosteal (fun _ -> 0) in
+      List.for_all
+        (fun (seed, workers) ->
+          let out = O.run (cfg ~workers ~seed ()) prog in
+          let agree nosteal =
+            spec_indices nosteal out.O.trace = reference_indices nosteal out.O.trace
+          in
+          if not (agree own) then
+            QCheck2.Test.fail_reportf "seed=%d: indices differ from the reference"
+              seed
+          else if not (agree other) then
+            QCheck2.Test.fail_reportf
+              "seed=%d: another program's recording resolves differently" seed
+          else if
+            out.O.trace.Steal_trace.entries <> []
+            && spec_indices spawn_free out.O.trace <> None
+          then
+            QCheck2.Test.fail_reportf
+              "seed=%d: a spawn-free program resolved a steal" seed
+          else true)
+        [ (1, 1); (2, 2); (3, 2) ])
+
 (* ---------- soundness on generated programs ---------- *)
 
-(* Serial view-read ground truth: one Peer-Set run (the verdict is
-   defined on the user dag, independent of the steal spec). *)
-let serial_view_subjects prog =
-  let eng = Engine.create () in
-  let pe = Peer_set.attach eng in
-  ignore (Engine.run_result eng (fun ctx -> ignore (prog ctx)));
-  kind_subjects (Peer_set.races pe) Report.View_read_race
+(* The verdict written out: SP+ on a fresh engine under the run's steals,
+   mapped to spawn indices by the reference algorithm, plus Peer-Set on
+   a fresh no-steal engine. *)
+let replay prog (out : O.outcome) =
+  let run_on eng attach =
+    let d = attach eng in
+    match Engine.run_result eng (fun ctx -> ignore (prog ctx)) with
+    | Ok () -> d
+    | Error f -> Alcotest.failf "replay contained: %s" (Diag.to_string f)
+  in
+  match reference_indices (record_nosteal prog) out.O.trace with
+  | None -> Alcotest.fail "the run's trace has no serial counterpart"
+  | Some idxs ->
+      let spec =
+        Steal_spec.by_spawn_index ~policy:Steal_spec.Reduce_at_sync idxs
+      in
+      let sp = run_on (Engine.create ~spec ()) (fun e -> Sp_plus.attach e) in
+      let pe = run_on (Engine.create ()) (fun e -> Peer_set.attach e) in
+      List.sort
+        (fun a b ->
+          compare (a.Report.kind, a.Report.subject) (b.Report.kind, b.Report.subject))
+        (Sp_plus.races sp @ Peer_set.races pe)
 
-(* Serial re-check of one online run under its own realized schedule. *)
-let replay_confirms prog (out : O.outcome) =
-  match Steal_trace.to_spec out.O.trace prog with
-  | Error msg -> Error ("trace->spec failed: " ^ msg)
-  | Ok spec ->
-      let eng = Engine.create ~spec () in
-      let sp = Sp_plus.attach eng in
-      ignore (Engine.run_result eng (fun ctx -> ignore (prog ctx)));
-      let eng2 = Engine.create ~spec () in
-      let pe = Peer_set.attach eng2 in
-      ignore (Engine.run_result eng2 (fun ctx -> ignore (prog ctx)));
-      let o_det = kind_subjects out.O.races Report.Determinacy_race in
-      let o_view = kind_subjects out.O.races Report.View_read_race in
-      let s_det = Sp_plus.racy_locs sp in
-      let s_view = kind_subjects (Peer_set.races pe) Report.View_read_race in
-      if subset o_det s_det && subset o_view s_view then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "online det=[%s] view=[%s] not confirmed by replay det=[%s] \
-              view=[%s]"
-             (ints o_det) (ints o_view) (ints s_det) (ints s_view))
-
-let prop_online_subset_of_exhaustive ~racy ~count =
+let prop_verdict_is_replay ~racy ~count =
   QCheck2.Test.make
     ~name:
-      (Printf.sprintf "online ⊆ exhaustive + serial Peer-Set (racy=%b)" racy)
+      (Printf.sprintf "online verdict = replay, ⊆ exhaustive (racy=%b)" racy)
     ~count ~print:G.print
     (G.gen ~with_reducers:true ~racy)
     (fun p ->
       QCheck2.assume (G.max_local_spawns p <= 4);
       let prog = G.interpret p in
-      let truth =
-        Coverage.exhaustive_check ~max_events:200_000 prog
-      in
+      let truth = Coverage.exhaustive_check ~max_events:200_000 prog in
       let det_truth = truth.Coverage.racy_locs in
-      let view_truth = serial_view_subjects prog in
+      let judge = O.judge prog in
       List.for_all
         (fun (seed, workers) ->
           let out =
@@ -106,32 +195,37 @@ let prop_online_subset_of_exhaustive ~racy ~count =
                  ())
               prog
           in
-          let o_det = kind_subjects out.O.races Report.Determinacy_race in
-          let o_view = kind_subjects out.O.races Report.View_read_race in
-          if not (subset o_det det_truth) then
+          let races =
+            match out.O.value with
+            | Error f ->
+                QCheck2.Test.fail_reportf "seed=%d workers=%d: run contained: %s"
+                  seed workers (Diag.to_string f)
+            | Ok _ -> (
+                match O.verdict ~max_events:200_000 judge out.O.trace with
+                | Ok races -> races
+                | Error f ->
+                    QCheck2.Test.fail_reportf
+                      "seed=%d workers=%d: verdict contained: %s" seed workers
+                      (Diag.to_string f))
+          in
+          let expected = replay prog out in
+          let o_det = kind_subjects races Report.Determinacy_race in
+          if races <> expected then
+            QCheck2.Test.fail_reportf
+              "seed=%d workers=%d: verdict %s <> replay %s" seed workers
+              (race_summary races) (race_summary expected)
+          else if not (subset o_det det_truth) then
             QCheck2.Test.fail_reportf
               "seed=%d workers=%d: online determinacy [%s] ⊄ exhaustive [%s]"
               seed workers (ints o_det) (ints det_truth)
-          else if not (subset o_view view_truth) then
-            QCheck2.Test.fail_reportf
-              "seed=%d workers=%d: online view-read [%s] ⊄ serial [%s]" seed
-              workers (ints o_view) (ints view_truth)
-          else if out.O.races <> [] then (
-            match replay_confirms prog out with
-            | Ok () -> true
-            | Error msg ->
-                QCheck2.Test.fail_reportf "seed=%d workers=%d: %s" seed
-                  workers msg)
           else true)
         [ (1, 1); (2, 2); (3, 2) ])
 
 (* Locations and reducers created in parallel code get serial ids, not
    worker-arrival ids: the pfor iterations below create identity-view
-   cells in stolen regions on both workers. Every rerun must report the
-   same subjects as the one-worker run (which executes in serial order),
-   and those must be racy in the serial replay of the run's own steal
-   trace. (Online skips accesses inside [Reduce] callbacks, so the
-   replay may name more.) *)
+   cells in stolen regions on both workers. Every rerun's verdict must
+   name the same subjects as the one-worker run (which executes in
+   serial order). *)
 let pinned_alloc_race =
   {
     G.body =
@@ -149,16 +243,15 @@ let pinned_alloc_race =
 
 let test_parallel_alloc_ids () =
   let prog = G.interpret pinned_alloc_race in
-  let serial = O.run (cfg ~workers:1 ~seed:2 ()) prog in
+  let serial = verdict_of prog (O.run (cfg ~workers:1 ~seed:2 ()) prog) in
+  checkb "the pinned program races" true (serial <> []);
   for i = 1 to 10 do
     let out = O.run (cfg ~workers:2 ~seed:2 ()) prog in
     checks
       (Printf.sprintf "rerun %d: subjects = one-worker run" i)
-      (O.race_summary serial.O.races) (O.race_summary out.O.races)
-  done;
-  match replay_confirms prog serial with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+      (race_summary serial)
+      (race_summary (verdict_of prog out))
+  done
 
 (* ---------- determinism ---------- *)
 
@@ -171,22 +264,18 @@ let entries_string tr =
            e.Steal_trace.e_ord)
        tr.Steal_trace.entries)
 
-let value_string = function
-  | Ok v -> Printf.sprintf "ok:%d" v
-  | Error f -> "contained:" ^ Diag.class_name f
-
 let test_determinism () =
   List.iter
     (fun name ->
       let prog = demo name in
+      let summary out = race_summary (verdict_of prog out) in
       (* same seed twice at the same worker count: bit-identical *)
       let a = O.run (cfg ~workers:2 ~seed:5 ()) prog in
       let b = O.run (cfg ~workers:2 ~seed:5 ()) prog in
       checks (name ^ ": trace stable across reruns")
         (Steal_trace.to_string a.O.trace)
         (Steal_trace.to_string b.O.trace);
-      checks (name ^ ": verdict stable across reruns")
-        (O.race_summary a.O.races) (O.race_summary b.O.races);
+      checks (name ^ ": verdict stable across reruns") (summary a) (summary b);
       checks (name ^ ": value stable across reruns") (value_string a.O.value)
         (value_string b.O.value);
       (* the steal set, verdict and value are worker-count independent *)
@@ -199,7 +288,7 @@ let test_determinism () =
             (entries_string a.O.trace) (entries_string c.O.trace);
           checks
             (Printf.sprintf "%s: verdict identical at %d workers" name workers)
-            (O.race_summary a.O.races) (O.race_summary c.O.races);
+            (summary a) (summary c);
           checks
             (Printf.sprintf "%s: value identical at %d workers" name workers)
             (value_string a.O.value) (value_string c.O.value))
@@ -225,6 +314,7 @@ let test_value_integrity () =
         | Ok v -> v
         | Error f -> Alcotest.fail (name ^ " serial: " ^ Diag.to_string f)
       in
+      let judge = O.judge prog in
       List.iter
         (fun (workers, seed) ->
           let out = O.run (cfg ~workers ~seed ()) prog in
@@ -236,7 +326,9 @@ let test_value_integrity () =
             | Ok v -> v
             | Error f ->
                 Alcotest.fail (name ^ " online: " ^ Diag.to_string f));
-          check (name ^ ": race-free online") 0 (List.length out.O.races))
+          match O.verdict judge out.O.trace with
+          | Ok races -> check (name ^ ": race-free online") 0 (List.length races)
+          | Error f -> Alcotest.failf "%s verdict: %s" name (Diag.to_string f))
         [ (1, 1); (2, 1); (2, 9); (4, 3) ])
     [ "fig1-fixed"; "wordcount"; "minimax"; "nqueens" ]
 
@@ -244,16 +336,15 @@ let test_value_integrity () =
 
 let test_demo_races_found () =
   (* fib-racy: a structural determinacy race, found on every schedule *)
-  let out = O.run (cfg ~workers:2 ~seed:1 ()) (demo "fib-racy") in
-  checkb "fib-racy: determinacy race found online" true
-    (kind_subjects out.O.races Report.Determinacy_race <> []);
-  (match replay_confirms (demo "fib-racy") out with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail ("fib-racy replay: " ^ msg));
+  let prog = demo "fib-racy" in
+  let races = verdict_of prog (O.run (cfg ~workers:2 ~seed:1 ()) prog) in
+  checkb "fib-racy: determinacy race found" true
+    (kind_subjects races Report.Determinacy_race <> []);
   (* racy-read: the view-read race Peer-Set exists to catch *)
-  let out = O.run (cfg ~workers:2 ~seed:1 ()) (demo "racy-read") in
-  checkb "racy-read: view-read race found online" true
-    (kind_subjects out.O.races Report.View_read_race <> [])
+  let prog = demo "racy-read" in
+  let races = verdict_of prog (O.run (cfg ~workers:2 ~seed:1 ()) prog) in
+  checkb "racy-read: view-read race found" true
+    (kind_subjects races Report.View_read_race <> [])
 
 (* ---------- 256-run randomized soak ---------- *)
 
@@ -273,45 +364,51 @@ let crashing ctx =
 
 let test_soak () =
   let corpus =
-    [|
-      ("fib-racy", demo "fib-racy", None, `Races);
-      ("fig1-buggy", demo "fig1-buggy", None, `Maybe_races);
-      ("racy-read", demo "racy-read", None, `Races);
-      ("crashing", crashing, None, `Contained "user-program-exn");
-      ("budgeted", demo "fib-racy", Some 64, `Contained "budget-exceeded");
-    |]
+    Array.map
+      (fun (name, prog, max_events, expect) ->
+        (name, prog, O.judge prog, max_events, expect))
+      [|
+        ("fib-racy", demo "fib-racy", None, `Races);
+        ("fig1-buggy", demo "fig1-buggy", None, `Maybe_races);
+        ("racy-read", demo "racy-read", None, `Races);
+        ("crashing", crashing, None, `Contained "user-program-exn");
+        ("budgeted", demo "fib-racy", Some 64, `Contained "budget-exceeded");
+      |]
   in
   let workers_of = [| 1; 2; 4; 8 |] in
   let n_ok = ref 0 and n_contained = ref 0 and n_racy = ref 0 in
   for i = 0 to 255 do
-    let name, prog, max_events, expect = corpus.(i mod Array.length corpus) in
+    let name, prog, judge, max_events, expect =
+      corpus.(i mod Array.length corpus)
+    in
     let workers = workers_of.(i mod Array.length workers_of) in
     let seed = 1000 + i in
-    let out =
-      O.run
-        (cfg ~workers ~seed ?max_events
-           ~deadline:(Unix.gettimeofday () +. 30.)
-           ())
-        prog
-    in
+    let deadline = Unix.gettimeofday () +. 30. in
+    let out = O.run (cfg ~workers ~seed ?max_events ~deadline ()) prog in
     let tag = Printf.sprintf "soak %d (%s workers=%d seed=%d)" i name workers seed in
-    (match out.O.value with
-    | Ok _ ->
-        incr n_ok;
-        (match expect with
-        | `Contained cls ->
-            Alcotest.failf "%s: expected contained %s, got Ok" tag cls
-        | _ -> ())
-    | Error f -> (
-        incr n_contained;
-        match expect with
-        | `Contained cls -> checks (tag ^ ": failure class") cls (Diag.class_name f)
-        | _ -> Alcotest.failf "%s: unexpected failure %s" tag (Diag.to_string f)));
-    if out.O.races <> [] then incr n_racy;
-    (match expect with
-    | `Races ->
-        checkb (tag ^ ": races detected") true (out.O.races <> [])
-    | _ -> ())
+    let races =
+      match out.O.value with
+      | Ok _ -> (
+          incr n_ok;
+          (match expect with
+          | `Contained cls ->
+              Alcotest.failf "%s: expected contained %s, got Ok" tag cls
+          | _ -> ());
+          match O.verdict ?max_events ~deadline judge out.O.trace with
+          | Ok races -> races
+          | Error f -> Alcotest.failf "%s: verdict contained: %s" tag (Diag.to_string f))
+      | Error f -> (
+          incr n_contained;
+          match expect with
+          | `Contained cls ->
+              checks (tag ^ ": failure class") cls (Diag.class_name f);
+              []
+          | _ -> Alcotest.failf "%s: unexpected failure %s" tag (Diag.to_string f))
+    in
+    if races <> [] then incr n_racy;
+    match expect with
+    | `Races -> checkb (tag ^ ": races detected") true (races <> [])
+    | _ -> ()
   done;
   checkb "soak: both clean and contained outcomes exercised" true
     (!n_ok > 0 && !n_contained > 0 && !n_racy > 0)
@@ -334,85 +431,41 @@ let test_budget_containment () =
   | Error f -> Alcotest.failf "wrong failure: %s" (Diag.to_string f)
   | Ok _ -> Alcotest.fail "expired deadline did not stop the run"
 
-(* ---------- endpoint attribution ---------- *)
-
-(* Online reports must carry the frame/strand ids of a serial replay of
-   the recorded steal trace: each endpoint must name a recorded access
-   (or reducer-read) of the subject at exactly those ids in the replay. *)
-let test_endpoint_attribution () =
-  let checked = ref 0 in
-  List.iter
-    (fun (name, seed) ->
-      let prog = demo name in
-      let out = O.run (cfg ~workers:2 ~seed ()) prog in
-      let spec =
-        match Steal_trace.to_spec out.O.trace prog with
-        | Ok s -> s
-        | Error m -> Alcotest.failf "%s: trace->spec: %s" name m
-      in
-      let eng = Engine.create ~spec ~record:true () in
-      ignore (Engine.run_result eng (fun ctx -> ignore (prog ctx)));
-      let tr = Trace.of_engine eng in
-      let stats = Engine.stats eng in
-      List.iter
-        (fun r ->
-          incr checked;
-          let tag =
-            Printf.sprintf "%s seed=%d subject=%d" name seed r.Report.subject
-          in
-          checkb (tag ^ ": endpoints attributed") true
-            (r.Report.first_frame >= 0
-            && r.Report.second_frame >= 0
-            && r.Report.second_strand >= 0);
-          match r.Report.kind with
-          | Report.Determinacy_race ->
-              checkb (tag ^ ": first endpoint is a recorded access") true
-                (List.exists
-                   (fun a ->
-                     a.Trace.a_loc = r.Report.subject
-                     && a.Trace.a_frame = r.Report.first_frame
-                     && a.Trace.a_is_write
-                        = (r.Report.first_access = Report.Write))
-                   tr.Trace.accesses);
-              checkb (tag ^ ": second endpoint is a recorded access") true
-                (List.exists
-                   (fun a ->
-                     a.Trace.a_loc = r.Report.subject
-                     && a.Trace.a_frame = r.Report.second_frame
-                     && a.Trace.a_strand = r.Report.second_strand
-                     && a.Trace.a_is_write
-                        = (r.Report.second_access = Report.Write))
-                   tr.Trace.accesses)
-          | Report.View_read_race ->
-              checkb (tag ^ ": second endpoint is a recorded reducer-read")
-                true
-                (List.mem
-                   (r.Report.subject, r.Report.second_strand)
-                   tr.Trace.reducer_reads);
-              checkb (tag ^ ": first frame in replay range") true
-                (r.Report.first_frame < stats.Engine.n_frames))
-        out.O.races)
-    [ ("fig1-buggy", 3); ("racy-read", 5); ("fib-racy", 2) ];
-  checkb "some races attributed" true (!checked > 0)
-
-(* ---------- stripes ---------- *)
-
-(* Striping only moves mutexes around; any width must produce the same
-   verdict, and non-power-of-two widths round up. *)
-let test_stripes () =
-  let prog = demo "racy-read" in
-  let base = O.run (cfg ~workers:2 ~seed:5 ()) prog in
-  List.iter
-    (fun s ->
-      let out = O.run (cfg ~workers:2 ~seed:5 ~stripes:s ()) prog in
-      checks
-        (Printf.sprintf "stripes=%d verdict" s)
-        (O.race_summary base.O.races)
-        (O.race_summary out.O.races))
-    [ 1; 3; 256 ];
-  Alcotest.check_raises "stripes < 1 rejected"
-    (Invalid_argument "Online.run: stripes must be >= 1") (fun () ->
-      ignore (O.run (cfg ~stripes:0 ()) prog))
+(* The verdict's serial runs honour the same budgets, contained: first
+   the no-steal recording (a judge that has recorded nothing yet), then
+   the SP+ replay of a steal set not judged before. A trace of another
+   program gets no verdict. *)
+let test_verdict_budgets () =
+  let prog = demo "fib-racy" in
+  let trace seed = (O.run (cfg ~workers:2 ~seed ()) prog).O.trace in
+  let expect what want = function
+    | Error (Fault.Budget_exceeded b) when want b -> ()
+    | Error f -> Alcotest.failf "%s: wrong failure: %s" what (Diag.to_string f)
+    | Ok _ -> Alcotest.failf "%s: the verdict ignored its budget" what
+  in
+  let judge = O.judge prog in
+  expect "expired deadline"
+    (function Fault.Deadline _ -> true | _ -> false)
+    (O.verdict ~deadline:1.0 judge (trace 1));
+  expect "small max_events"
+    (( = ) (Fault.Max_events 64))
+    (O.verdict ~max_events:64 judge (trace 1));
+  (match O.verdict judge (trace 1) with
+  | Ok races -> checkb "unbudgeted verdict finds the race" true (races <> [])
+  | Error f -> Alcotest.failf "unbudgeted verdict: %s" (Diag.to_string f));
+  checkb "another seed, another steal set" false
+    ((trace 1).Steal_trace.entries = (trace 2).Steal_trace.entries);
+  expect "small max_events, SP+ replay"
+    (( = ) (Fault.Max_events 64))
+    (O.verdict ~max_events:64 judge (trace 2));
+  let foreign =
+    Steal_trace.make ~workers:1 ~seed:0 ~density:0.5
+      [ { Steal_trace.e_path = [ 99; 99 ]; e_ord = 0 } ]
+  in
+  match O.verdict judge foreign with
+  | Error (Fault.Invalid_steal_spec _) -> ()
+  | Error f -> Alcotest.failf "foreign trace: wrong failure: %s" (Diag.to_string f)
+  | Ok _ -> Alcotest.fail "a trace of another program got a verdict"
 
 let test_config_validation () =
   let prog = demo "fib-racy" in
@@ -423,8 +476,9 @@ let test_config_validation () =
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_online_subset_of_exhaustive ~racy:true ~count:25;
-      prop_online_subset_of_exhaustive ~racy:false ~count:25;
+      prop_verdict_is_replay ~racy:true ~count:25;
+      prop_verdict_is_replay ~racy:false ~count:25;
+      prop_to_spec_reference;
     ]
 
 let () =
@@ -440,9 +494,6 @@ let () =
         ] );
       ( "attribution",
         [
-          Alcotest.test_case "endpoints match serial replay" `Quick
-            test_endpoint_attribution;
-          Alcotest.test_case "stripes invariance" `Quick test_stripes;
           Alcotest.test_case "parallel allocations get serial ids" `Quick
             test_parallel_alloc_ids;
         ] );
@@ -450,6 +501,8 @@ let () =
         [
           Alcotest.test_case "256 randomized runs" `Slow test_soak;
           Alcotest.test_case "budgets contained" `Quick test_budget_containment;
+          Alcotest.test_case "verdict honours budgets" `Quick
+            test_verdict_budgets;
           Alcotest.test_case "config validation" `Quick test_config_validation;
         ] );
     ]

@@ -213,103 +213,6 @@ let prop_sp_backends_agree_deep =
       | None -> true
       | Some msg -> QCheck2.Test.fail_reportf "backends disagree: %s" msg)
 
-(* [Fp.relate] on arbitrary pairs of frames of a random deep, wide tree,
-   against an oracle that finds the lowest common ancestor by walking
-   parent links instead of comparing fingerprints. Unlike the serial
-   backend, which only ever meets earlier siblings, either side here can
-   hold the longer code at the diverging level, so every layout case of
-   the fingerprint comparison is reached. Points sit at frame entry. *)
-type tree_node = {
-  fr : Reach.Fp.frame;
-  parent : int; (* index of the parent node, -1 at the root *)
-  depth : int;
-  seq : int; (* creation edge: the parent's child ordinal *)
-  block : int;
-  spawned : bool;
-  mutable children : int;
-  mutable cur_block : int; (* the node's own sync block *)
-}
-
-let fp_tree_relate seed =
-  let rng = Random.State.make [| seed |] in
-  let nodes = Dynarr.create () in
-  let node fr ~parent ~depth ~seq ~block ~spawned =
-    Dynarr.push nodes
-      { fr; parent; depth; seq; block; spawned; children = 0; cur_block = 0 }
-  in
-  node (Reach.Fp.root ()) ~parent:(-1) ~depth:0 ~seq:0 ~block:0 ~spawned:false;
-  let add_child p =
-    let pn = Dynarr.get nodes p in
-    let ord = pn.children and block = pn.cur_block and spawned = Random.State.bool rng in
-    pn.children <- ord + 1;
-    node
-      (Reach.Fp.child pn.fr ~ord ~spawned ~block ~seq:ord ~rid_entry:0 ~cum_entry:0)
-      ~parent:p ~depth:(pn.depth + 1) ~seq:ord ~block ~spawned;
-    Dynarr.length nodes - 1
-  in
-  let cur = ref 0 in
-  for _ = 1 to 600 do
-    match Random.State.int rng 6 with
-    | 0 | 1 when (Dynarr.get nodes !cur).depth < 70 -> cur := add_child !cur
-    | 2 ->
-        for _ = 1 to Random.State.int rng 120 do
-          ignore (add_child !cur)
-        done
-    | 3 ->
-        let cn = Dynarr.get nodes !cur in
-        cn.cur_block <- cn.cur_block + 1
-    | 4 -> cur := max 0 (Dynarr.get nodes !cur).parent
-    | _ -> cur := Random.State.int rng (Dynarr.length nodes)
-  done;
-  let n = Dynarr.length nodes in
-  let get = Dynarr.get nodes in
-  (* [i]'s ancestor at depth [d] *)
-  let rec up i d = if (get i).depth > d then up (get i).parent d else i in
-  let expected i j =
-    let ni = get i and nj = get j in
-    if up j ni.depth = i then `Serial true
-    else if up i nj.depth = j then `Serial false
-    else begin
-      let rec lca x y = if x = y then x else lca (get x).parent (get y).parent in
-      let d = min ni.depth nj.depth in
-      let l = lca (up i d) (up j d) in
-      let ld = (get l).depth in
-      let ei = get (up i (ld + 1)) and ej = get (up j (ld + 1)) in
-      let i_first = ei.seq < ej.seq in
-      let early, late = if i_first then (ei, ej) else (ej, ei) in
-      if early.spawned && early.block = late.block then `Parallel i_first
-      else `Serial i_first
-    end
-  in
-  let point i =
-    { Reach.Fp.p_frame = (get i).fr; p_block = 0; p_seq = 0; p_rid = 0; p_cum = 0 }
-  in
-  let failure = ref None in
-  for _ = 1 to 2000 do
-    let i = Random.State.int rng n and j = Random.State.int rng n in
-    if i <> j && !failure = None then begin
-      let got =
-        match Reach.Fp.relate (point i) (point j) with
-        | Reach.Fp.Parallel { a_before_b; _ } -> `Parallel a_before_b
-        | Reach.Fp.Serial { a_before_b; _ } -> `Serial a_before_b
-      in
-      if got <> expected i j then
-        failure :=
-          Some
-            (Printf.sprintf "nodes %d (depth %d) and %d (depth %d)" i
-               (get i).depth j (get j).depth)
-    end
-  done;
-  !failure
-
-let prop_fp_relate_deep =
-  QCheck2.Test.make ~name:"Fp.relate = parent-walk LCA on deep, wide trees" ~count:60
-    ~print:string_of_int QCheck2.Gen.int
-    (fun seed ->
-      match fp_tree_relate seed with
-      | None -> true
-      | Some msg -> QCheck2.Test.fail_reportf "relate disagrees: %s" msg)
-
 (* The same mirror noting as the SP+ hot path does: every accessing frame
    is noted, and only noted frames are compared.
    Each structural hook must also be exact: both backends report a change
@@ -554,7 +457,6 @@ let () =
       [
         prop_sp_backends_agree;
         prop_sp_backends_agree_deep;
-        prop_fp_relate_deep;
         prop_sp_lazy_backends_agree;
         prop_memo_parity;
         prop_sp_plus_verdicts_identical;

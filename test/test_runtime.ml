@@ -794,6 +794,18 @@ module Obs = Rader_obs.Obs
 (* Steal specifications for the generated-program properties below:
    serial, every continuation stolen (eager and at-sync reduces),
    Bernoulli, and explicit local indices. *)
+(* An engine runs one tool. A second attach would leave the first
+   detector installed in name only, deaf to every event, so it raises,
+   and the first keeps its engine. *)
+let test_second_tool_rejected () =
+  let eng = Engine.create ~spec:(tool_spec ()) () in
+  let sp = Sp_plus.attach eng in
+  (match Peer_set.attach eng with
+  | _ -> Alcotest.fail "a second tool was installed over SP+"
+  | exception Engine.Cilk_error _ -> ());
+  ignore (Engine.run eng tool_prog);
+  checkb "SP+ still sees the run" true (Sp_plus.races sp <> [])
+
 let tool_specs =
   [
     Steal_spec.none;
@@ -1029,6 +1041,8 @@ let () =
           Alcotest.test_case "tool composition" `Quick test_tool_composition;
           Alcotest.test_case "detector records built once" `Quick
             test_records_built_once;
+          Alcotest.test_case "a second tool is rejected" `Quick
+            test_second_tool_rejected;
           QCheck_alcotest.to_alcotest prop_reports_name_recorded_accesses;
           QCheck_alcotest.to_alcotest prop_composed_observer_changes_nothing;
         ] );
