@@ -917,7 +917,7 @@ let s9_print s9rows =
    deques, view regions — at 1/2/4 worker domains, and beside it the
    run's verdict: the serial detectors under its steals (a no-steal
    Peer-Set recording plus one SP+ replay, timed with a fresh judge per
-   repetition so nothing is memoised). The structural steal set is a
+   repetition so each one records). The structural steal set is a
    pure function of (program, seed, density), so every row judges the
    same steals; what varies across rows is only genuine parallel
    execution. *)

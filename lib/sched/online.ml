@@ -514,7 +514,6 @@ type judge = {
   (* the no-steal recording: Peer-Set's reports and the trace-to-spec map *)
   mutable j_base :
     (Report.t list * (Steal_trace.t -> (Steal_spec.t, string) result)) option;
-  j_memo : (Steal_trace.entry list, Report.t list) Hashtbl.t;
 }
 
 let judge ?reach program =
@@ -522,7 +521,6 @@ let judge ?reach program =
     j_program = (fun ctx -> ignore (program ctx));
     j_reach = reach;
     j_base = None;
-    j_memo = Hashtbl.create 8;
   }
 
 let by_kind_subject a b =
@@ -545,27 +543,19 @@ let verdict ?max_events ?deadline j (trace : Steal_trace.t) =
         j.j_base <- Some base;
         Ok base
   in
-  let* determinacy =
-    match Hashtbl.find_opt j.j_memo trace.Steal_trace.entries with
-    | Some races -> Ok races
-    | None ->
-        let* spec =
-          Result.map_error
-            (fun reason ->
-              Fault.Invalid_steal_spec
-                {
-                  spec =
-                    Printf.sprintf "online-trace(seed=%d,density=%g)"
-                      trace.Steal_trace.seed trace.Steal_trace.density;
-                  reason;
-                })
-            (to_spec trace)
-        in
-        let eng = Engine.create ~spec ?max_events ?deadline () in
-        let sp = Sp_plus.attach ?reach:j.j_reach eng in
-        let* () = Engine.run_result eng j.j_program in
-        let races = Sp_plus.races sp in
-        Hashtbl.replace j.j_memo trace.Steal_trace.entries races;
-        Ok races
+  let* spec =
+    Result.map_error
+      (fun reason ->
+        Fault.Invalid_steal_spec
+          {
+            spec =
+              Printf.sprintf "online-trace(seed=%d,density=%g)"
+                trace.Steal_trace.seed trace.Steal_trace.density;
+            reason;
+          })
+      (to_spec trace)
   in
-  Ok (List.sort by_kind_subject (determinacy @ view_reads))
+  let eng = Engine.create ~spec ?max_events ?deadline () in
+  let sp = Sp_plus.attach ?reach:j.j_reach eng in
+  let* () = Engine.run_result eng j.j_program in
+  Ok (List.sort by_kind_subject (Sp_plus.races sp @ view_reads))

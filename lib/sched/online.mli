@@ -72,7 +72,7 @@ val run : config -> (Engine.ctx -> int) -> outcome
 
 (** The serial detectors' verdicts on the runs of one program: it holds
     the program's recorded no-steal run, with Peer-Set's reports, once
-    the first verdict has made it, and one SP+ verdict per steal set. *)
+    the first verdict has made it. *)
 type judge
 
 (** [judge ?reach program] judges runs of [program]; [reach] picks the
@@ -83,14 +83,14 @@ val judge : ?reach:Rader_reach.Reach.backend -> (Engine.ctx -> 'a) -> judge
     is [trace]: SP+'s determinacy races under [Steal_trace.to_spec] of
     [trace], plus Peer-Set's view-read races on the no-steal run, sorted
     by (kind, subject), in the detectors' own report format. Peer-Set's
-    reports carry the no-steal run's strand ids. Runs with equal steal
-    sets share one SP+ run.
+    reports carry the no-steal run's strand ids. The no-steal run is
+    recorded once, by the first call whose recording completes; each
+    call runs SP+ once.
 
     Each serial run honours [max_events] and [deadline] (an absolute
     [Unix.gettimeofday] time) and is contained by [Engine.run_result]: a
     failure, or a trace that does not belong to the program
-    ([Invalid_steal_spec]), is the [Error]. Only successes are
-    memoised. *)
+    ([Invalid_steal_spec]), is the [Error]. *)
 val verdict :
   ?max_events:int ->
   ?deadline:float ->

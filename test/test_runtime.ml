@@ -788,12 +788,6 @@ let test_records_built_once () =
         (detector_races d))
     [ `Sp; `Peer ]
 
-module G = Rader_testkit.Gen_program
-module Obs = Rader_obs.Obs
-
-(* Steal specifications for the generated-program properties below:
-   serial, every continuation stolen (eager and at-sync reduces),
-   Bernoulli, and explicit local indices. *)
 (* An engine runs one tool. A second attach would leave the first
    detector installed in name only, deaf to every event, so it raises,
    and the first keeps its engine. *)
@@ -806,6 +800,12 @@ let test_second_tool_rejected () =
   ignore (Engine.run eng tool_prog);
   checkb "SP+ still sees the run" true (Sp_plus.races sp <> [])
 
+module G = Rader_testkit.Gen_program
+module Obs = Rader_obs.Obs
+
+(* Steal specifications for the generated-program properties below:
+   serial, every continuation stolen (eager and at-sync reduces),
+   Bernoulli, and explicit local indices. *)
 let tool_specs =
   [
     Steal_spec.none;

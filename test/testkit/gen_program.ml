@@ -15,10 +15,12 @@ type reducer_cfg = { update_touches : int option; reduce_touches : int option }
 
 type program = { body : stmt list; n_cells : int; reducers : reducer_cfg array }
 
-let monoid_for cfg (cells : int Cell.t array) : int Cell.t Reducer.monoid =
+(* Labels name the reducer of every view cell (see the interface). *)
+let monoid_for i cfg (cells : int Cell.t array) : int Cell.t Reducer.monoid =
+  let view_label = Printf.sprintf "r%d.view" i in
   {
     Reducer.name = "gen-add";
-    identity = (fun c -> Cell.make_in c ~label:"gen.view" 0);
+    identity = (fun c -> Cell.make_in c ~label:view_label 0);
     reduce =
       (fun c l r ->
         (match cfg.reduce_touches with
@@ -35,11 +37,11 @@ let interpret p ctx =
         Cell.make_in ctx ~label:(Printf.sprintf "cell%d" i) 0)
   in
   let reducers =
-    Array.map
-      (fun cfg ->
+    Array.mapi
+      (fun i cfg ->
         ( cfg,
-          Reducer.create ctx (monoid_for cfg cells)
-            ~init:(Cell.make_in ctx ~label:"gen.view0" 0) ))
+          Reducer.create ctx (monoid_for i cfg cells)
+            ~init:(Cell.make_in ctx ~label:(Printf.sprintf "r%d.view0" i) 0) ))
       p.reducers
   in
   let do_update ctx idx =
@@ -65,7 +67,8 @@ let interpret p ctx =
         ignore (Cell.read ctx (Reducer.get_value ctx red))
     | Set_reducer r ->
         let _, red = reducers.(r) in
-        Reducer.set_value ctx red (Cell.make_in ctx ~label:"gen.reset" 0)
+        Reducer.set_value ctx red
+          (Cell.make_in ctx ~label:(Printf.sprintf "r%d.reset" r) 0)
   in
   exec_block ctx p.body;
   Cilk.sync ctx;

@@ -33,7 +33,10 @@ type program = {
 
 (** [interpret p ctx] runs [p]; the result is the sum of all reducer
     values plus a hash of the shared cells (so schedule-dependence of any
-    part is observable). *)
+    part is observable). Shared cell [j] is labelled ["cell<j>"]; the
+    views of reducer [i] are labelled ["r<i>.view0"] (initial),
+    ["r<i>.view"] (made by the identity) and ["r<i>.reset"] (installed
+    by [Set_reducer]). *)
 val interpret : program -> Rader_runtime.Engine.ctx -> int
 
 (** [gen ~with_reducers ~racy] is a QCheck generator.
