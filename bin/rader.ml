@@ -9,6 +9,14 @@
      rader fuzz     run under simulated work-stealing schedules
      rader sim      work-stealing simulator speedup table
      rader dag      dump the (performance) dag of a program as Graphviz dot
+     rader tree     dump the canonical SP parse tree as Graphviz dot
+     rader record   run with full recording and save the trace
+     rader oracle   run the brute-force race oracles on a saved trace
+     rader online   run on the real work-stealing runtime; each run's
+                    verdict is the serial replay of its steals
+     rader serve    run the race-checking daemon
+     rader submit   submit a check or verify to a running daemon
+     rader loadtest drive a running daemon with concurrent clients
 
    Exit codes (check / coverage / chaos / lint):
      0  clean — analysis complete, no races
@@ -127,7 +135,7 @@ let reach_arg =
            strand fingerprints answering queries in worst-case O(1). \
            Verdicts are byte-identical either way; only the cost model \
            changes. Applies to the $(b,sp+) and $(b,peerset) detectors; \
-           the baseline detectors keep their own machinery and ignore it.")
+           the baseline detectors ignore it ($(b,spbags) always uses dset).")
 
 (* ---------- observability options (check / coverage) ---------- *)
 

@@ -1,17 +1,16 @@
 module Engine = Rader_runtime.Engine
 module Tool = Rader_runtime.Tool
-module Bag = Rader_dsets.Bag
+module Reach = Rader_reach.Reach
 module Shadow = Rader_memory.Shadow
-module Dynarr = Rader_support.Dynarr
 
-type bag_kind = KS | KP
-
-type fstate = { fid : int; s : bag_kind Bag.t; p : bag_kind Bag.t }
-
+(* The S and P bags are SP+'s dset precedence core fed only the events
+   SP-bags knows: frame enter, frame return (parallel iff spawned) and
+   sync. No steal or reduce is forwarded, so every frame keeps the one P
+   bag it entered with, and a recorded frame is in a P bag exactly when
+   [Reach.Sp.classify] says [Parallel]. *)
 type t = {
   eng : Engine.t;
-  store : bag_kind Bag.store;
-  stack : fstate Dynarr.t;
+  bags : Reach.Sp.t;
   reader : Shadow.t;
   writer : Shadow.t;
   collector : Report.collector;
@@ -20,40 +19,23 @@ type t = {
 let create eng =
   {
     eng;
-    store = Bag.create_store ();
-    stack = Dynarr.create ();
+    bags = Reach.Sp.create Reach.Dset;
     reader = Shadow.create ();
     writer = Shadow.create ();
     collector = Report.collector ();
   }
 
-let top d = Dynarr.top d.stack
-
-let on_frame_enter d ~frame =
-  Dynarr.push d.stack
-    { fid = frame; s = Bag.make d.store KS [ frame ]; p = Bag.make d.store KP [] }
-
-let on_frame_return d ~frame ~spawned =
-  let g = Dynarr.pop d.stack in
-  assert (g.fid = frame);
-  if not (Dynarr.is_empty d.stack) then begin
-    let f = top d in
-    Bag.union_into d.store ~dst:f.p ~src:g.p;
-    if spawned then Bag.union_into d.store ~dst:f.p ~src:g.s
-    else Bag.union_into d.store ~dst:f.s ~src:g.s
-  end
-
-let on_sync d ~frame =
-  let f = top d in
-  assert (f.fid = frame);
-  Bag.union_into d.store ~dst:f.s ~src:f.p
-
 let in_p_bag d frame_id =
   frame_id <> Shadow.absent
   &&
-  match Bag.find d.store frame_id with
-  | Some bag -> Bag.payload bag = KP
-  | None -> false
+  match Reach.Sp.classify d.bags frame_id with
+  | Reach.Sp.Parallel _ -> true
+  | Reach.Sp.Serial -> false
+
+(* Shadows record only the current frame, which [note] requires. *)
+let record d shadow loc frame =
+  Reach.Sp.note d.bags ~frame;
+  Shadow.set shadow loc frame
 
 let report d ~loc ~first_frame ~first_access ~second_access ~frame =
   Report.report d.collector
@@ -76,7 +58,7 @@ let on_read d ~frame ~loc =
     report d ~loc ~first_frame:w ~first_access:Report.Write
       ~second_access:Report.Read ~frame;
   let r = Shadow.get d.reader loc in
-  if r = Shadow.absent || not (in_p_bag d r) then Shadow.set d.reader loc frame
+  if r = Shadow.absent || not (in_p_bag d r) then record d d.reader loc frame
 
 let on_write d ~frame ~loc =
   let r = Shadow.get d.reader loc in
@@ -87,17 +69,18 @@ let on_write d ~frame ~loc =
   if in_p_bag d w then
     report d ~loc ~first_frame:w ~first_access:Report.Write
       ~second_access:Report.Write ~frame;
-  if w = Shadow.absent || not (in_p_bag d w) then Shadow.set d.writer loc frame
+  if w = Shadow.absent || not (in_p_bag d w) then record d d.writer loc frame
 
 let tool d =
   {
     Tool.null with
     on_frame_enter =
-      (fun ~frame ~parent:_ ~spawned:_ ~kind:_ -> on_frame_enter d ~frame);
+      (fun ~frame ~parent:_ ~spawned:_ ~kind:_ ->
+        Reach.Sp.on_frame_enter d.bags ~frame);
     on_frame_return =
       (fun ~frame ~parent:_ ~spawned ~kind:_ ->
-        on_frame_return d ~frame ~spawned);
-    on_sync = (fun ~frame -> on_sync d ~frame);
+        ignore (Reach.Sp.on_frame_return d.bags ~frame ~parallel:spawned));
+    on_sync = (fun ~frame -> ignore (Reach.Sp.on_sync d.bags ~frame));
     on_read = (fun ~frame ~loc ~view_aware:_ -> on_read d ~frame ~loc);
     on_write = (fun ~frame ~loc ~view_aware:_ -> on_write d ~frame ~loc);
   }

@@ -310,9 +310,27 @@ let of_engine eng =
   match Engine.tape eng with
   | None -> invalid_arg "Trace.of_engine: engine run was not recorded"
   | Some tape -> (
+      (* Mark each location in a seen-table indexed by id ([decode]
+         rejects negative ids), then read the table in ascending order:
+         no sort over the accesses, which outnumber locations ~17x on
+         pbfs. *)
       let labels accesses =
-        List.sort_uniq Int.compare (List.map (fun a -> a.a_loc) accesses)
-        |> List.map (fun l -> (l, Engine.loc_label eng l))
+        let seen = ref (Bytes.make 1024 '\000') in
+        List.iter
+          (fun a ->
+            let n = Bytes.length !seen in
+            if a.a_loc >= n then begin
+              let b = Bytes.make (max (a.a_loc + 1) (2 * n)) '\000' in
+              Bytes.blit !seen 0 b 0 n;
+              seen := b
+            end;
+            Bytes.set !seen a.a_loc '\001')
+          accesses;
+        let acc = ref [] in
+        for l = Bytes.length !seen - 1 downto 0 do
+          if Bytes.get !seen l = '\001' then acc := (l, Engine.loc_label eng l) :: !acc
+        done;
+        !acc
       in
       match decode tape labels with
       | Ok t -> t

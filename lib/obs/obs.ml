@@ -1,7 +1,7 @@
 (* Detector-wide operation counters.
 
    One [counters] record per domain, reached through domain-local storage:
-   the instrumented substrates (Dset, Bag, Shadow, Engine, Peer_set) bump
+   the instrumented substrates (Reach, Shadow, Engine, Peer_set) bump
    the current domain's record, the coverage sweep snapshots it around
    each spec replay, and the per-replay deltas are summed in spec order —
    so the merged counters of a parallel sweep are byte-identical to the

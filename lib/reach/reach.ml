@@ -156,16 +156,16 @@ let divergence a oa b ob =
 
 (* Flat union-find arena shared by the [dset] backends below.
 
-   The seed's generic [Bag]/[Dset] machinery allocates one record per bag
-   plus Dynarr-backed slots per element — three heap allocations per frame
+   The seed's record-based bags allocated one record per bag plus
+   Dynarr-backed slots per element — three heap allocations per frame
    enter on a path fib-grained programs hit tens of millions of times.
    This arena keeps the identical set algebra in raw int arrays:
 
    - union-find over [parent]/[rank] indexed by frame id, with
      [parent.(x) = -1] marking "never inserted";
    - bag payloads (kind + view id) stored at roots in [pk]/[pv] and
-     rewritten to the {e destination}'s payload on every union, exactly
-     like [Bag.union_into] keeping the dst payload;
+     rewritten to the {e destination}'s payload on every union (a
+     union keeps the dst payload);
    - a bag is just a root index ([-1] when empty) held by its owning
      frame slot, so unions need no [find] at all — both roots are known.
 

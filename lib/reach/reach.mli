@@ -50,7 +50,9 @@ val doc_alts : string
     Owns the per-frame S/P classification state of the SP+ detector: the
     caller ([Rader_core.Sp_plus]) keeps shadow spaces, frame kinds and
     report collection, and forwards the engine's frame/sync/steal/reduce
-    events verbatim. Queries are anchored at the current (top) frame. *)
+    events verbatim. Queries are anchored at the current (top) frame.
+    [Rader_core.Sp_bags] forwards only frame and sync events, which makes
+    these the S and P bags of SP-bags. *)
 module Sp : sig
   type t
 

@@ -382,15 +382,37 @@ let exec rt task =
 
 let stopped rt = Atomic.get rt.finished || Atomic.get rt.cancel
 
+(* Idle backoff. With more workers than cores, a domain that spins on
+   [Domain.cpu_relax] takes CPU from the ones holding work, so after
+   [spin_rounds] failed pop-and-steal rounds an idle worker sleeps, 1 us
+   longer each further round, up to [max_sleep_s]. Running a task resets
+   the count. *)
+let spin_rounds = 64
+let max_sleep_s = 100e-6
+
+let back_off idle =
+  if idle < spin_rounds then Domain.cpu_relax ()
+  else
+    Unix.sleepf (Float.min max_sleep_s (1e-6 *. float_of_int (idle - spin_rounds + 1)))
+
 let worker rt w first =
   Domain.DLS.set wid_key w;
   (match first with Some tk -> exec rt tk | None -> ());
   (* Victim choice only affects placement, never the steal set. *)
   let rng = Rader_support.Rng.create (rt.cfg.seed + (w * 7919) + 1) in
   let p = Array.length rt.deques in
+  let idle = ref 0 in
+  let run tk =
+    idle := 0;
+    exec rt tk
+  in
+  let wait () =
+    back_off !idle;
+    incr idle
+  in
   while not (stopped rt) do
     match Ws_deque.pop rt.deques.(w) with
-    | Some tk -> exec rt tk
+    | Some tk -> run tk
     | None ->
         if p > 1 then begin
           let v = (w + 1 + Rader_support.Rng.int rng (p - 1)) mod p in
@@ -398,10 +420,10 @@ let worker rt w first =
           | Some tk ->
               Atomic.incr rt.n_deque_steals;
               if Obs.enabled () then Obs.bump_online_deque_steal ();
-              exec rt tk
-          | None -> Domain.cpu_relax ()
+              run tk
+          | None -> wait ()
         end
-        else Domain.cpu_relax ()
+        else wait ()
   done
 
 (* ---------- entry point ---------- *)

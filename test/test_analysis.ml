@@ -251,6 +251,53 @@ let test_spec_relevant () =
     && Coverage.spec_relevant prof (Steal_spec.random ~seed:1 ~density:0.5 ())
     && Coverage.spec_relevant prof Steal_spec.none)
 
+(* How much of each §8 program's family relevance pruning removes, at
+   the fast-mode bench inputs (EXPERIMENTS.md's S7 table): (program, K,
+   D, k_rel, specs, kept). Profiles are deterministic, so the table is
+   exact; on a mismatch the measured rows are printed in the table's
+   syntax. *)
+let pruning_table =
+  [
+    ("collision", 12, 12, 10, 390, 381);
+    ("dedup", 7, 9, 7, 102, 99);
+    ("ferret", 8, 9, 8, 139, 136);
+    ("fib", 1, 22, 1, 26, 23);
+    ("knapsack", 1, 18, 1, 22, 19);
+    ("pbfs", 11, 12, 11, 311, 309);
+    ("fib-futures", 1, 12, 0, 16, 1);
+    ("stencil", 5, 6, 0, 48, 1);
+  ]
+
+let test_pruning_table () =
+  let open Rader_benchsuite in
+  let programs =
+    Suite.all ~scale:1.0 ()
+    @ [
+        Bm_oblivious.fib_futures ~n:12;
+        Bm_oblivious.stencil ~seed:1 ~n:1024 ~rounds:2 ~grain:32;
+      ]
+  in
+  let measured =
+    List.map
+      (fun (b : Bench_def.t) ->
+        let prof = Coverage.profile b.cilk in
+        let specs = Coverage.all_specs ~k:prof.Coverage.k ~d:prof.Coverage.d in
+        ( b.name,
+          prof.Coverage.k,
+          prof.Coverage.d,
+          prof.Coverage.k_rel,
+          List.length specs,
+          List.length (Coverage.prune_specs prof specs) ))
+      programs
+  in
+  if measured <> pruning_table then begin
+    List.iter
+      (fun (p, k, d, k_rel, n, kept) ->
+        Printf.printf "    (%S, %d, %d, %d, %d, %d);\n" p k d k_rel n kept)
+      measured;
+    Alcotest.fail "pruning counts differ from the committed table"
+  end
+
 let test_pruned_sweep_identical_on_corpus () =
   List.iter
     (fun (name, p) ->
@@ -416,6 +463,7 @@ let () =
           Alcotest.test_case "spec_relevant" `Quick test_spec_relevant;
           Alcotest.test_case "pruned sweep identical" `Quick
             test_pruned_sweep_identical_on_corpus;
+          Alcotest.test_case "§8 pruning table" `Quick test_pruning_table;
         ] );
       ("properties", properties);
       ("golden lint reports", golden_tests);

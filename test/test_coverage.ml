@@ -180,6 +180,34 @@ let test_spec_family_sizes () =
         (List.length (Coverage.specs_for_updates ~k ~d)))
     [ (1, 0); (3, 2); (8, 4) ]
 
+(* The family sizes of EXPERIMENTS.md's S1 table: (K, update specs at
+   D = 4, reduction specs). On a mismatch the measured rows are printed
+   in the table's syntax. *)
+let family_table =
+  [
+    (2, 7, 4);
+    (4, 9, 20);
+    (8, 13, 120);
+    (12, 17, 364);
+    (16, 21, 816);
+    (24, 29, 2600);
+    (32, 37, 5984);
+  ]
+
+let test_spec_family_table () =
+  let measured =
+    List.map
+      (fun (k, _, _) ->
+        ( k,
+          List.length (Coverage.specs_for_updates ~k ~d:4),
+          List.length (Coverage.specs_for_reductions ~k) ))
+      family_table
+  in
+  if measured <> family_table then begin
+    List.iter (fun (k, u, r) -> Printf.printf "    (%d, %d, %d);\n" k u r) measured;
+    Alcotest.fail "§7 family sizes differ from the committed table"
+  end
+
 let test_spec_family_cubic_growth () =
   (* Theorem 7: the reduce-eliciting family grows as Θ(k³). *)
   let n k = List.length (Coverage.specs_for_reductions ~k) in
@@ -381,6 +409,7 @@ let () =
       ( "spec families",
         [
           Alcotest.test_case "sizes" `Quick test_spec_family_sizes;
+          Alcotest.test_case "EXPERIMENTS table" `Quick test_spec_family_table;
           Alcotest.test_case "cubic growth" `Quick test_spec_family_cubic_growth;
         ] );
       ( "exhaustive check",

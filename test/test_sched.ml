@@ -133,6 +133,34 @@ let test_fuzz_exposes_nondeterminism_via_simulation () =
      continuations before the racy read *)
   checkb "schedule-dependent output observed" true (List.length values > 1)
 
+(* Simulated makespans and steals of the pbfs dag at scale 1, seed 42
+   (EXPERIMENTS.md's S3 table): (workers, makespan, steals). The
+   simulator and the recording are deterministic, so the table is exact;
+   on a mismatch the measured rows are printed in the table's syntax. *)
+let pbfs_table =
+  [
+    (1, 215309, 0);
+    (2, 109258, 14);
+    (4, 55682, 69);
+    (8, 29097, 191);
+    (16, 15977, 474);
+  ]
+
+let test_pbfs_makespans () =
+  let b = Rader_benchsuite.Suite.find ~scale:1.0 "pbfs" in
+  let _, eng = recorded b.Rader_benchsuite.Bench_def.cilk in
+  let measured =
+    List.map
+      (fun (workers, _, _) ->
+        let res = Wsim.simulate ~workers ~seed:42 eng in
+        (workers, res.Wsim.makespan, res.Wsim.n_steals))
+      pbfs_table
+  in
+  if measured <> pbfs_table then begin
+    List.iter (fun (w, m, st) -> Printf.printf "    (%d, %d, %d);\n" w m st) measured;
+    Alcotest.fail "pbfs makespans differ from the committed table"
+  end
+
 let () =
   Alcotest.run "sched"
     [
@@ -147,6 +175,7 @@ let () =
             test_sim_blumofe_leiserson_bound;
           Alcotest.test_case "requires recording" `Quick test_sim_requires_recording;
           Alcotest.test_case "replay" `Quick test_replay_under_simulated_schedule;
+          Alcotest.test_case "pbfs makespans" `Quick test_pbfs_makespans;
         ] );
       ( "fuzz",
         [
