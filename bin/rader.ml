@@ -1005,8 +1005,8 @@ let do_oracle path =
   let vr = Oracle.view_read_races_t tr in
   let dr = Oracle.determinacy_races_t tr in
   Printf.printf "trace: %d strands, %d accesses, %d merges\n" tr.Trace.n_strands
-    (List.length tr.Trace.accesses)
-    (List.length tr.Trace.merges);
+    (Array.length tr.Trace.acc_loc)
+    (Array.length tr.Trace.merge_from);
   Printf.printf "view-read races: %d reducer(s)%s\n" (List.length vr)
     (if vr = [] then ""
      else " — " ^ String.concat ", " (List.map string_of_int vr));

@@ -1,26 +1,28 @@
 open Rader_runtime
+module Trace = Rader_core.Trace
 
 type t = {
-  trace : Rader_core.Trace.t;
-  tree : Rader_dag.Sp_tree.t;
+  trace : Trace.t;
   ix : Rader_dag.Sp_tree.indexed;
   result : int;
-  reads_by_reducer : (int, int list) Hashtbl.t;
-  updates_by_reducer : (int, int list) Hashtbl.t;
   n_reducers : int;
+  by_reducer : (int array array * int array array) Lazy.t;
 }
 
-(* Group an association list into per-key lists, preserving the serial
-   order of the values within each key. *)
-let group pairs =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (k, v) ->
-      let prev = try Hashtbl.find tbl k with Not_found -> [] in
-      Hashtbl.replace tbl k (v :: prev))
-    pairs;
-  let out = Hashtbl.create (Hashtbl.length tbl) in
-  Hashtbl.iter (fun k vs -> Hashtbl.replace out k (List.rev vs)) tbl;
+(* [group ~n keys values] is, per key in [0, n), the [values] whose [keys]
+   slot holds it, in serial order; negative and larger keys are dropped. *)
+let group ~n keys values =
+  let count = Array.make n 0 in
+  Array.iter (fun k -> if k >= 0 && k < n then count.(k) <- count.(k) + 1) keys;
+  let out = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 n 0;
+  Array.iteri
+    (fun i k ->
+      if k >= 0 && k < n then begin
+        out.(k).(count.(k)) <- values.(i);
+        count.(k) <- count.(k) + 1
+      end)
+    keys;
   out
 
 let of_program ?max_events ?deadline (program : Engine.ctx -> int) =
@@ -28,47 +30,31 @@ let of_program ?max_events ?deadline (program : Engine.ctx -> int) =
   match Engine.run_result eng program with
   | Error f -> Error f
   | Ok result ->
-      let trace = Rader_core.Trace.of_engine eng in
-      let tree = Rader_core.Trace.sp_tree trace in
-      let ix = Rader_dag.Sp_tree.index tree in
-      let reads_by_reducer = group trace.Rader_core.Trace.reducer_reads in
-      let updates_by_reducer =
-        group
-          (List.filter_map
-             (fun (kind, reducer, strand) ->
-               if kind = Tool.Update_fn && reducer >= 0 then
-                 Some (reducer, strand)
-               else None)
-             trace.Rader_core.Trace.aux_frames)
-      in
+      let trace = Trace.of_engine eng in
       (* every reducer's creation emits a reducer-read, so the read log
          covers all ids *)
-      let n_reducers =
-        List.fold_left
-          (fun m (rid, _) -> max m (rid + 1))
-          0
-          trace.Rader_core.Trace.reducer_reads
+      let n_reducers = 1 + Array.fold_left Int.max (-1) trace.Trace.rread_reducer in
+      let by_reducer =
+        lazy
+          (let n = Int.max n_reducers (1 + Array.fold_left Int.max (-1) trace.Trace.aux_reducer) in
+           let updates =
+             Array.mapi
+               (fun i r -> if trace.Trace.aux_kind.(i) = Tool.Update_fn then r else -1)
+               trace.Trace.aux_reducer
+           in
+           ( group ~n trace.Trace.rread_reducer trace.Trace.rread_strand,
+             group ~n updates trace.Trace.aux_strand ))
       in
-      Ok
-        {
-          trace;
-          tree;
-          ix;
-          result;
-          reads_by_reducer;
-          updates_by_reducer;
-          n_reducers;
-        }
+      Ok { trace; ix = Trace.index trace; result; n_reducers; by_reducer }
+
+let slice f ir rid =
+  let per = f (Lazy.force ir.by_reducer) in
+  if rid >= 0 && rid < Array.length per then Array.to_list per.(rid) else []
+
+let reads = slice fst
+let updates = slice snd
 
 let reducer_ids ir =
-  List.sort compare
-    (Hashtbl.fold (fun k _ acc -> k :: acc) ir.reads_by_reducer [])
+  List.filter (fun rid -> reads ir rid <> []) (List.init ir.n_reducers Fun.id)
 
-let reads ir rid =
-  try Hashtbl.find ir.reads_by_reducer rid with Not_found -> []
-
-let updates ir rid =
-  try Hashtbl.find ir.updates_by_reducer rid with Not_found -> []
-
-let loc_label ir loc = Rader_core.Trace.loc_label ir.trace loc
-let accesses ir = ir.trace.Rader_core.Trace.accesses
+let loc_label ir loc = Trace.loc_label ir.trace loc

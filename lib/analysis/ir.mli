@@ -3,8 +3,8 @@
     [of_program] executes a program once, instrumented and recorded, under
     [Steal_spec.none] — the canonical serial execution every offline
     analysis in the paper is defined against — and lifts the recorded
-    trace into an IR: the canonical SP parse tree (paper §4, Fig. 4) with
-    its index (O(1) parallelism, O(depth) path queries), plus
+    trace into an IR: the index of the canonical SP parse tree (paper §4,
+    Fig. 4) — O(1) parallelism and path queries — plus
     strand↔reducer provenance joining the tree's leaves back to the
     reducer operations and view-aware auxiliary frames that executed
     them. The static passes ({!Verdict}, {!Lint})
@@ -13,21 +13,21 @@
 
     Under [Steal_spec.none] no continuation is stolen, so no identity or
     reduce frame ever runs and the trace's dag is the pure user
-    computation ({!Rader_core.Trace.sp_tree}'s precondition); update
+    computation ({!Rader_core.Trace.index}'s precondition); update
     frames do run (serially, as called children) and their strands appear
     as ordinary leaves. *)
 
 type t = {
   trace : Rader_core.Trace.t;  (** the recorded serial execution *)
-  tree : Rader_dag.Sp_tree.t;  (** canonical SP parse tree of [trace] *)
-  ix : Rader_dag.Sp_tree.indexed;  (** query index over [tree] *)
+  ix : Rader_dag.Sp_tree.indexed;
+      (** the canonical SP parse tree's index, filled by the walk that
+          decoded [trace] ({!Rader_core.Trace.index}) *)
   result : int;  (** the program's result (ostensibly deterministic) *)
-  reads_by_reducer : (int, int list) Hashtbl.t;
-      (** reducer id → strands of its reducer-reads (create / get / set),
-          serial order — the peers the Peer-Set algorithm compares *)
-  updates_by_reducer : (int, int list) Hashtbl.t;
-      (** reducer id → first strands of its update frames, serial order *)
   n_reducers : int;  (** reducer ids are [0 .. n_reducers - 1] *)
+  by_reducer : (int array array * int array array) Lazy.t;
+      (** per reducer id, the strands of its reducer-reads (create / get /
+          set) and the first strands of its update frames, serial order;
+          read them through {!reads} and {!updates} *)
 }
 
 (** [of_program program] runs [program] once (recorded, no steals) and
@@ -58,6 +58,3 @@ val updates : t -> int -> int list
 
 (** [loc_label ir loc] is the source label of an instrumented location. *)
 val loc_label : t -> int -> string
-
-(** [accesses ir] is the instrumented access log in serial order. *)
-val accesses : t -> Rader_core.Trace.access list

@@ -58,92 +58,74 @@ let r001 ir =
 
 (* ---------- R002 / R005: location-pair rules ---------- *)
 
-let by_loc ir =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (a : Trace.access) ->
-      let prev = try Hashtbl.find tbl a.Trace.a_loc with Not_found -> [] in
-      Hashtbl.replace tbl a.Trace.a_loc (a :: prev))
-    (Ir.accesses ir);
-  (* per-loc lists back in serial order; locs ascending for determinism *)
-  List.sort compare (Hashtbl.fold (fun l accs acc -> (l, List.rev accs) :: acc) tbl [])
-
 let loc_rules (ir : Ir.t) ~max_pairs =
+  let tr = ir.Ir.trace in
+  let { Trace.g_locs; g_start; g_order } = Trace.by_loc tr in
+  let strand = tr.Trace.acc_strand and write = tr.Trace.acc_write in
+  let va = tr.Trace.acc_view_aware in
   let parallel u v = u <> v && Rader_dag.Sp_tree.parallel ir.Ir.ix u v in
-  List.concat_map
-    (fun (loc, accs) ->
-      let budget = ref max_pairs in
-      (* first witness pair satisfying [pick], scanning serial order *)
-      let find_pair pick =
-        let rec outer = function
-          | [] -> None
-          | (x : Trace.access) :: rest ->
-              let rec inner = function
-                | [] -> outer rest
-                | (y : Trace.access) :: more ->
-                    if !budget <= 0 then None
-                    else begin
-                      decr budget;
-                      if pick x y && parallel x.Trace.a_strand y.Trace.a_strand
-                      then Some (x, y)
-                      else inner more
-                    end
-              in
-              inner rest
-        in
-        outer accs
-      in
-      let raw_race =
-        find_pair (fun x y ->
-            (not x.Trace.a_view_aware)
-            && (not y.Trace.a_view_aware)
-            && (x.Trace.a_is_write || y.Trace.a_is_write))
-      in
-      let escape =
-        find_pair (fun x y ->
-            x.Trace.a_view_aware <> y.Trace.a_view_aware
-            && (x.Trace.a_is_write || y.Trace.a_is_write))
-      in
-      let f002 =
-        match raw_race with
-        | None -> []
-        | Some (x, y) ->
-            [
-              {
-                rule = "R002";
-                severity = Error;
-                subject = loc_subject ir loc;
-                message =
-                  Printf.sprintf
-                    "raw accesses to %s at strands %d and %d are logically \
-                     parallel and one writes: determinacy race"
-                    (Ir.loc_label ir loc) x.Trace.a_strand y.Trace.a_strand;
-                strands = [ x.Trace.a_strand; y.Trace.a_strand ];
-              };
-            ]
-      in
-      let f005 =
-        match escape with
-        | None -> []
-        | Some (x, y) ->
-            let va, vo = if x.Trace.a_view_aware then (x, y) else (y, x) in
-            [
-              {
-                rule = "R005";
-                severity = Warning;
-                subject = loc_subject ir loc;
-                message =
-                  Printf.sprintf
-                    "%s is touched by a view-aware frame (strand %d) and \
-                     raw code (strand %d) in parallel: a view escaped its \
-                     strand"
-                    (Ir.loc_label ir loc) va.Trace.a_strand vo.Trace.a_strand;
-                strands = [ va.Trace.a_strand; vo.Trace.a_strand ];
-              };
-            ]
-      in
-      f002 @ f005)
-    (by_loc ir)
+  List.concat
+    (List.init (Array.length g_locs) (fun k ->
+         let loc = g_locs.(k) and lo = g_start.(k) and hi = g_start.(k + 1) in
+         let budget = ref max_pairs in
+         (* first witness pair satisfying [pick], scanning serial order *)
+         let find_pair pick =
+           let rec go i j =
+             if i >= hi - 1 then None
+             else if j >= hi then go (i + 1) (i + 2)
+             else if !budget <= 0 then None
+             else begin
+               decr budget;
+               let x = g_order.(i) and y = g_order.(j) in
+               if pick x y && parallel strand.(x) strand.(y) then Some (x, y)
+               else go i (j + 1)
+             end
+           in
+           go lo (lo + 1)
+         in
+         let raw_race =
+           find_pair (fun x y -> (not va.(x)) && (not va.(y)) && (write.(x) || write.(y)))
+         in
+         let escape = find_pair (fun x y -> va.(x) <> va.(y) && (write.(x) || write.(y))) in
+         let f002 =
+           match raw_race with
+           | None -> []
+           | Some (x, y) ->
+               [
+                 {
+                   rule = "R002";
+                   severity = Error;
+                   subject = loc_subject ir loc;
+                   message =
+                     Printf.sprintf
+                       "raw accesses to %s at strands %d and %d are logically \
+                        parallel and one writes: determinacy race"
+                       (Ir.loc_label ir loc) strand.(x) strand.(y);
+                   strands = [ strand.(x); strand.(y) ];
+                 };
+               ]
+         in
+         let f005 =
+           match escape with
+           | None -> []
+           | Some (x, y) ->
+               let va, vo = if va.(x) then (x, y) else (y, x) in
+               [
+                 {
+                   rule = "R005";
+                   severity = Warning;
+                   subject = loc_subject ir loc;
+                   message =
+                     Printf.sprintf
+                       "%s is touched by a view-aware frame (strand %d) and \
+                        raw code (strand %d) in parallel: a view escaped its \
+                        strand"
+                       (Ir.loc_label ir loc) strand.(va) strand.(vo);
+                   strands = [ strand.(va); strand.(vo) ];
+                 };
+               ]
+         in
+         f002 @ f005))
 
 (* ---------- R003: dead reducers ---------- *)
 
@@ -307,7 +289,7 @@ let to_dot (ir : Ir.t) findings =
         in
         [ ("style", "filled"); ("fillcolor", color) ]
   in
-  Rader_dag.Sp_tree.to_dot ~leaf_attrs ir.Ir.tree
+  Rader_dag.Sp_tree.to_dot ~leaf_attrs (Trace.sp_tree ir.Ir.trace)
 
 let baseline_lines ~program findings =
   List.sort compare

@@ -47,7 +47,7 @@ let of_scan ~prof scan =
   { scan; prof; residual; n_family = List.length family }
 
 let analyze ?max_pairs ~prof (ir : Ir.t) =
-  of_scan ~prof (Coverage.scan_trace ?max_pairs ~ix:ir.Ir.ix ir.Ir.trace)
+  of_scan ~prof (Coverage.scan_trace ?max_pairs ir.Ir.trace)
 
 let racy_locs t =
   List.map (fun ls -> ls.Coverage.ls_loc) t.scan.Coverage.scan_racy

@@ -50,34 +50,34 @@ type t = {
   res : Coverage.result;  (** the underlying sweep, for metrics/obs *)
 }
 
-let access_kind_str (a : Trace.access) =
-  if a.Trace.a_is_write then "write" else "read"
-
-(* [table_by key xs] tables [xs] by [key], keeping the first binding as
-   [List.assoc_opt] / [List.find_opt] would. *)
-let table_by key xs =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun x -> if not (Hashtbl.mem tbl (key x)) then Hashtbl.add tbl (key x) x)
-    xs;
-  tbl
-
-(* Per-location rows, every lookup from a table built once: rows are
-   assembled in time linear in locations plus the replays' verdicts. *)
+(* Per-location rows from arrays indexed by location (ids are the
+   registry's, dense from 0): each lookup is O(1), and the rows come out in
+   time linear in locations plus the replays' verdicts. *)
 let assemble ~name (ir : Ir.t) (sym : Symbolic.t) (res : Coverage.result) =
-  let racy = table_by Fun.id res.Coverage.racy_locs in
-  let is_racy loc = Hashtbl.mem racy loc in
-  let reports = table_by (fun r -> r.Report.subject) res.Coverage.reports in
-  let labels = table_by fst ir.Ir.trace.Trace.loc_labels in
-  let pairs = table_by (fun ls -> ls.Coverage.ls_loc) sym.Symbolic.scan.Coverage.scan_racy in
-  let certs = table_by fst sym.Symbolic.scan.Coverage.scan_clean in
-  (* the first spec, in family order, whose replay elicited each location *)
-  let witnesses =
-    table_by fst
-      (List.concat_map
-         (fun ((sp : Steal_spec.t), locs) -> List.map (fun l -> (l, sp)) locs)
-         res.Coverage.per_spec)
+  let tr = ir.Ir.trace and scan = sym.Symbolic.scan in
+  let n_locs =
+    List.fold_left
+      (fun m l -> Int.max m (l + 1))
+      (Array.fold_left (fun m l -> Int.max m (l + 1)) 0 (Trace.by_loc tr).Trace.g_locs)
+      res.Coverage.racy_locs
   in
+  let racy = Array.make n_locs false in
+  List.iter (fun l -> racy.(l) <- true) res.Coverage.racy_locs;
+  let report = Array.make n_locs None in
+  List.iter
+    (fun (r : Report.t) ->
+      let l = r.Report.subject in
+      if l >= 0 && l < n_locs && report.(l) = None then report.(l) <- Some r)
+    res.Coverage.reports;
+  let pair = Array.make n_locs None and cert = Array.make n_locs None in
+  List.iter (fun (ls : Coverage.loc_scan) -> pair.(ls.Coverage.ls_loc) <- Some ls) scan.Coverage.scan_racy;
+  List.iter (fun (l, c) -> cert.(l) <- Some c) scan.Coverage.scan_clean;
+  (* the first spec, in family order, whose replay elicited each location *)
+  let witness = Array.make n_locs None in
+  List.iter
+    (fun ((sp : Steal_spec.t), locs) ->
+      List.iter (fun l -> if witness.(l) = None then witness.(l) <- Some sp.Steal_spec.name) locs)
+    res.Coverage.per_spec;
   let crashed =
     List.filter_map
       (fun (n, _) -> if n = "profile" then None else Some n)
@@ -85,85 +85,73 @@ let assemble ~name (ir : Ir.t) (sym : Symbolic.t) (res : Coverage.result) =
   in
   (* R006: the scan's both-oblivious pair proves the race on every
      non-residual spec; the residual replays (minus crashed ones) are
-     cross-checked to have elicited it too. *)
-  let survivors =
-    List.filter_map
-      (fun ((sp : Steal_spec.t), locs) ->
-        if List.mem sp.Steal_spec.name crashed then None
-        else Some (table_by Fun.id locs))
-      res.Coverage.per_spec
-  in
-  let racy_everywhere loc = List.for_all (fun s -> Hashtbl.mem s loc) survivors in
+     cross-checked to have elicited it too: a location is racy everywhere
+     when every surviving replay counts it once. *)
+  let survivors = ref 0 in
+  let elicited = Array.make n_locs 0 and last = Array.make n_locs (-1) in
+  List.iteri
+    (fun i ((sp : Steal_spec.t), locs) ->
+      if not (List.mem sp.Steal_spec.name crashed) then begin
+        incr survivors;
+        List.iter
+          (fun l ->
+            if last.(l) <> i then begin
+              last.(l) <- i;
+              elicited.(l) <- elicited.(l) + 1
+            end)
+          locs
+      end)
+    res.Coverage.per_spec;
   let spec_independent =
     List.filter
-      (fun loc -> is_racy loc && racy_everywhere loc)
+      (fun loc -> racy.(loc) && elicited.(loc) = !survivors)
       (Symbolic.always_racy_locs sym)
   in
-  let always = table_by Fun.id spec_independent in
-  let unconfirmed =
-    List.filter (fun loc -> not (is_racy loc)) (Symbolic.racy_locs sym)
-  in
+  let always = Array.make n_locs false in
+  List.iter (fun l -> always.(l) <- true) spec_independent;
+  let unconfirmed = List.filter (fun loc -> not racy.(loc)) (Symbolic.racy_locs sym) in
   let label loc =
-    match Hashtbl.find_opt labels loc with
-    | None | Some (_, ("" | "?")) -> (
-        match Hashtbl.find_opt reports loc with
+    match Trace.loc_label tr loc with
+    | "" | "?" -> (
+        match report.(loc) with
         | Some r -> r.Report.subject_label
         | None -> Printf.sprintf "loc%d" loc)
-    | Some (_, l) -> l
+    | l -> l
   in
+  let access_kind a = if tr.Trace.acc_write.(a) then "write" else "read" in
   let n_residual = List.length sym.Symbolic.residual in
-  let scanned =
-    List.map (fun (ls : Coverage.loc_scan) -> ls.Coverage.ls_loc)
-      sym.Symbolic.scan.Coverage.scan_racy
-    @ List.map fst sym.Symbolic.scan.Coverage.scan_clean
-  in
-  let all_locs = List.sort_uniq compare (scanned @ res.Coverage.racy_locs) in
-  let rows =
-    List.map
-      (fun loc ->
-        let verdict =
-          if is_racy loc then
-            let witness =
-              match Hashtbl.find_opt witnesses loc with
-              | Some (_, sp) -> sp.Steal_spec.name
-              | None -> "?" (* unreachable: racy locs come from per_spec *)
-            in
-            let first_strand, second_strand, pair =
-              match Hashtbl.find_opt pairs loc with
-              | Some { Coverage.ls_first = x; ls_second = y; _ } ->
-                  ( x.Trace.a_strand,
-                    y.Trace.a_strand,
-                    access_kind_str x ^ "/" ^ access_kind_str y )
-              | None -> (
-                  (* steal-dependent: the witness endpoints live in the
-                     replay's report, not the no-steal IR *)
-                  match Hashtbl.find_opt reports loc with
-                  | Some r ->
-                      ( -1,
-                        r.Report.second_strand,
-                        Report.access_str r.Report.first_access
-                        ^ "/"
-                        ^ Report.access_str r.Report.second_access )
-                  | None -> (-1, -1, "?"))
-            in
-            Racy
-              {
-                witness;
-                first_strand;
-                second_strand;
-                pair;
-                always = Hashtbl.mem always loc;
-              }
-          else
-            Clean
-              {
-                cert = Option.map snd (Hashtbl.find_opt certs loc);
-                cleared_by = n_residual;
-              }
+  let rows = ref [] in
+  for loc = n_locs - 1 downto 0 do
+    let verdict =
+      if racy.(loc) then
+        let first_strand, second_strand, pair =
+          match pair.(loc) with
+          | Some { Coverage.ls_first = x; ls_second = y; _ } ->
+              ( tr.Trace.acc_strand.(x),
+                tr.Trace.acc_strand.(y),
+                access_kind x ^ "/" ^ access_kind y )
+          | None -> (
+              (* steal-dependent: the witness endpoints live in the
+                 replay's report, not the no-steal IR *)
+              match report.(loc) with
+              | Some r ->
+                  ( -1,
+                    r.Report.second_strand,
+                    Report.access_str r.Report.first_access
+                    ^ "/"
+                    ^ Report.access_str r.Report.second_access )
+              | None -> (-1, -1, "?"))
         in
-        { r_loc = loc; r_label = label loc; r_verdict = verdict })
-      all_locs
-  in
+        let witness =
+          Option.value witness.(loc) ~default:"?" (* unreachable: racy locs come from per_spec *)
+        in
+        Some (Racy { witness; first_strand; second_strand; pair; always = always.(loc) })
+      else if pair.(loc) <> None || cert.(loc) <> None then
+        Some (Clean { cert = cert.(loc); cleared_by = n_residual })
+      else None
+    in
+    Option.iter (fun v -> rows := { r_loc = loc; r_label = label loc; r_verdict = v } :: !rows) verdict
+  done;
   {
     program = name;
     prof = res.Coverage.prof;
@@ -173,7 +161,7 @@ let assemble ~name (ir : Ir.t) (sym : Symbolic.t) (res : Coverage.result) =
     n_residual;
     racy_locs = res.Coverage.racy_locs;
     reports = res.Coverage.reports;
-    rows;
+    rows = !rows;
     spec_independent;
     unconfirmed;
     truncated = not (Symbolic.complete sym);
@@ -183,7 +171,7 @@ let assemble ~name (ir : Ir.t) (sym : Symbolic.t) (res : Coverage.result) =
   }
 
 (* One recording feeds everything before the replays: the IR, the scan
-   (on the IR's own parse-tree index) and, through [~scan], the sweep's
+   (on the parse-tree index its decoding walk filled) and, through [~scan], the sweep's
    profile — a fold over the recording's tape — and choice of replays. The
    program runs once plus once per replay. The budgets start at entry, so the recording and
    the scan count against the deadline and the sweep gets what is left. *)
@@ -197,10 +185,7 @@ let verify ?reach ?max_pairs ?jobs ?max_events ?deadline ?with_obs ~name
   with
   | Error f -> Error f
   | Ok ir ->
-      let scan =
-        Obs.timed phase_scan (fun () ->
-            Coverage.scan_trace ?max_pairs ~ix:ir.Ir.ix ir.Ir.trace)
-      in
+      let scan = Obs.timed phase_scan (fun () -> Coverage.scan_trace ?max_pairs ir.Ir.trace) in
       let remaining = Option.map (fun dl -> dl -. Unix.gettimeofday ()) abs_deadline in
       let res =
         Coverage.exhaustive_check ~scan ?reach ?jobs ?max_events

@@ -210,8 +210,8 @@ type certificate =
 
 type loc_scan = {
   ls_loc : int;
-  ls_first : Trace.access;  (** witness pair, serial order *)
-  ls_second : Trace.access;
+  ls_first : int;  (** witness pair: access indices, serial order *)
+  ls_second : int;
   ls_always : bool;
       (** both witness endpoints view-oblivious: racy under every spec *)
 }
@@ -225,91 +225,67 @@ type scan = {
   scan_prof : profile Lazy.t;  (** the scanned run's profile *)
 }
 
-let scan_trace ?(max_pairs = 100_000) ?ix (trace : Trace.t) =
-  let ix =
-    match ix with
-    | Some ix -> ix
-    | None -> Rader_dag.Sp_tree.index (Trace.sp_tree trace)
-  in
-  (* accesses grouped by location, ascending, each group in serial order
-     (the sort is stable) *)
-  let locs =
-    List.stable_sort
-      (fun (a : Trace.access) b -> Int.compare a.Trace.a_loc b.Trace.a_loc)
-      trace.Trace.accesses
-    |> List.fold_left
-         (fun groups (a : Trace.access) ->
-           match groups with
-           | (loc, accs) :: rest when loc = a.Trace.a_loc ->
-               (loc, a :: accs) :: rest
-           | _ -> (a.Trace.a_loc, [ a ]) :: groups)
-         []
-    |> List.rev_map (fun (loc, accs) -> (loc, List.rev accs))
-  in
+(* Within a location the accesses come in serial order, so an earlier
+   access's strand never has the larger id; strand ids are English ranks,
+   so two accesses on distinct strands are parallel exactly when the
+   earlier one has the larger Hebrew rank. *)
+let scan_trace ?(max_pairs = 100_000) (trace : Trace.t) =
+  let hebrew = (Trace.index trace).Rader_dag.Sp_tree.hebrew in
+  let { Trace.g_locs; g_start; g_order } = Trace.by_loc trace in
+  let strand = trace.Trace.acc_strand and write = trace.Trace.acc_write in
+  let view_aware = trace.Trace.acc_view_aware in
   let truncated = ref false in
   let racy = ref [] in
   let clean = ref [] in
-  List.iter
-    (fun (loc, accs) ->
-      let budget = ref max_pairs in
-      let any_parallel = ref false in
-      let suppressed = ref false in
-      let first_racy = ref None in
-      let first_always = ref None in
-      (try
-         let rec outer = function
-           | [] -> ()
-           | (x : Trace.access) :: rest ->
-               let rec inner = function
-                 | [] -> outer rest
-                 | (y : Trace.access) :: more ->
-                     if !budget <= 0 then begin
-                       truncated := true;
-                       raise Exit
-                     end;
-                     decr budget;
-                     if
-                       x.Trace.a_strand <> y.Trace.a_strand
-                       && Rader_dag.Sp_tree.parallel ix x.Trace.a_strand
-                            y.Trace.a_strand
-                     then begin
-                       any_parallel := true;
-                       if x.Trace.a_is_write || y.Trace.a_is_write then
-                         if not y.Trace.a_view_aware then begin
-                           if !first_racy = None then first_racy := Some (x, y);
-                           if not x.Trace.a_view_aware then begin
-                             first_always := Some (x, y);
-                             raise Exit (* strongest verdict: stop *)
-                           end
-                         end
-                         else suppressed := true
-                     end;
-                     inner more
-               in
-               inner rest
-         in
-         outer accs
-       with Exit -> ());
-      match (!first_always, !first_racy) with
-      | Some (x, y), _ ->
-          racy :=
-            { ls_loc = loc; ls_first = x; ls_second = y; ls_always = true }
-            :: !racy
-      | None, Some (x, y) ->
-          racy :=
-            { ls_loc = loc; ls_first = x; ls_second = y; ls_always = false }
-            :: !racy
-      | None, None ->
-          let cert =
-            if !suppressed then Va_suppressed
-            else if !any_parallel then Parallel_reads_only
-            else No_parallel_pair
-          in
-          clean := (loc, cert) :: !clean)
-    locs;
+  for k = Array.length g_locs - 1 downto 0 do
+    let loc = g_locs.(k) and lo = g_start.(k) and hi = g_start.(k + 1) in
+    let budget = ref max_pairs in
+    let any_parallel = ref false in
+    let suppressed = ref false in
+    let first_racy = ref (-1, -1) in
+    let always = ref false in
+    (try
+       for i = lo to hi - 2 do
+         let x = g_order.(i) in
+         let sx = strand.(x) in
+         let hx = hebrew.(sx) in
+         for j = i + 1 to hi - 1 do
+           if !budget <= 0 then begin
+             truncated := true;
+             raise Exit
+           end;
+           decr budget;
+           let y = g_order.(j) in
+           let sy = strand.(y) in
+           if sx <> sy && hx > hebrew.(sy) then begin
+             any_parallel := true;
+             if write.(x) || write.(y) then
+               if not view_aware.(y) then begin
+                 if fst !first_racy < 0 || not view_aware.(x) then first_racy := (x, y);
+                 if not view_aware.(x) then begin
+                   always := true;
+                   raise Exit (* strongest verdict: stop *)
+                 end
+               end
+               else suppressed := true
+           end
+         done
+       done
+     with Exit -> ());
+    match !first_racy with
+    | (x, y) when x >= 0 ->
+        racy := { ls_loc = loc; ls_first = x; ls_second = y; ls_always = !always } :: !racy
+    | _ ->
+        let cert =
+          if !suppressed then Va_suppressed
+          else if !any_parallel then Parallel_reads_only
+          else No_parallel_pair
+        in
+        clean := (loc, cert) :: !clean
+  done;
   {
-    scan_racy = List.rev !racy;
-    scan_clean = List.rev !clean;
+    scan_racy = !racy;
+    scan_clean = !clean;
     scan_truncated = !truncated;
     scan_prof = lazy (profile_of_tape trace.Trace.tape);
   }

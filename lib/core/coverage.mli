@@ -104,10 +104,11 @@ type certificate =
 
 type loc_scan = {
   ls_loc : int;
-  ls_first : Trace.access;
-      (** earlier endpoint of the witness pair (the first such pair in
-          serial scan order — the minimality the witness table reports) *)
-  ls_second : Trace.access;  (** later endpoint *)
+  ls_first : int;
+      (** earlier endpoint of the witness pair, an access index into the
+          scanned trace (the first such pair in serial scan order — the
+          minimality the witness table reports) *)
+  ls_second : int;  (** later endpoint *)
   ls_always : bool;
       (** both endpoints view-oblivious: the pair executes, stays
           parallel, and fires the later-endpoint-oblivious check under
@@ -127,13 +128,13 @@ type scan = {
 }
 
 (** [scan_trace trace] computes the symbolic no-steal verdict from a
-    recorded [Steal_spec.none] trace. [max_pairs] (default 100_000) bounds
-    the per-location pair scan; blowing it sets [scan_truncated]. [ix] is
-    the parse-tree index of [trace] (built from [Trace.sp_tree trace] when
-    absent): pass the one the caller already holds to skip rebuilding it.
-    Each pair costs O(1) ({!Rader_dag.Sp_tree.parallel}). *)
-val scan_trace :
-  ?max_pairs:int -> ?ix:Rader_dag.Sp_tree.indexed -> Trace.t -> scan
+    recorded [Steal_spec.none] trace, over its accesses grouped by
+    location ({!Trace.by_loc}). [max_pairs] (default 100_000) bounds the
+    per-location pair scan; blowing it sets [scan_truncated]. Each pair
+    costs O(1): one comparison of the endpoints' Hebrew ranks in
+    [Trace.index trace].
+    @raise Invalid_argument if the trace has reduce frames. *)
+val scan_trace : ?max_pairs:int -> Trace.t -> scan
 
 (** [symbolic_scan program] records one no-steal run and scans it.
     [Error] if the program crashed (contained). *)

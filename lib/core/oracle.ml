@@ -7,11 +7,11 @@ module Peers = Rader_dag.Peers
 let view_read_pairs_t (tr : Trace.t) =
   let peers = Peers.compute (Trace.dag tr) in
   let by_reducer = Hashtbl.create 8 in
-  List.iter
-    (fun (rid, strand) ->
+  Array.iteri
+    (fun i rid ->
       let prev = try Hashtbl.find by_reducer rid with Not_found -> [] in
-      Hashtbl.replace by_reducer rid (strand :: prev))
-    tr.Trace.reducer_reads;
+      Hashtbl.replace by_reducer rid (tr.Trace.rread_strand.(i) :: prev))
+    tr.Trace.rread_reducer;
   let pairs = ref [] in
   Hashtbl.iter
     (fun rid strands ->
@@ -38,9 +38,10 @@ let view_read_races_t tr =
    once, so the chain is a forest with timestamped parent edges. *)
 let canonicalizer (tr : Trace.t) =
   let merged_into = Hashtbl.create 32 in
-  List.iter
-    (fun m -> Hashtbl.replace merged_into m.Trace.m_from (m.Trace.m_into, m.Trace.m_at))
-    tr.Trace.merges;
+  Array.iteri
+    (fun i from ->
+      Hashtbl.replace merged_into from (tr.Trace.merge_into.(i), tr.Trace.merge_at.(i)))
+    tr.Trace.merge_from;
   let rec canon r t =
     match Hashtbl.find_opt merged_into r with
     | Some (into, at) when at <= t -> canon into t
@@ -52,38 +53,26 @@ let determinacy_pairs_t (tr : Trace.t) =
   let dag = Trace.dag tr in
   let reach = Dag.closure dag in
   let canon = canonicalizer tr in
-  let by_loc : (int, Trace.access list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun a ->
-      let prev = try Hashtbl.find by_loc a.Trace.a_loc with Not_found -> [] in
-      Hashtbl.replace by_loc a.Trace.a_loc (a :: prev))
-    tr.Trace.accesses;
+  let { Trace.g_locs; g_start; g_order } = Trace.by_loc tr in
+  let strand = tr.Trace.acc_strand and write = tr.Trace.acc_write in
   let pairs = ref [] in
-  Hashtbl.iter
-    (fun loc accesses ->
-      let accesses = Array.of_list (List.rev accesses) (* serial order *) in
-      let n = Array.length accesses in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          let e1 = accesses.(i) and e2 = accesses.(j) in
-          if
-            (e1.Trace.a_is_write || e2.Trace.a_is_write)
-            && Dag.parallel reach e1.Trace.a_strand e2.Trace.a_strand
-          then begin
+  Array.iteri
+    (fun k loc ->
+      for i = g_start.(k) to g_start.(k + 1) - 1 do
+        for j = i + 1 to g_start.(k + 1) - 1 do
+          let e1 = g_order.(i) and e2 = g_order.(j) in
+          let s1 = strand.(e1) and s2 = strand.(e2) in
+          if (write.(e1) || write.(e2)) && Dag.parallel reach s1 s2 then begin
             let racy =
-              if not e2.Trace.a_view_aware then true
-              else begin
-                let t = e2.Trace.a_strand in
-                let v1 = (Dag.strand dag e1.Trace.a_strand).Dag.view in
-                let v2 = (Dag.strand dag e2.Trace.a_strand).Dag.view in
-                canon v1 t <> canon v2 t
-              end
+              (not tr.Trace.acc_view_aware.(e2))
+              || canon (Dag.strand dag s1).Dag.view s2
+                 <> canon (Dag.strand dag s2).Dag.view s2
             in
-            if racy then pairs := (loc, e1.Trace.a_strand, e2.Trace.a_strand) :: !pairs
+            if racy then pairs := (loc, s1, s2) :: !pairs
           end
         done
       done)
-    by_loc;
+    g_locs;
   List.sort_uniq compare !pairs
 
 let determinacy_races_t tr =

@@ -47,20 +47,18 @@ let to_string t =
    up from the root in creation order; view-aware frames are no step of
    a user path, and nor is anything below one. *)
 let to_spec (nosteal : Trace.t) =
-  let n = List.length nosteal.Trace.frames in
+  let parent = nosteal.Trace.frame_parent and kind = nosteal.Trace.frame_kind in
+  let n = Array.length parent in
   let user = Array.make n false in
   let kids = Array.make n [] and spawns = Array.make n [] in
-  List.iter
-    (fun (fid, parent, _spawned, kind) ->
-      if kind = Tool.User_fn && (parent < 0 || user.(parent)) then begin
-        user.(fid) <- true;
-        if parent >= 0 then kids.(parent) <- fid :: kids.(parent)
-      end)
-    nosteal.Trace.frames;
-  List.iter
-    (fun { Trace.sp_index; sp_frame; _ } ->
-      spawns.(sp_frame) <- sp_index :: spawns.(sp_frame))
-    nosteal.Trace.spawns;
+  for fid = 0 to n - 1 do
+    let p = parent.(fid) in
+    if kind.(fid) = Tool.User_fn && (p < 0 || user.(p)) then begin
+      user.(fid) <- true;
+      if p >= 0 then kids.(p) <- fid :: kids.(p)
+    end
+  done;
+  Array.iteri (fun si f -> spawns.(f) <- si :: spawns.(f)) nosteal.Trace.spawn_frame;
   let in_order = Array.map (fun l -> Array.of_list (List.rev l)) in
   let kids = in_order kids and spawns = in_order spawns in
   let nth a i = if i >= 0 && i < Array.length a then Some a.(i) else None in

@@ -32,121 +32,89 @@ let leaves t =
   in
   go t []
 
-type indexed = {
-  parent : int array; (* node id -> parent node id, -1 at root *)
-  is_p : bool array;
-  depth : int array;
-  leaf_node : int array; (* strand id -> node id, -1 if not a leaf *)
-  english : int array; (* strand id -> rank in English order *)
-  hebrew : int array; (* strand id -> rank in Hebrew order *)
-}
+type indexed = { hebrew : int array; peer_class : int array }
+
+let make_index ~hebrew ~peer_class =
+  if Array.length hebrew <> Array.length peer_class then
+    invalid_arg "Sp_tree.make_index: rank and class arrays differ in length";
+  { hebrew; peer_class }
 
 (* English order visits both children of every node left to right (the
-   serial order); Hebrew order visits a P node's right child first. Two
-   leaves are parallel iff the orders disagree on them: at their LCA the
-   left one comes first in English order, and also first in Hebrew order
-   exactly when the LCA is an S node (the SP-order labelling of Bender et
-   al., SPAA'04, that [Sp_order] maintains online). *)
+   serial order, so a leaf's English rank is its id); Hebrew order visits
+   a P node's right child first. Two leaves are parallel iff the orders
+   disagree on them: at their LCA the left one comes first in English
+   order, and also first in Hebrew order exactly when the LCA is an S node
+   (the SP-order labelling of Bender et al., SPAA'04, that [Sp_order]
+   maintains online).
+
+   Cutting the tree at its P nodes leaves components joined by S nodes;
+   two leaves are joined by an all-S path iff they lie in one component,
+   so each leaf's class is the topmost node of its component: the root or
+   a child of a P node. *)
 let index t =
   let count = ref 0 and max_leaf = ref (-1) in
-  let rec count_nodes = function
+  let rec count_leaves = function
     | Leaf s ->
         if s < 0 then invalid_arg "Sp_tree.index: negative leaf strand id";
         incr count;
         if s > !max_leaf then max_leaf := s
     | S (a, b) | P (a, b) ->
-        incr count;
-        count_nodes a;
-        count_nodes b
+        count_leaves a;
+        count_leaves b
   in
-  count_nodes t;
+  count_leaves t;
+  let seen = Array.make (!max_leaf + 1) false in
+  let ls = leaves t in
+  List.iter
+    (fun s ->
+      if seen.(s) then invalid_arg "Sp_tree.index: duplicate leaf strand id";
+      seen.(s) <- true)
+    ls;
+  List.iteri
+    (fun i s ->
+      if s <> i then invalid_arg "Sp_tree.index: leaves not numbered in serial order")
+    ls;
   let n = !count in
-  let parent = Array.make n (-1) in
-  let is_p = Array.make n false in
-  let depth = Array.make n 0 in
-  let leaf_node = Array.make (!max_leaf + 1) (-1) in
-  let english = Array.make (!max_leaf + 1) (-1) in
-  let hebrew = Array.make (!max_leaf + 1) (-1) in
-  let next = ref 0 and rank = ref 0 in
-  let rec go t p d =
-    let id = !next in
-    incr next;
-    parent.(id) <- p;
-    depth.(id) <- d;
+  let hebrew = Array.make n 0 and peer_class = Array.make n 0 in
+  let rank = ref 0 and next_class = ref 0 in
+  let fresh () =
+    let c = !next_class in
+    incr next_class;
+    c
+  in
+  let rec go t cls =
     match t with
     | Leaf s ->
-        if leaf_node.(s) >= 0 then
-          invalid_arg "Sp_tree.index: duplicate leaf strand id";
-        leaf_node.(s) <- id;
-        english.(s) <- !rank;
-        incr rank
-    | S (a, b) ->
-        go a id (d + 1);
-        go b id (d + 1)
-    | P (a, b) ->
-        is_p.(id) <- true;
-        go a id (d + 1);
-        go b id (d + 1)
-  in
-  go t (-1) 0;
-  rank := 0;
-  let rec go_hebrew = function
-    | Leaf s ->
         hebrew.(s) <- !rank;
-        incr rank
+        incr rank;
+        peer_class.(s) <- cls
     | S (a, b) ->
-        go_hebrew a;
-        go_hebrew b
+        go a cls;
+        go b cls
     | P (a, b) ->
-        go_hebrew b;
-        go_hebrew a
+        let cb = fresh () in
+        go b cb;
+        go a (fresh ())
   in
-  go_hebrew t;
-  { parent; is_p; depth; leaf_node; english; hebrew }
+  go t (fresh ());
+  { hebrew; peer_class }
 
-let node_of ix u =
-  if u >= 0 && u < Array.length ix.leaf_node && ix.leaf_node.(u) >= 0 then
-    ix.leaf_node.(u)
-  else invalid_arg "Sp_tree: unknown leaf strand"
-
-(* Walk both nodes up to their LCA, applying [visit] to every internal node
-   stepped onto (i.e., every proper ancestor of a start node up to and
-   including the LCA). *)
-let walk_to_lca ix a b visit =
-  let a = ref a and b = ref b in
-  while ix.depth.(!a) > ix.depth.(!b) do
-    a := ix.parent.(!a);
-    visit !a
-  done;
-  while ix.depth.(!b) > ix.depth.(!a) do
-    b := ix.parent.(!b);
-    visit !b
-  done;
-  while !a <> !b do
-    a := ix.parent.(!a);
-    visit !a;
-    b := ix.parent.(!b);
-    visit !b
-  done
+let check_leaf ix u =
+  if u < 0 || u >= Array.length ix.hebrew then invalid_arg "Sp_tree: unknown leaf strand"
 
 let all_s_path ix u v =
-  if u = v then true
-  else begin
-    let ok = ref true in
-    walk_to_lca ix (node_of ix u) (node_of ix v) (fun n ->
-        if ix.is_p.(n) then ok := false);
-    !ok
-  end
-
-(* [english_rank ix u] also validates [u]: a leaf has both ranks. *)
-let english_rank ix u =
-  if u >= 0 && u < Array.length ix.english && ix.english.(u) >= 0 then
-    ix.english.(u)
-  else invalid_arg "Sp_tree: unknown leaf strand"
+  u = v
+  ||
+  (check_leaf ix u;
+   check_leaf ix v;
+   ix.peer_class.(u) = ix.peer_class.(v))
 
 let parallel ix u v =
   u <> v
-  && (english_rank ix u < english_rank ix v) <> (ix.hebrew.(u) < ix.hebrew.(v))
+  &&
+  (check_leaf ix u;
+   check_leaf ix v;
+   (u < v) <> (ix.hebrew.(u) < ix.hebrew.(v)))
 
 let to_dot ?(leaf_attrs = fun _ -> []) t =
   let g = Rader_support.Dot.create "sp_parse_tree" in

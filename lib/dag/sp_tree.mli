@@ -36,20 +36,33 @@ val function_tree : t list -> t
 (** [leaves t] is the leaf strand ids in left-to-right (= serial) order. *)
 val leaves : t -> int list
 
-(** Preprocessed form: O(1) parallelism queries from per-strand English
-    and Hebrew ranks (the SP-order labelling of Bender et al., SPAA'04),
-    O(depth) path queries from parent links. *)
-type indexed
+(** Preprocessed form: per strand, its rank in Hebrew order (its rank in
+    English order is its id) and its class — leaves joined by a path of S
+    nodes share one — for O(1) parallelism and peer-set queries. Built
+    from a boxed tree by {!index}, or directly by the decoder that walks a
+    recorded tape ({!make_index}). *)
+type indexed = private {
+  hebrew : int array;  (** strand id -> rank in Hebrew order *)
+  peer_class : int array;  (** strand id -> its all-S component *)
+}
 
-(** [index t] preprocesses the tree in O(size). Strand ids index arrays,
-    so they should be small and dense, as recorded strand ids are.
-    @raise Invalid_argument if a strand id is negative or appears in two
-    leaves. *)
+(** [index t] preprocesses the tree in O(size). Leaves must be strands
+    [0 .. n-1] numbered in serial (left-to-right) order, as the strands of
+    a serial trace are.
+    @raise Invalid_argument if a strand id is negative, appears in two
+    leaves, or is out of serial order. *)
 val index : t -> indexed
+
+(** [make_index ~hebrew ~peer_class] is the index of the canonical tree
+    over strands [0 .. n-1] with these Hebrew ranks and classes.
+    @raise Invalid_argument if the arrays differ in length. *)
+val make_index : hebrew:int array -> peer_class:int array -> indexed
 
 (** [all_s_path ix u v] is true iff every internal node on the tree path
     from leaf [u] to leaf [v] (LCA included) is an S node — by Lemma 2,
-    exactly when [peers(u) = peers(v)]. [all_s_path ix u u = true]. *)
+    exactly when [peers(u) = peers(v)]. O(1): the two leaves share a
+    class. [all_s_path ix u u = true].
+    @raise Invalid_argument for unknown leaves when [u <> v]. *)
 val all_s_path : indexed -> int -> int -> bool
 
 (** [parallel ix u v] is true iff the LCA of [u] and [v] is a P node — by

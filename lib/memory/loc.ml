@@ -37,6 +37,23 @@ let alloc_range reg ~label n =
 
 let alloc reg ~label = alloc_range reg ~label 1
 
+(* [cell_label name i] is ["name[i]"] for [i >= 0], written digit by digit:
+   a decoded trace labels every cell it touches, and Printf's formatter
+   cost more than the rest of the lookup. *)
+let cell_label name i =
+  let rec digits i = if i < 10 then 1 else 1 + digits (i / 10) in
+  let n = String.length name and d = digits i in
+  let b = Bytes.create (n + d + 2) in
+  Bytes.blit_string name 0 b 0 n;
+  Bytes.set b n '[';
+  let i = ref i in
+  for k = n + d downto n + 1 do
+    Bytes.set b k (Char.unsafe_chr (48 + (!i mod 10)));
+    i := !i / 10
+  done;
+  Bytes.set b (n + d + 1) ']';
+  Bytes.unsafe_to_string b
+
 let label reg loc =
   if loc < 0 || loc >= reg.next then "?"
   else begin
@@ -49,7 +66,7 @@ let label reg loc =
     let base = Dynarr.get reg.starts !lo in
     let name = Dynarr.get reg.labels !lo in
     if Dynarr.get reg.sizes !lo < 0 then name
-    else Printf.sprintf "%s[%d]" name (loc - base)
+    else cell_label name (loc - base)
   end
 
 let count reg = reg.next

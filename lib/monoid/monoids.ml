@@ -1,7 +1,7 @@
 let int_add = Monoid.make ~name:"int_add" ~identity:(fun () -> 0) ~combine:( + )
 let int_mul = Monoid.make ~name:"int_mul" ~identity:(fun () -> 1) ~combine:( * )
-let int_min = Monoid.make ~name:"int_min" ~identity:(fun () -> max_int) ~combine:min
-let int_max = Monoid.make ~name:"int_max" ~identity:(fun () -> min_int) ~combine:max
+let int_min = Monoid.make ~name:"int_min" ~identity:(fun () -> max_int) ~combine:Int.min
+let int_max = Monoid.make ~name:"int_max" ~identity:(fun () -> min_int) ~combine:Int.max
 let float_add = Monoid.make ~name:"float_add" ~identity:(fun () -> 0.0) ~combine:( +. )
 
 let int_land = Monoid.make ~name:"int_land" ~identity:(fun () -> -1) ~combine:( land )

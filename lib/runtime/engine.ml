@@ -1,4 +1,5 @@
 module Dynarr = Rader_support.Dynarr
+module Intvec = Rader_support.Intvec
 module Loc = Rader_memory.Loc
 module Obs = Rader_obs.Obs
 
@@ -52,7 +53,7 @@ type t = {
   mutable next_rid : int;
   mutable strand_counter : int;
   mutable spawn_counter : int;
-  tape : int Dynarr.t;
+  tape : Intvec.t;
   reducer_merges :
     (ctx -> from_region:int -> into_region:int -> unit) Dynarr.t;
   (* frame stack *)
@@ -127,7 +128,7 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     next_rid = 1;
     strand_counter = 0;
     spawn_counter = 0;
-    tape = Dynarr.create ();
+    tape = Intvec.create ();
     reducer_merges = Dynarr.create ();
     top = -1;
     f_fid = Array.make init_cap (-1);
@@ -185,7 +186,7 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
   t.next_rid <- 1;
   t.strand_counter <- 0;
   t.spawn_counter <- 0;
-  Dynarr.clear t.tape;
+  Intvec.clear t.tape;
   Dynarr.clear t.reducer_merges;
   t.top <- -1;
   Array.fill t.f_fid 0 (Array.length t.f_fid) (-1);
@@ -212,7 +213,7 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
 (* An entry with no argument is its tag. Callers whose entry takes
    computing test [t.record] themselves, so an unrecorded run computes no
    entry. *)
-let[@inline] record t e = if t.record then Dynarr.push t.tape e
+let[@inline] record t e = if t.record then Intvec.push t.tape e
 
 (* Budget accounting: one event per strand start and per instrumented
    access. The clock is consulted at the first event — so a deadline that
@@ -271,7 +272,7 @@ let push_frame t ~spawned ~kind ~reducer ~entry_rid =
   let fid = t.next_fid in
   t.next_fid <- fid + 1;
   t.c_frames <- t.c_frames + 1;
-  if t.record then Dynarr.push t.tape (Tape.enter_entry ~kind ~spawned ~reducer);
+  if t.record then Intvec.push t.tape (Tape.enter_entry ~kind ~spawned ~reducer);
   t.f_fid.(d) <- fid;
   t.f_kind.(d) <- kind;
   t.f_block.(d) <- 0;
@@ -426,7 +427,7 @@ let serial_spawn ctx f =
   let stolen = steals t d ~spawn_index ~local in
   (* The child's return entry carries the steal decision, ahead of the
      steal's merges. *)
-  if t.record then Dynarr.push t.tape (Tape.entry Tape.return (Bool.to_int stolen));
+  if t.record then Intvec.push t.tape (Tape.entry Tape.return (Bool.to_int stolen));
   if stolen then begin
     let ordinal = t.f_steals.(d) + 1 in
     t.f_steals.(d) <- ordinal;
@@ -629,7 +630,7 @@ let stats t =
 
 let loc_registry t = t.registry
 let loc_label t loc = Loc.label t.registry loc
-let tape t = if t.record then Some (Dynarr.to_array t.tape) else None
+let tape t = if t.record then Some (Intvec.to_array t.tape) else None
 
 (* -------- low-level hooks -------- *)
 
@@ -654,7 +655,7 @@ let serial_emit_access ctx ~write loc =
     t.tool.on_read ~frame ~loc ~view_aware;
     t.c_reads <- t.c_reads + 1
   end;
-  if t.record then Dynarr.push t.tape (Tape.access_entry ~loc ~write)
+  if t.record then Intvec.push t.tape (Tape.access_entry ~loc ~write)
 
 let emit_read ctx loc =
   match ctx.eng.online with
@@ -671,7 +672,7 @@ let serial_emit_reducer_read ctx reducer =
   require_user ctx "reducer read (create/get/set)";
   t.tool.on_reducer_read ~frame:ctx.fid ~reducer;
   t.c_reducer_reads <- t.c_reducer_reads + 1;
-  if t.record then Dynarr.push t.tape (Tape.entry Tape.reducer_read reducer)
+  if t.record then Intvec.push t.tape (Tape.entry Tape.reducer_read reducer)
 
 let emit_reducer_read ctx reducer =
   match ctx.eng.online with

@@ -22,8 +22,8 @@ let int_cell_monoid ~name ~zero ~op : int Cell.t Reducer.monoid =
   }
 
 let int_add_cell = int_cell_monoid ~name:"opadd" ~zero:0 ~op:( + )
-let int_max_cell = int_cell_monoid ~name:"max" ~zero:min_int ~op:max
-let int_min_cell = int_cell_monoid ~name:"min" ~zero:max_int ~op:min
+let int_max_cell = int_cell_monoid ~name:"max" ~zero:min_int ~op:Int.max
+let int_min_cell = int_cell_monoid ~name:"min" ~zero:max_int ~op:Int.min
 
 let ostream : Buffer.t Cell.t Reducer.monoid =
   {

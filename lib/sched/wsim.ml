@@ -72,11 +72,10 @@ let simulate ~workers ~seed eng =
     done
   done;
   let stolen =
-    List.filter_map
-      (fun { Trace.sp_index; sp_strand; sp_cont; _ } ->
-        if executed_by.(sp_cont) <> executed_by.(sp_strand) then Some sp_index
-        else None)
-      tr.Trace.spawns
+    List.filter
+      (fun si ->
+        executed_by.(tr.Trace.spawn_cont.(si)) <> executed_by.(tr.Trace.spawn_strand.(si)))
+      (List.init (Array.length tr.Trace.spawn_cont) Fun.id)
   in
   { makespan = !time; work = n; n_steals = !steals; stolen_continuations = stolen }
 

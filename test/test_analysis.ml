@@ -111,12 +111,11 @@ let test_ir_reducer_free () =
   checkb "no reducer ids" true (Ir.reducer_ids ir = []);
   check "result" 21 ir.Ir.result;
   (* every access strand is a leaf of the indexed tree *)
-  List.iter
-    (fun (a : Trace.access) ->
+  Array.iter
+    (fun s ->
       checkb "access strand is a leaf" true
-        (Rader_dag.Sp_tree.all_s_path ir.Ir.ix a.Trace.a_strand
-           a.Trace.a_strand))
-    (Ir.accesses ir)
+        (s >= 0 && s < Array.length ir.Ir.ix.Rader_dag.Sp_tree.hebrew))
+    ir.Ir.trace.Trace.acc_strand
 
 let test_ir_provenance () =
   let ir = ir_of clean_sum in
@@ -125,7 +124,7 @@ let test_ir_provenance () =
   check "eight updates" 8 (List.length (Ir.updates ir 0));
   (* update frames appear in the aux log as Update_fn *)
   checkb "aux kinds are updates" true
-    (List.for_all (fun (k, _, _) -> k = Tool.Update_fn) ir.Ir.trace.Trace.aux_frames)
+    (Array.for_all (fun k -> k = Tool.Update_fn) ir.Ir.trace.Trace.aux_kind)
 
 let test_ir_contains_failure () =
   match Ir.of_program (fun _ -> failwith "boom") with

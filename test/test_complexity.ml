@@ -206,15 +206,11 @@ let fib_opadd n ctx =
   ignore ((Rader_benchsuite.Bm_fib.bench ~n).Rader_benchsuite.Bench_def.cilk ctx)
 
 let alloc_programs =
-  let programs =
-    [
-      ("bare tree", Steal_spec.none, fun n ctx -> bare_tree ctx n);
-      ("fib+opadd", Steal_spec.none, fib_opadd);
-      ("fib+opadd -s all", Steal_spec.all (), fib_opadd);
-    ]
-  in
-  List.map (fun (name, spec, p) -> (name, false, spec, p)) programs
-  @ List.map (fun (name, spec, p) -> (name ^ " recorded", true, spec, p)) programs
+  [
+    ("bare tree", Steal_spec.none, fun n ctx -> bare_tree ctx n);
+    ("fib+opadd", Steal_spec.none, fib_opadd);
+    ("fib+opadd -s all", Steal_spec.all (), fib_opadd);
+  ]
 
 (* Committed words per spawn, per compiler series: the measured slopes
    rounded up to a tenth of a word (5.1.1 measured 26.00, 36.00 and 55.01;
@@ -231,6 +227,8 @@ let alloc_table =
         ("bare tree recorded", 39.9);
         ("fib+opadd recorded", 68.2);
         ("fib+opadd -s all recorded", 119.4);
+        ("bare tree front end", 130.9);
+        ("fib+opadd front end", 214.3);
       ] );
   ]
 
@@ -238,7 +236,7 @@ let alloc_table =
    larger size, so its stacks are already grown at both measured sizes. A
    recorded run gets a fresh engine instead: a recycled one keeps its
    tape's grown store, which would hide the cost of the tape itself. *)
-let words_per_spawn ~record ~spec program =
+let words_per_spawn ~record ~spec program () =
   let eng = Engine.create ~spec () in
   let measure n =
     let eng =
@@ -259,6 +257,40 @@ let words_per_spawn ~record ~spec program =
   let s1, w1 = measure 18 in
   (w1 -. w0) /. float_of_int (s1 - s0)
 
+(* The same slope for verify's front end on a no-steal program: the
+   recorded run, its decode into flat arrays with the parse-tree index,
+   and the pair scan. *)
+let front_end_words_per_spawn program () =
+  let measure n =
+    let main = program n in
+    let w0 = words_allocated () in
+    let spawns =
+      match Rader_analysis.Ir.of_program (fun ctx -> main ctx; 0) with
+      | Ok ir ->
+          let tr = ir.Rader_analysis.Ir.trace in
+          ignore (Coverage.scan_trace tr);
+          Array.length tr.Trace.spawn_frame
+      | Error f -> failwith (Diag.to_string f)
+    in
+    (spawns, words_allocated () -. w0)
+  in
+  ignore (measure 18);
+  let s0, w0 = measure 14 in
+  let s1, w1 = measure 18 in
+  (w1 -. w0) /. float_of_int (s1 - s0)
+
+let alloc_measures =
+  List.map
+    (fun (name, spec, p) -> (name, words_per_spawn ~record:false ~spec p))
+    alloc_programs
+  @ List.map
+      (fun (name, spec, p) -> (name ^ " recorded", words_per_spawn ~record:true ~spec p))
+      alloc_programs
+  @ [
+      ("bare tree front end", front_end_words_per_spawn (fun n ctx -> bare_tree ctx n));
+      ("fib+opadd front end", front_end_words_per_spawn fib_opadd);
+    ]
+
 let test_alloc_per_spawn () =
   let series = String.sub Sys.ocaml_version 0 3 in
   let row =
@@ -268,13 +300,13 @@ let test_alloc_per_spawn () =
   in
   let measured =
     List.map
-      (fun (name, record, spec, program) ->
-        let w = words_per_spawn ~record ~spec program in
+      (fun (name, measure) ->
+        let w = measure () in
         let limit = List.assoc name row in
         Printf.printf "%s: %.4f words/spawn (table %.1f, OCaml %s)\n" name w
           limit Sys.ocaml_version;
         (name, w, limit))
-      alloc_programs
+      alloc_measures
   in
   List.iter
     (fun (name, w, limit) ->

@@ -70,9 +70,9 @@ let verdict_of prog (out : O.outcome) =
    a table keyed by the path itself. [None] if an entry has no spawn. *)
 let reference_indices (nosteal : Trace.t) (t : Steal_trace.t) =
   let paths = Hashtbl.create 64 and next_ord = Hashtbl.create 64 in
-  List.iter
-    (fun (fid, parent, _spawned, kind) ->
-      if kind = Tool.User_fn then
+  Array.iteri
+    (fun fid parent ->
+      if nosteal.Trace.frame_kind.(fid) = Tool.User_fn then
         if parent = -1 then Hashtbl.replace paths fid []
         else
           match Hashtbl.find_opt paths parent with
@@ -83,16 +83,16 @@ let reference_indices (nosteal : Trace.t) (t : Steal_trace.t) =
               in
               Hashtbl.replace next_ord parent (ord + 1);
               Hashtbl.replace paths fid (pp @ [ ord ]))
-    nosteal.Trace.frames;
+    nosteal.Trace.frame_parent;
   let spawn_ord = Hashtbl.create 64 and index = Hashtbl.create 64 in
-  List.iter
-    (fun { Trace.sp_index; sp_frame; _ } ->
+  Array.iteri
+    (fun sp_index sp_frame ->
       let ord = Option.value ~default:0 (Hashtbl.find_opt spawn_ord sp_frame) in
       Hashtbl.replace spawn_ord sp_frame (ord + 1);
       match Hashtbl.find_opt paths sp_frame with
       | None -> ()
       | Some p -> Hashtbl.replace index (p, ord) sp_index)
-    nosteal.Trace.spawns;
+    nosteal.Trace.spawn_frame;
   let found =
     List.map
       (fun e -> Hashtbl.find_opt index (e.Steal_trace.e_path, e.Steal_trace.e_ord))

@@ -119,12 +119,13 @@ let test_pairs_report_exact_strands () =
   ignore (Engine.run eng program);
   match Oracle.determinacy_pairs eng with
   | [ (loc, s1, s2) ] ->
-      let accesses = (Trace.of_engine eng).Trace.accesses in
-      let writes = List.filter (fun a -> a.Trace.a_is_write) accesses in
-      let reads = List.filter (fun a -> not a.Trace.a_is_write) accesses in
-      Alcotest.(check int) "loc is the cell" (List.hd writes).Trace.a_loc loc;
-      Alcotest.(check int) "first strand = the write" (List.hd writes).Trace.a_strand s1;
-      Alcotest.(check int) "second strand = the read" (List.hd reads).Trace.a_strand s2
+      let tr = Trace.of_engine eng in
+      let accesses = List.init (Array.length tr.Trace.acc_loc) Fun.id in
+      let writes = List.filter (fun a -> tr.Trace.acc_write.(a)) accesses in
+      let reads = List.filter (fun a -> not tr.Trace.acc_write.(a)) accesses in
+      Alcotest.(check int) "loc is the cell" tr.Trace.acc_loc.(List.hd writes) loc;
+      Alcotest.(check int) "first strand = the write" tr.Trace.acc_strand.(List.hd writes) s1;
+      Alcotest.(check int) "second strand = the read" tr.Trace.acc_strand.(List.hd reads) s2
   | pairs -> Alcotest.failf "expected 1 pair, got %d" (List.length pairs)
 
 let test_view_read_pairs_endpoints () =
@@ -136,13 +137,12 @@ let test_view_read_pairs_endpoints () =
   in
   let eng = Engine.create ~record:true () in
   ignore (Engine.run eng program);
-  let rreads = (Trace.of_engine eng).Trace.reducer_reads in
+  let rreads = Array.to_list (Trace.of_engine eng).Trace.rread_strand in
   Alcotest.(check int) "two reducer-reads (create + get)" 2 (List.length rreads);
   match Oracle.view_read_pairs eng with
   | [ (rid, s1, s2) ] ->
       Alcotest.(check int) "reducer 0" 0 rid;
-      let strands = List.map snd rreads in
-      Alcotest.(check (list int)) "pair = the two reducer-reads" (List.sort compare strands)
+      Alcotest.(check (list int)) "pair = the two reducer-reads" (List.sort compare rreads)
         (List.sort compare [ s1; s2 ])
   | pairs -> Alcotest.failf "expected 1 view-read pair, got %d" (List.length pairs)
 

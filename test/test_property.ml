@@ -248,6 +248,48 @@ let prop_sp_tree_of_trace_matches_dag =
         !ok
       end)
 
+(* The index the decoding walk fills, without a boxed tree, on the same
+   serial traces: its Hebrew ranks are the boxed tree's, and parallelism
+   and all-S paths agree with dag reachability, peer sets and the boxed
+   tree's index for every strand pair. *)
+let prop_walk_index_matches_dag =
+  qtest ~count:150 "walk-built SP index of trace = dag oracles"
+    (G.gen ~with_reducers:true ~racy:true)
+    (fun p ->
+      let eng = Engine.create ~record:true () in
+      ignore (Engine.run eng (G.interpret p));
+      let tr = Trace.of_engine eng in
+      let ix = Trace.index tr in
+      let boxed = Rader_dag.Sp_tree.index (Trace.sp_tree tr) in
+      let n = Rader_dag.Dag.n_strands (Trace.dag tr) in
+      let reach = Rader_dag.Dag.closure (Trace.dag tr) in
+      let peers = Rader_dag.Peers.compute (Trace.dag tr) in
+      if n <> tr.Trace.n_strands || Array.length ix.Rader_dag.Sp_tree.hebrew <> n then
+        QCheck2.Test.fail_reportf "index covers %d strands, the dag has %d"
+          (Array.length ix.Rader_dag.Sp_tree.hebrew) n
+      else if ix.Rader_dag.Sp_tree.hebrew <> boxed.Rader_dag.Sp_tree.hebrew then
+        QCheck2.Test.fail_reportf "Hebrew ranks differ from the boxed tree's"
+      else begin
+        let bad = ref None in
+        for u = 0 to n - 1 do
+          for v = 0 to n - 1 do
+            if u <> v && !bad = None then begin
+              let par = Rader_dag.Sp_tree.parallel ix u v in
+              let alls = Rader_dag.Sp_tree.all_s_path ix u v in
+              if
+                par <> Rader_dag.Dag.parallel reach u v
+                || alls <> Rader_dag.Peers.equal_peers peers u v
+                || par <> Rader_dag.Sp_tree.parallel boxed u v
+                || alls <> Rader_dag.Sp_tree.all_s_path boxed u v
+              then bad := Some (u, v)
+            end
+          done
+        done;
+        match !bad with
+        | None -> true
+        | Some (u, v) -> QCheck2.Test.fail_reportf "strands %d and %d disagree" u v
+      end)
+
 (* Trace round-trips preserve the oracle verdicts on random programs. *)
 let prop_trace_roundtrip =
   qtest ~count:100 "trace save/load round-trips"
@@ -296,7 +338,7 @@ let prop_engine_invariants =
           let ok_counts =
             Rader_dag.Dag.n_strands dag = s.Engine.n_strands
             && s.Engine.n_steals <= s.Engine.n_spawns
-            && List.length tr.Trace.spawns = s.Engine.n_spawns
+            && Array.length tr.Trace.spawn_frame = s.Engine.n_spawns
           in
           (* single sink: the root's final sync strand *)
           let sinks = ref 0 in
@@ -388,6 +430,7 @@ let () =
         prop_sp_plus_iff_oracle;
         prop_peer_set_spec_independent;
         prop_sp_tree_of_trace_matches_dag;
+        prop_walk_index_matches_dag;
         prop_trace_roundtrip;
         prop_deterministic_across_specs;
         prop_engine_invariants;

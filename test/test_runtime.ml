@@ -583,24 +583,22 @@ let test_performance_dag_reduce_strands () =
     (Engine.stats eng).Engine.n_reduce_calls
     (Hashtbl.find kinds Dag.Reduce);
   (* merges recorded, timestamps nondecreasing *)
-  let merges = (Trace.of_engine eng).Trace.merges in
-  checkb "merges logged" true (List.length merges > 0);
-  let rec sorted = function
-    | a :: (b :: _ as tl) -> a.Trace.m_at <= b.Trace.m_at && sorted tl
-    | _ -> true
-  in
-  checkb "merge log ordered" true (sorted merges)
+  let merge_at = (Trace.of_engine eng).Trace.merge_at in
+  checkb "merges logged" true (Array.length merge_at > 0);
+  let sorted = ref true in
+  Array.iteri (fun i at -> if i > 0 && merge_at.(i - 1) > at then sorted := false) merge_at;
+  checkb "merge log ordered" true !sorted
 
 let test_spawn_log () =
   let _, eng = Cilk.exec ~record:true diamond in
   let tr = Trace.of_engine eng in
-  check "two spawns logged" 2 (List.length tr.Trace.spawns);
+  check "two spawns logged" 2 (Array.length tr.Trace.spawn_frame);
   let reach = Dag.closure (Trace.dag tr) in
-  List.iter
-    (fun { Trace.sp_strand; sp_cont; _ } ->
+  Array.iteri
+    (fun i sp_strand ->
       checkb "spawn precedes continuation" true
-        (Dag.precedes reach sp_strand sp_cont))
-    tr.Trace.spawns
+        (Dag.precedes reach sp_strand tr.Trace.spawn_cont.(i)))
+    tr.Trace.spawn_strand
 
 let test_access_log () =
   let _, eng =
@@ -609,13 +607,15 @@ let test_access_log () =
         Cell.write ctx c 1;
         ignore (Cell.read ctx c))
   in
-  match (Trace.of_engine eng).Trace.accesses with
-  | [ w; r ] ->
-      checkb "write first" true w.Trace.a_is_write;
-      checkb "read second" false r.Trace.a_is_write;
-      check "same loc" w.Trace.a_loc r.Trace.a_loc;
-      checkb "view oblivious" false (w.Trace.a_view_aware || r.Trace.a_view_aware)
-  | l -> Alcotest.failf "expected 2 accesses, got %d" (List.length l)
+  let tr = Trace.of_engine eng in
+  match Array.length tr.Trace.acc_loc with
+  | 2 ->
+      checkb "write first" true tr.Trace.acc_write.(0);
+      checkb "read second" false tr.Trace.acc_write.(1);
+      check "same loc" tr.Trace.acc_loc.(0) tr.Trace.acc_loc.(1);
+      checkb "view oblivious" false
+        (tr.Trace.acc_view_aware.(0) || tr.Trace.acc_view_aware.(1))
+  | n -> Alcotest.failf "expected 2 accesses, got %d" n
 
 let test_view_aware_accesses_flagged () =
   let _, eng =
@@ -624,7 +624,7 @@ let test_view_aware_accesses_flagged () =
         Rmonoid.add ctx r 1)
   in
   checkb "update accesses are view-aware" true
-    (List.exists (fun a -> a.Trace.a_view_aware) (Trace.of_engine eng).Trace.accesses)
+    (Array.exists Fun.id (Trace.of_engine eng).Trace.acc_view_aware)
 
 (* ---------- Steal_spec unit behaviour ---------- *)
 
@@ -843,16 +843,20 @@ let prop_reports_name_recorded_accesses =
           let names_access (r : Report.t) =
             r.subject_label = Trace.loc_label sp_tr r.subject
             && List.exists
-                 (fun (a : Trace.access) ->
-                   a.a_loc = r.subject
-                   && a.a_frame = r.second_frame
-                   && a.a_strand = r.second_strand
-                   && a.a_is_write = (r.second_access = Report.Write)
-                   && a.a_view_aware = r.second_view_aware)
-                 sp_tr.accesses
+                 (fun a ->
+                   sp_tr.acc_loc.(a) = r.subject
+                   && sp_tr.acc_frame.(a) = r.second_frame
+                   && sp_tr.acc_strand.(a) = r.second_strand
+                   && sp_tr.acc_write.(a) = (r.second_access = Report.Write)
+                   && sp_tr.acc_view_aware.(a) = r.second_view_aware)
+                 (List.init (Array.length sp_tr.acc_loc) Fun.id)
           in
           let names_read (r : Report.t) =
-            List.mem (r.subject, r.second_strand) peer_tr.reducer_reads
+            List.exists
+              (fun i ->
+                peer_tr.rread_reducer.(i) = r.subject
+                && peer_tr.rread_strand.(i) = r.second_strand)
+              (List.init (Array.length peer_tr.rread_reducer) Fun.id)
           in
           let unmatched found races =
             match List.find_opt (fun r -> not (found r)) races with

@@ -56,14 +56,11 @@ let test_trace_contents () =
   Alcotest.(check int) "decoded strands" stats.Engine.n_strands tr.Trace.n_strands;
   Alcotest.(check int) "accesses"
     (stats.Engine.n_reads + stats.Engine.n_writes)
-    (List.length tr.Trace.accesses);
-  Alcotest.(check int) "spawns" stats.Engine.n_spawns (List.length tr.Trace.spawns);
+    (Array.length tr.Trace.acc_loc);
+  Alcotest.(check int) "spawns" stats.Engine.n_spawns (Array.length tr.Trace.spawn_frame);
   checkb "labels cover accesses" true
-    (List.for_all
-       (fun a -> Trace.loc_label tr a.Trace.a_loc <> "?")
-       tr.Trace.accesses);
-  checkb "has mylist label" true
-    (List.exists (fun (_, l) -> l = "mylist.next") tr.Trace.loc_labels)
+    (Array.for_all (fun l -> Trace.loc_label tr l <> "?") tr.Trace.acc_loc);
+  checkb "has mylist label" true (Array.mem "mylist.next" tr.Trace.label_text)
 
 let test_save_load_roundtrip () =
   let eng = recorded fig1_like in
@@ -225,10 +222,11 @@ let mutate body flips cut extend =
 let usable tr =
   ignore (Oracle.determinacy_pairs_t tr);
   ignore (Oracle.view_read_pairs_t tr);
-  match Trace.sp_tree tr with
+  match (Trace.sp_tree tr, Trace.index tr) with
   | _ -> ()
   | exception Invalid_argument msg
-    when String.starts_with ~prefix:"Trace.sp_tree: performance dag" msg ->
+    when String.starts_with ~prefix:"Trace.sp_tree: performance dag" msg
+         || String.starts_with ~prefix:"Trace.index: performance dag" msg ->
       ()
 
 let load_total body =
@@ -290,7 +288,7 @@ let test_label_with_spaces_roundtrip () =
       Trace.save tr path;
       let tr' = load_ok path in
       checkb "spacey label survives" true
-        (List.exists (fun (_, l) -> l = "a label with spaces") tr'.Trace.loc_labels))
+        (Array.mem "a label with spaces" tr'.Trace.label_text))
 
 let test_sp_tree_reconstruction () =
   let eng = recorded ~spec:Steal_spec.none fig1_like in
