@@ -291,18 +291,13 @@ let to_json_string c =
    a malformed trace. *)
 let now_us () = Unix.gettimeofday () *. 1e6
 
-type phase = { phase_name : string; mutable phase_us : float; mutable phase_count : int }
+type phase = { phase_name : string; mutable phase_us : float }
 
-let phase name = { phase_name = name; phase_us = 0.0; phase_count = 0 }
+let phase name = { phase_name = name; phase_us = 0.0 }
 
 let timed p f =
   let t0 = now_us () in
-  Fun.protect
-    ~finally:(fun () ->
-      p.phase_us <- p.phase_us +. (now_us () -. t0);
-      p.phase_count <- p.phase_count + 1)
-    f
+  Fun.protect ~finally:(fun () -> p.phase_us <- p.phase_us +. (now_us () -. t0)) f
 
 let phase_seconds p = p.phase_us /. 1e6
 let phase_name p = p.phase_name
-let phase_count p = p.phase_count

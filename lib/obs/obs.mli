@@ -181,4 +181,3 @@ val timed : phase -> (unit -> 'a) -> 'a
 
 val phase_name : phase -> string
 val phase_seconds : phase -> float
-val phase_count : phase -> int

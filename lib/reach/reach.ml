@@ -12,8 +12,6 @@ let parse = function
   | "depa" -> Ok Depa
   | s -> Error (Printf.sprintf "unknown reachability backend %S (expected dset|depa)" s)
 
-let doc_alts = "dset|depa"
-
 (* ---------------------------------------------------------------------- *)
 (* Fork-path fingerprints (the depa [Sp] backend).
 

@@ -42,9 +42,6 @@ val all : backend list
 val show : backend -> string
 val parse : string -> (backend, string) result
 
-(** Cmdliner-friendly doc string: ["dset|depa"]. *)
-val doc_alts : string
-
 (** {2 SP+ precedence core}
 
     Owns the per-frame S/P classification state of the SP+ detector: the

@@ -551,7 +551,6 @@ let unwind t =
 (* Mutex-guarded: online reducer self-checks report from worker domains. *)
 let report_contract_violation t cv =
   Mutex.protect t.shell_mu (fun () -> t.contract_log <- cv :: t.contract_log)
-let contract_violations t = List.rev t.contract_log
 
 (* Post-run spec check: if the spec never fired and its shape names
    coordinates the program cannot reach, the caller got a silently serial
@@ -628,7 +627,6 @@ let stats t =
     n_reducer_reads = t.c_reducer_reads;
   }
 
-let loc_registry t = t.registry
 let loc_label t loc = Loc.label t.registry loc
 let tape t = if t.record then Some (Intvec.to_array t.tape) else None
 
@@ -724,8 +722,8 @@ let register_reducer t ~merge =
    registry and labels, the contract log and the registered reducer
    merges, each behind [shell_mu], while the scheduling entry points above
    forward to the installed ops. The shell never enters [Running] state —
-   the online runtime drives frames itself — so [loc_label],
-   [contract_violations] and friends keep working on it after the run. *)
+   the online runtime drives frames itself — so [loc_label] and the
+   contract log keep working on it after the run. *)
 
 let set_online t ops =
   if t.state <> Fresh then err "Engine.set_online: engine already running";

@@ -182,12 +182,7 @@ val current_strand : t -> int
 val current_region : ctx -> int
 
 val stats : t -> stats
-val loc_registry : t -> Rader_memory.Loc.registry
 val loc_label : t -> int -> string
-
-(** [contract_violations t] is every monoid-contract violation recorded by
-    reducer self-checks during the run, in detection order. *)
-val contract_violations : t -> Fault.contract_violation list
 
 (** {1 Recording} *)
 

@@ -53,8 +53,8 @@ type 'v t
     left/right identity laws — are verified on up to [lc_samples] observed
     view pairs as region merges happen. Violations are {e reported}, not
     raised: they are recorded on the engine as
-    [Fault.Monoid_contract] (see [Engine.contract_violations]) and turn
-    the verdict of [Engine.run_result] into [Error]. *)
+    [Fault.Monoid_contract] and turn the verdict of [Engine.run_result]
+    into [Error]. *)
 val create : Engine.ctx -> ?self_check:'v law_check -> 'v monoid -> init:'v -> 'v t
 
 (** [get_value ctx r] is the current view's value (materializing an

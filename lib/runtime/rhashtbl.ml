@@ -41,10 +41,6 @@ let merge_into ctx ~dst ~src ~combine =
       List.iter (fun (k, v) -> add ctx dst k v ~combine) (Cell.read ctx cell))
     src.buckets
 
-let peek_bindings h =
-  Array.fold_left (fun acc cell -> List.rev_append (Cell.peek cell) acc) [] h.buckets
-  |> List.sort compare
-
 let monoid ~buckets ~combine () =
   {
     Reducer.name = "rhashtbl";

@@ -36,9 +36,6 @@ val bindings : Engine.ctx -> ('k, 'v) t -> ('k * 'v) list
 val merge_into :
   Engine.ctx -> dst:('k, 'v) t -> src:('k, 'v) t -> combine:('v -> 'v -> 'v) -> unit
 
-(** [peek_bindings h] is the sorted bindings without instrumentation. *)
-val peek_bindings : ('k, 'v) t -> ('k * 'v) list
-
 (** [monoid ~buckets ~combine ()] is the dictionary reducer monoid:
     identity = fresh empty table, reduce = [merge_into] left. *)
 val monoid : buckets:int -> combine:('v -> 'v -> 'v) -> unit -> ('k, 'v) t Reducer.monoid

@@ -23,10 +23,6 @@ let null =
     on_reducer_read = (fun ~frame:_ ~reducer:_ -> ());
   }
 
-let is_view_aware_kind = function
-  | User_fn -> false
-  | Update_fn | Reduce_fn | Identity_fn -> true
-
 let frame_kind_name = function
   | User_fn -> "user"
   | Update_fn -> "update"

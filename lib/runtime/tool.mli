@@ -48,9 +48,5 @@ type t = {
 (** [null] ignores every event — the "empty tool" baseline of Fig. 8. *)
 val null : t
 
-(** [is_view_aware_kind k] is true for [Update_fn], [Reduce_fn],
-    [Identity_fn]. *)
-val is_view_aware_kind : frame_kind -> bool
-
 (** [frame_kind_name k] is a short printable name. *)
 val frame_kind_name : frame_kind -> string

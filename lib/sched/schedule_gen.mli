@@ -6,18 +6,10 @@
     schedule-dependent output — the observable symptom the paper's §1–§2
     examples describe. *)
 
-(** [derive_specs program ~workers ~seeds] records one serial run of
-    [program], then simulates work stealing on its dag once per seed and
-    returns the corresponding steal specifications. *)
-val derive_specs :
-  (Rader_runtime.Engine.ctx -> 'a) ->
-  workers:int ->
-  seeds:int list ->
-  Rader_runtime.Steal_spec.t list
-
-(** [fuzz program ~workers ~seeds] executes [program] under each derived
-    schedule and returns [(spec_name, result)] per run, serial run
-    included first. *)
+(** [fuzz program ~workers ~seeds] records one serial run of [program],
+    simulates work stealing on its dag once per seed, executes [program]
+    under each derived steal specification and returns
+    [(spec_name, result)] per run, serial run included first. *)
 val fuzz :
   (Rader_runtime.Engine.ctx -> 'a) ->
   workers:int ->

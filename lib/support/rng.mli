@@ -38,7 +38,3 @@ val bernoulli : t -> float -> bool
 
 (** [shuffle t arr] permutes [arr] in place uniformly (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [choose t arr] is a uniformly chosen element of [arr].
-    @raise Invalid_argument on an empty array. *)
-val choose : t -> 'a array -> 'a

@@ -40,14 +40,6 @@ let median xs =
   let n = Array.length arr in
   if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0
 
-let stddev xs =
-  let m = mean xs in
-  let var =
-    List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-    /. float_of_int (List.length xs)
-  in
-  sqrt var
-
 let min_max xs =
   let xs = nonempty xs in
   List.fold_left

@@ -19,8 +19,5 @@ val geomean : float list -> float
 (** [median xs] is the median (average of middle two for even lengths). *)
 val median : float list -> float
 
-(** [stddev xs] is the population standard deviation. *)
-val stddev : float list -> float
-
 (** [min_max xs] is [(min, max)]. @raise Invalid_argument on []. *)
 val min_max : float list -> float * float
