@@ -1,4 +1,6 @@
 open Rader_runtime
+module Dynarr = Rader_support.Dynarr
+module Intvec = Rader_support.Intvec
 
 type entry = { e_path : int list; e_ord : int }
 
@@ -39,6 +41,35 @@ let to_string t =
     t.entries;
   Buffer.contents b
 
+(* ---------- the no-steal run's frames ---------- *)
+
+type frames = {
+  frame_parent : int array;
+  frame_kind : Tool.frame_kind array;
+  spawn_frame : int array;
+}
+
+(* The engine numbers frames densely in entry order, so a frame's id is
+   its entry's index; a spawn's index counts spawned children's returns. *)
+let observe (tool : Tool.t) =
+  let parents = Intvec.create () and kinds = Dynarr.create () in
+  let spawners = Intvec.create () in
+  let on_frame_enter ~frame ~parent ~spawned ~kind =
+    Intvec.push parents parent;
+    Dynarr.push kinds kind;
+    tool.on_frame_enter ~frame ~parent ~spawned ~kind
+  and on_frame_return ~frame ~parent ~spawned ~kind =
+    if spawned then Intvec.push spawners parent;
+    tool.on_frame_return ~frame ~parent ~spawned ~kind
+  in
+  ( { tool with on_frame_enter; on_frame_return },
+    fun () ->
+      {
+        frame_parent = Intvec.to_array parents;
+        frame_kind = Dynarr.to_array kinds;
+        spawn_frame = Intvec.to_array spawners;
+      } )
+
 (* ---------- trace -> serial steal spec ---------- *)
 
 (* Per user frame of the no-steal run, its user children and its spawns'
@@ -46,8 +77,8 @@ let to_string t =
    first from the root, its ordinal indexes the second. Frame ids count
    up from the root in creation order; view-aware frames are no step of
    a user path, and nor is anything below one. *)
-let to_spec (nosteal : Trace.t) =
-  let parent = nosteal.Trace.frame_parent and kind = nosteal.Trace.frame_kind in
+let to_spec nosteal =
+  let parent = nosteal.frame_parent and kind = nosteal.frame_kind in
   let n = Array.length parent in
   let user = Array.make n false in
   let kids = Array.make n [] and spawns = Array.make n [] in
@@ -58,7 +89,7 @@ let to_spec (nosteal : Trace.t) =
       if p >= 0 then kids.(p) <- fid :: kids.(p)
     end
   done;
-  Array.iteri (fun si f -> spawns.(f) <- si :: spawns.(f)) nosteal.Trace.spawn_frame;
+  Array.iteri (fun si f -> spawns.(f) <- si :: spawns.(f)) nosteal.spawn_frame;
   let in_order = Array.map (fun l -> Array.of_list (List.rev l)) in
   let kids = in_order kids and spawns = in_order spawns in
   let nth a i = if i >= 0 && i < Array.length a then Some a.(i) else None in

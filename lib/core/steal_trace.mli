@@ -46,12 +46,29 @@ val n_steals : t -> int
     artifacts. A human-readable record: nothing reads it back. *)
 val to_string : t -> string
 
+(** The shape of a run that {!to_spec} reads: per frame (ids count up
+    from the root in entry order), its parent ([-1] for the root) and its
+    kind; per spawn, in global spawn-index order (the order in which
+    spawned children return), the spawning frame. A decoded recording has
+    the same three arrays ([Trace.frame_parent], [Trace.frame_kind],
+    [Trace.spawn_frame]). *)
+type frames = {
+  frame_parent : int array;
+  frame_kind : Rader_runtime.Tool.frame_kind array;
+  spawn_frame : int array;
+}
+
+(** [observe tool] is [tool], with its frame events also collected, and
+    the function that returns the frames collected so far: a run's shape
+    without recording the run. *)
+val observe : Rader_runtime.Tool.t -> Rader_runtime.Tool.t * (unit -> frames)
+
 (** [to_spec nosteal trace] is the serial steal specification stealing
     exactly [trace]'s continuations, with [`Reduce_at_sync`] policy, or
     [Error] if an entry names a frame or spawn that [nosteal] — the
-    decoded recording of the program's run under [Steal_spec.none] — does
-    not have (a trace from a different program). It runs nothing.
-    Partially applied, [to_spec nosteal] builds its index once, in
+    frames of the program's run under [Steal_spec.none] — does not have
+    (a trace from a different program). It runs nothing. Partially
+    applied, [to_spec nosteal] builds its index once, in
     O(frames + spawns); each trace then costs the length of its entries'
     paths. *)
-val to_spec : Trace.t -> t -> (Rader_runtime.Steal_spec.t, string) result
+val to_spec : frames -> t -> (Rader_runtime.Steal_spec.t, string) result

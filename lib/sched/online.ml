@@ -533,7 +533,7 @@ let run cfg program =
 type judge = {
   j_program : Engine.ctx -> unit;
   j_reach : Rader_reach.Reach.backend option;
-  (* the no-steal recording: Peer-Set's reports and the trace-to-spec map *)
+  (* the no-steal run: Peer-Set's reports and the trace-to-spec map *)
   mutable j_base :
     (Report.t list * (Steal_trace.t -> (Steal_spec.t, string) result)) option;
 }
@@ -556,12 +556,12 @@ let verdict ?max_events ?deadline j (trace : Steal_trace.t) =
     match j.j_base with
     | Some base -> Ok base
     | None ->
-        let eng = Engine.create ~record:true ?max_events ?deadline () in
-        let pe = Peer_set.attach ?reach:j.j_reach eng in
+        let eng = Engine.create ?max_events ?deadline () in
+        let pe = Peer_set.create ?reach:j.j_reach eng in
+        let tool, frames = Steal_trace.observe (Peer_set.tool pe) in
+        Engine.set_tool eng tool;
         let* () = Engine.run_result eng j.j_program in
-        let base =
-          (Peer_set.races pe, Steal_trace.to_spec (Rader_core.Trace.of_engine eng))
-        in
+        let base = (Peer_set.races pe, Steal_trace.to_spec (frames ())) in
         j.j_base <- Some base;
         Ok base
   in

@@ -71,8 +71,8 @@ val run : config -> (Engine.ctx -> int) -> outcome
 (** {2 Verdicts} *)
 
 (** The serial detectors' verdicts on the runs of one program: it holds
-    the program's recorded no-steal run, with Peer-Set's reports, once
-    the first verdict has made it. *)
+    the frames of the program's no-steal run ({!Rader_core.Steal_trace.frames}),
+    with Peer-Set's reports, once the first verdict has made them. *)
 type judge
 
 (** [judge ?reach program] judges runs of [program]; [reach] picks the
@@ -84,8 +84,9 @@ val judge : ?reach:Rader_reach.Reach.backend -> (Engine.ctx -> 'a) -> judge
     [trace], plus Peer-Set's view-read races on the no-steal run, sorted
     by (kind, subject), in the detectors' own report format. Peer-Set's
     reports carry the no-steal run's strand ids. The no-steal run is
-    recorded once, by the first call whose recording completes; each
-    call runs SP+ once.
+    made once, by the first call whose run completes, with Peer-Set and
+    an observer of its frames installed (nothing is recorded); each call
+    runs SP+ once.
 
     Each serial run honours [max_events] and [deadline] (an absolute
     [Unix.gettimeofday] time) and is contained by [Engine.run_result]: a
