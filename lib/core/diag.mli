@@ -23,3 +23,24 @@
 include module type of struct
   include Rader_runtime.Fault
 end
+
+(** {1 How an analysis ended}
+
+    One rule for every verdict: the CLI's exit code, [rader submit]'s and
+    the daemon's verdict status all come from {!status}. *)
+
+type status =
+  | Clean  (** analysis complete, no races *)
+  | Races  (** races (or lint findings) *)
+  | Partial
+      (** contained failure, budget blowout or partial coverage: the
+          results cover only the completed prefix *)
+
+(** [status ~complete ~racy] is [Partial] when the analysis did not
+    complete, whatever it found — an incomplete analysis is flagged as
+    such, and the races it found are still reported — else [Races] or
+    [Clean]. *)
+val status : complete:bool -> racy:bool -> status
+
+(** [exit_code s] is 0 for [Clean], 1 for [Races] and 3 for [Partial]. *)
+val exit_code : status -> int

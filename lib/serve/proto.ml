@@ -42,7 +42,7 @@ type submit = {
 
 type request = Submit of submit | Health | Shutdown
 
-type status = Clean | Races | Partial
+type status = Rader_core.Diag.status = Clean | Races | Partial
 
 type verdict = {
   status : status;

@@ -58,7 +58,9 @@ type submit = {
 
 type request = Submit of submit | Health | Shutdown
 
-type status =
+(** A verdict's status is [Diag.status], re-exported with its
+    constructors; [Diag.exit_code] maps it to [rader submit]'s exit code. *)
+type status = Rader_core.Diag.status =
   | Clean  (** analysis complete, no races — CLI exit 0 *)
   | Races  (** races (or lint findings) — CLI exit 1 *)
   | Partial  (** contained failure / budget blowout — CLI exit 3 *)
