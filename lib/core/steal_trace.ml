@@ -70,6 +70,53 @@ let observe (tool : Tool.t) =
         spawn_frame = Intvec.to_array spawners;
       } )
 
+(* ---------- structural steals ---------- *)
+
+(* [Hashtbl.hash] is deterministic across runs and domains, which is all
+   the decision needs. *)
+let child_phash parent_phash ord = Hashtbl.hash (parent_phash, ord, 0x9e3779b9)
+
+let steal_decision ~seed ~density phash sord =
+  let h = Hashtbl.hash (seed, phash, sord, 0x85ebca6b) land 0xffffff in
+  float_of_int h < density *. 16777216.
+
+(* One pass over the frames in entry order gives each user frame its
+   path and hash from its parent's (spawned and called children alike
+   take the next ordinal), one pass over the spawns in global index
+   order gives each spawn its per-frame ordinal and decision. *)
+let structural ~seed ~density nosteal =
+  let parent = nosteal.frame_parent and kind = nosteal.frame_kind in
+  let n = Array.length parent in
+  let user = Array.make n false and nuser = Array.make n 0 in
+  let rpath = Array.make n [] and phash = Array.make n 0 in
+  for fid = 0 to n - 1 do
+    let p = parent.(fid) in
+    if kind.(fid) = Tool.User_fn && (p < 0 || user.(p)) then begin
+      user.(fid) <- true;
+      if p >= 0 then begin
+        let ord = nuser.(p) in
+        nuser.(p) <- ord + 1;
+        rpath.(fid) <- ord :: rpath.(p);
+        phash.(fid) <- child_phash phash.(p) ord
+      end
+    end
+  done;
+  let nspawns = Array.make n 0 and stolen = ref [] in
+  Array.iteri
+    (fun si f ->
+      let sord = nspawns.(f) in
+      nspawns.(f) <- sord + 1;
+      if user.(f) && steal_decision ~seed ~density phash.(f) sord then
+        stolen := ({ e_path = List.rev rpath.(f); e_ord = sord }, si) :: !stolen)
+    nosteal.spawn_frame;
+  let stolen = List.sort (fun (a, _) (b, _) -> compare_entry a b) !stolen in
+  ( Steal_spec.by_spawn_index ~policy:Steal_spec.Reduce_at_sync
+      ~name:
+        (Printf.sprintf "online-trace(seed=%d,density=%g,steals=%d)" seed density
+           (List.length stolen))
+      (List.map snd stolen),
+    { workers = 1; seed; density; entries = List.map fst stolen } )
+
 (* ---------- trace -> serial steal spec ---------- *)
 
 (* Per user frame of the no-steal run, its user children and its spawns'

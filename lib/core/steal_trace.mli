@@ -63,6 +63,18 @@ type frames = {
     without recording the run. *)
 val observe : Rader_runtime.Tool.t -> Rader_runtime.Tool.t * (unit -> frames)
 
+(** [structural ~seed ~density nosteal] is the steal set of [nosteal]'s
+    program under [seed] and [density], with no run: each user frame's
+    path folds into a hash of its user-child ordinals, and a spawn's
+    continuation is stolen when a seeded hash of its frame's hash and
+    its per-frame ordinal falls below [density]. It returns the serial
+    specification stealing exactly those continuations, by global spawn
+    index with [`Reduce_at_sync`] policy and named
+    [online-trace(seed=S,density=D,steals=N)], and their coordinates.
+    O(frames + spawns) plus the paths of the stolen spawns' frames. *)
+val structural :
+  seed:int -> density:float -> frames -> Rader_runtime.Steal_spec.t * t
+
 (** [to_spec nosteal trace] is the serial steal specification stealing
     exactly [trace]'s continuations, with [`Reduce_at_sync`] policy, or
     [Error] if an entry names a frame or spawn that [nosteal] — the

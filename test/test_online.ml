@@ -586,6 +586,127 @@ let test_verdict_budgets () =
   | Error f -> Alcotest.failf "foreign trace: wrong failure: %s" (Diag.to_string f)
   | Ok _ -> Alcotest.fail "a trace of another program got a verdict"
 
+(* ---------- the runtime pinned against [Steal_trace.structural] ---------- *)
+
+(* The frames the judge observes on [prog]'s no-steal run. *)
+let observed_frames prog =
+  let eng = Engine.create () in
+  let tool, observed = Steal_trace.observe Tool.null in
+  Engine.set_tool eng tool;
+  match Engine.run_result eng (fun ctx -> ignore (prog ctx)) with
+  | Ok () -> observed ()
+  | Error f -> Alcotest.failf "no-steal run: %s" (Diag.to_string f)
+
+(* A trace's text without its header line. *)
+let entry_lines tr =
+  let s = Steal_trace.to_string tr in
+  let i = String.index s '\n' + 1 in
+  String.sub s i (String.length s - i)
+
+let sorted_indices (spec : Steal_spec.t) =
+  match spec.Steal_spec.shape with
+  | Steal_spec.Spawn_indices idxs -> List.sort compare idxs
+  | _ -> Alcotest.fail "not a spawn-index spec"
+
+(* [structural] on the no-steal frames makes the runtime's steals: the
+   same entries, and the spec [to_spec] makes of the runtime's trace. *)
+let structural_agrees frames prog ~seed ~workers =
+  let out = O.run (cfg ~workers ~seed ()) prog in
+  let spec, st = Steal_trace.structural ~seed ~density:0.5 frames in
+  entry_lines out.O.trace = entry_lines st
+  &&
+  match Steal_trace.to_spec frames out.O.trace with
+  | Ok s ->
+      s.Steal_spec.name = spec.Steal_spec.name
+      && sorted_indices s = sorted_indices spec
+  | Error _ -> false
+
+let test_structural_demos () =
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun name ->
+          let prog =
+            match Demos.resolve ~scale name with
+            | Ok p -> p
+            | Error m -> Alcotest.fail m
+          in
+          let frames = observed_frames prog in
+          for seed = 1 to 8 do
+            List.iter
+              (fun workers ->
+                checkb
+                  (Printf.sprintf "%s scale=%g seed=%d workers=%d" name scale seed
+                     workers)
+                  true
+                  (structural_agrees frames prog ~seed ~workers))
+              [ 1; 2 ]
+          done)
+        (Demos.names ()))
+    [ 0.05; 0.25 ]
+
+let prop_structural_is_runtime =
+  QCheck2.Test.make ~name:"structural = the runtime's steals on generated programs"
+    ~count:100 ~print:G.print
+    (G.gen ~with_reducers:true ~racy:true)
+    (fun p ->
+      let prog = G.interpret p in
+      let frames = observed_frames prog in
+      List.for_all
+        (fun (seed, workers) ->
+          structural_agrees frames prog ~seed ~workers
+          || QCheck2.Test.fail_reportf "seed=%d workers=%d: steal sets differ" seed
+               workers)
+        [ (1, 1); (1, 2); (2, 1); (2, 2); (3, 1); (3, 2) ])
+
+(* ---------- golden table ---------- *)
+
+(* One row per demo program at scale 0.05 and seeds 1-4: the steal
+   count, the value, the racy subjects and a digest of the trace's entry
+   lines. Re-baseline with
+     RADER_GOLDEN_REGEN=$PWD/test/golden dune runtest   (from the repo root) *)
+let golden_file = "online__demos.golden"
+
+let golden_rows () =
+  List.concat_map
+    (fun name ->
+      let prog =
+        match Demos.resolve ~scale:0.05 name with
+        | Ok p -> p
+        | Error m -> Alcotest.fail m
+      in
+      let judge = O.judge prog in
+      List.map
+        (fun seed ->
+          let out = O.run (cfg ~workers:1 ~seed ()) prog in
+          let races =
+            match O.verdict judge out.O.trace with
+            | Ok races -> race_summary races
+            | Error f -> "contained:" ^ Diag.class_name f
+          in
+          Printf.sprintf "%s seed=%d steals=%d value=%s %s entries=%s\n" name seed
+            (Steal_trace.n_steals out.O.trace)
+            (value_string out.O.value) races
+            (Digest.to_hex (Digest.string (entry_lines out.O.trace))))
+        [ 1; 2; 3; 4 ])
+    (Demos.names ())
+
+let test_golden_table () =
+  let rendered = String.concat "" (golden_rows ()) in
+  match Sys.getenv_opt "RADER_GOLDEN_REGEN" with
+  | Some dir ->
+      Out_channel.with_open_bin (Filename.concat dir golden_file) (fun oc ->
+          output_string oc rendered)
+  | None ->
+      let path = Filename.concat "golden" golden_file in
+      if not (Sys.file_exists path) then
+        Alcotest.failf
+          "missing golden file %s — generate with \
+           RADER_GOLDEN_REGEN=$PWD/test/golden dune runtest"
+          golden_file;
+      checks (golden_file ^ ": rows drifted") (In_channel.with_open_bin path In_channel.input_all)
+        rendered
+
 let test_config_validation () =
   let prog = demo "fib-racy" in
   Alcotest.check_raises "workers < 1 rejected"
@@ -610,6 +731,12 @@ let () =
             Alcotest.test_case "pinned ⊆-sweep cases" `Quick
               test_pinned_sweep_cases;
           ] );
+      ( "structural",
+        [
+          QCheck_alcotest.to_alcotest prop_structural_is_runtime;
+          Alcotest.test_case "demos at 1 and 2 workers" `Quick test_structural_demos;
+          Alcotest.test_case "golden table" `Quick test_golden_table;
+        ] );
       ( "determinism",
         [ Alcotest.test_case "trace/verdict/value" `Quick test_determinism ] );
       ( "integrity",
