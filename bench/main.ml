@@ -13,11 +13,7 @@
      (job counts beyond the available cores are marked skipped, not timed
      as bogus <1x speedups) and the engine-reuse (Engine.reset) vs
      fresh-engine-per-spec ratio;
-   - S5: serial detector comparison on reducer-free workloads (§9 baselines);
-   - S10: online throughput — events/sec through the real work-stealing
-     runtime (effects scheduler, Chase-Lev deques) at 1/2/4 worker
-     domains, and the time of each run's verdict (the serial SP+ and
-     Peer-Set replay of its steals) as a separate column.
+   - S5: serial detector comparison on reducer-free workloads (§9 baselines).
 
    Rows that something else measures are not repeated here: the §7
    family sizes (S1) and the pruning counts (S7) are exact tables in
@@ -27,7 +23,7 @@
    and engine events/s (S12) are ledger_bench metrics.
 
    Besides the printed tables, the harness writes BENCH_rader.json
-   (schema rader-bench/11). It is gitignored (host-dependent timings);
+   (schema rader-bench/12). It is gitignored (host-dependent timings);
    BENCH_seed.json, the per-cell median of ten fast-mode runs, is the
    committed baseline scripts/perf_gate.py compares a fast run against.
 
@@ -461,119 +457,6 @@ let s5_detector_comparison () =
     workloads;
   Tablefmt.print t
 
-(* ---------- S10: online throughput (real work-stealing runtime) ---------- *)
-
-(* Events/sec through the Online runtime — effects scheduler, Chase-Lev
-   deques, view regions — at 1/2/4 worker domains, and beside it the
-   run's verdict: the serial detectors under its steals (a no-steal
-   Peer-Set run that observes the program's frames, plus one SP+ replay,
-   timed with a fresh judge per repetition so each one makes that run).
-   The structural steal set is a pure function of (program, seed,
-   density), so every row judges the same steals; what varies across
-   rows is only genuine parallel execution. *)
-
-module Online = Rader_sched.Online
-
-type s10_row = { s10_workers : int; s10_events : int; s10_races : int }
-
-type s10_prog = {
-  s10_name : string;
-  s10_rows : s10_row list;
-  s10_samples : (string * float array) list;
-}
-
-let s10_worker_counts = [ 1; 2; 4 ]
-let runtime_key w = "runtime" ^ string_of_int w
-let verdict_key w = "verdict" ^ string_of_int w
-
-let s10_online_throughput () =
-  let s10_scale = if fast then 0.25 else 1.0 in
-  let ok what = function
-    | Ok v -> v
-    | Error f -> failwith (Printf.sprintf "S10: %s failed: %s" what (Fault.to_string f))
-  in
-  List.map
-    (fun name ->
-      Printf.printf "timing %-10s [online] ...%!" name;
-      let p =
-        match Demos.resolve ~scale:s10_scale name with
-        | Ok p -> p
-        | Error m -> failwith m
-      in
-      let runs =
-        List.map
-          (fun w ->
-            let cfg = Online.default ~workers:w ~seed:1 () in
-            let o = Online.run cfg p in
-            ignore (ok "online run" o.Online.value);
-            (w, cfg, o))
-          s10_worker_counts
-      in
-      let verdict (o : Online.outcome) =
-        ok "verdict" (Online.verdict (Online.judge p) o.Online.trace)
-      in
-      let samples =
-        time_row
-          (List.concat_map
-             (fun (w, cfg, o) ->
-               [
-                 (runtime_key w, fun () -> ignore (ok "online run" (Online.run cfg p).Online.value));
-                 (verdict_key w, fun () -> ignore (verdict o));
-               ])
-             runs)
-      in
-      Printf.printf " done\n%!";
-      {
-        s10_name = name;
-        s10_rows =
-          List.map
-            (fun (w, _, o) ->
-              {
-                s10_workers = w;
-                s10_events = o.Online.events;
-                s10_races = List.length (verdict o);
-              })
-            runs;
-        s10_samples = samples;
-      })
-    [ "fib"; "wordcount" ]
-
-let s10_events_per_s p r =
-  float_of_int r.s10_events /. (seconds p.s10_samples (runtime_key r.s10_workers)).med
-
-let s10_print progs =
-  Printf.printf
-    "\nS10: online throughput — events/sec on the real work-stealing\n\
-     runtime at 1/2/4 worker domains, and the time of the run's verdict\n\
-     (serial SP+ + Peer-Set replay of its steals, dset backend)\n\
-     ----------------------------------------------------------------\n";
-  let t =
-    Tablefmt.create
-      [
-        "Program"; "workers"; "events"; "runtime ms"; "events/s"; "speedup";
-        "verdict ms"; "races";
-      ]
-  in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun r ->
-          let w = r.s10_workers in
-          Tablefmt.add_row t
-            [
-              p.s10_name;
-              string_of_int w;
-              string_of_int r.s10_events;
-              ms_s (seconds p.s10_samples (runtime_key w));
-              Printf.sprintf "%.3g" (s10_events_per_s p r);
-              ratio_s (ratio p.s10_samples (runtime_key 1) (runtime_key w));
-              ms_s (seconds p.s10_samples (verdict_key w));
-              string_of_int r.s10_races;
-            ])
-        p.s10_rows)
-    progs;
-  Tablefmt.print t
-
 (* ---------- BENCH_rader.json ---------- *)
 
 (* Hand-rolled emitter (no JSON dependency in the image). A timed value
@@ -610,7 +493,7 @@ let rec emit_json buf = function
 
 let cell_json c = Obj [ ("median", Num c.med); ("q1", Num c.q1); ("q3", Num c.q3) ]
 
-let bench_json rows (s4 : s4_data) s10progs =
+let bench_json rows (s4 : s4_data) =
   let overhead_grid base =
     Obj
       (List.map
@@ -648,36 +531,11 @@ let bench_json rows (s4 : s4_data) s10progs =
          (fun j -> (string_of_int j, if j > s4.s4_ncores then Num nan else cell_json (f j)))
          s4.s4_jobs)
   in
-  let s10_json =
-    Obj
-      (List.map
-         (fun p ->
-           ( p.s10_name,
-             Obj
-               [
-                 ( "by_workers",
-                   Obj
-                     (List.map
-                        (fun r ->
-                          let w = r.s10_workers in
-                          ( string_of_int w,
-                            Obj
-                              [
-                                ("runtime_s", cell_json (seconds p.s10_samples (runtime_key w)));
-                                ("verdict_s", cell_json (seconds p.s10_samples (verdict_key w)));
-                                ("events", Int r.s10_events);
-                                ("events_per_s", Num (s10_events_per_s p r));
-                                ("races", Int r.s10_races);
-                              ] ))
-                        p.s10_rows) );
-               ] ))
-         s10progs)
-  in
   Obj
     [
-      (* rader-bench/11: every timed value is a cell (median and quartiles
+      (* rader-bench/12: every timed value is a cell (median and quartiles
          over rounds); Fig. 7/8 are keyed by backend first *)
-      ("schema", Str "rader-bench/11");
+      ("schema", Str "rader-bench/12");
       ("scale", Num scale);
       ("fast", Bool fast);
       ("ncores", Int s4.s4_ncores);
@@ -705,12 +563,11 @@ let bench_json rows (s4 : s4_data) s10progs =
                   ("fresh_over_reset", cell_json (ratio s4.s4_samples "fresh" "reset"));
                 ] );
           ] );
-      ("s10_online_throughput", s10_json);
     ]
 
-let write_bench_json rows s4 s10progs =
+let write_bench_json rows s4 =
   let buf = Buffer.create 4096 in
-  emit_json buf (bench_json rows s4 s10progs);
+  emit_json buf (bench_json rows s4);
   Buffer.add_char buf '\n';
   let oc = open_out "BENCH_rader.json" in
   Buffer.output_buffer oc buf;
@@ -739,7 +596,5 @@ let () =
   let s4 = s4_parallel_sweep () in
   s4_print s4;
   s5_detector_comparison ();
-  let s10progs = s10_online_throughput () in
-  s10_print s10progs;
-  write_bench_json rows s4 s10progs;
+  write_bench_json rows s4;
   Printf.printf "\ndone.\n"

@@ -12,7 +12,7 @@
      rader tree     dump the canonical SP parse tree as Graphviz dot
      rader record   run with full recording and save the trace
      rader oracle   run the brute-force race oracles on a saved trace
-     rader online   run on the real work-stealing runtime; each run's
+     rader online   judge seeded structural steal sets; each run's
                     verdict is the serial replay of its steals
      rader serve    run the race-checking daemon
      rader submit   submit a check or verify to a running daemon
@@ -501,6 +501,7 @@ let do_lint program all scale reach json dot_out baseline write_baseline =
     | Some _, true -> usage_error "PROGRAM and --all are mutually exclusive"
     | None, false -> usage_error "need a PROGRAM or --all"
   in
+
   let failures = ref 0 in
   let results =
     List.filter_map
@@ -670,69 +671,30 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~doc)
     Term.(const do_fuzz $ program_t $ seed_arg $ runs_arg $ workers_arg)
 
-(* ---------- online: work-stealing runtime, judged by serial replay ---------- *)
+(* ---------- online: structural steal sets, judged by serial replay ---------- *)
 
-let do_online (_, prog) seed runs workers density reach (max_events, deadline_s)
-    metrics trace_out =
+let do_online (_, prog) seed runs density reach (max_events, deadline_s) metrics
+    trace_out =
   let module O = Rader_sched.Online in
   let judge = O.judge ?reach prog in
-  let obs_on = metrics <> None in
   let obs_was = Obs.enabled () in
-  if obs_on then Obs.set_enabled true;
-  let runtime_s = ref 0. and verdict_s = ref 0. in
-  let timed acc f =
-    let t0 = Obs.now_us () in
-    let v = f () in
-    acc := !acc +. ((Obs.now_us () -. t0) /. 1e6);
-    v
-  in
+  if metrics <> None then Obs.set_enabled true;
+  let snap = Obs.snapshot () in
+  let t0_us = Obs.now_us () in
   let union : Report.t list ref = ref [] in
   let first_failure = ref None in
-  let note_failure f = if !first_failure = None then first_failure := Some f in
-  let total_events = ref 0 in
   let total_steals = ref 0 in
-  let total_tasks = ref 0 in
-  let total_deque = ref 0 in
-  let counters = Obs.zero () in
   let racy_trace = ref None in
   let last_trace = ref None in
   for i = 0 to runs - 1 do
     let run_seed = seed + i in
-    let cfg =
-      {
-        O.workers;
-        seed = run_seed;
-        density;
-        max_events;
-        deadline = deadline_of deadline_s;
-        clock = None;
-      }
+    let run =
+      O.run ?max_events ?deadline:(deadline_of deadline_s) judge ~seed:run_seed
+        ~density
     in
-    let out = timed runtime_s (fun () -> O.run cfg prog) in
-    total_events := !total_events + out.O.events;
-    total_steals := !total_steals + out.O.n_structural_steals;
-    total_tasks := !total_tasks + out.O.n_tasks;
-    total_deque := !total_deque + out.O.n_deque_steals;
-    Option.iter (fun c -> Obs.add ~into:counters c) out.O.counters;
-    last_trace := Some out.O.trace;
-    (* A run cut short made only part of its steals: it gets no verdict. *)
-    let verdict =
-      match out.O.value with
-      | Error f ->
-          note_failure f;
-          None
-      | Ok _ ->
-          let snap = if obs_on then Some (Obs.snapshot ()) else None in
-          let v =
-            timed verdict_s (fun () ->
-                O.verdict ?max_events ?deadline:(deadline_of deadline_s) judge
-                  out.O.trace)
-          in
-          Option.iter (fun s -> Obs.add ~into:counters (Obs.since s)) snap;
-          Some v
-    in
-    let races = match verdict with Some (Ok races) -> races | _ -> [] in
-    if races <> [] && !racy_trace = None then racy_trace := Some out.O.trace;
+    total_steals := !total_steals + Steal_trace.n_steals run.O.trace;
+    last_trace := Some run.O.trace;
+    if run.O.races <> [] && !racy_trace = None then racy_trace := Some run.O.trace;
     List.iter
       (fun r ->
         if
@@ -743,23 +705,20 @@ let do_online (_, prog) seed runs workers density reach (max_events, deadline_s)
                  && r'.Report.subject = r.Report.subject)
                !union)
         then union := r :: !union)
-      races;
-    Printf.printf
-      "run seed=%-6d workers=%d: %3d structural steals, %4d tasks, %3d deque \
-       steals, %s%s\n"
-      run_seed workers out.O.n_structural_steals out.O.n_tasks
-      out.O.n_deque_steals
-      (match out.O.value with
+      run.O.races;
+    Printf.printf "run seed=%d: %d structural steals, %s%s\n" run_seed
+      (Steal_trace.n_steals run.O.trace)
+      (match run.O.value with
       | Ok v -> Printf.sprintf "result %d" v
       | Error f -> Printf.sprintf "contained: %s" (Diag.class_name f))
-      (if races = [] then ""
-       else Printf.sprintf ", %d race(s)" (List.length races));
-    match verdict with
-    | Some (Error f) ->
-        note_failure f;
-        Printf.printf "  replay: contained: %s\n" (Diag.class_name f)
+      (if run.O.races = [] then ""
+       else Printf.sprintf ", %d race(s)" (List.length run.O.races));
+    match run.O.value with
+    | Error f when !first_failure = None -> first_failure := Some f
     | _ -> ()
   done;
+  let verdict_s = (Obs.now_us () -. t0_us) /. 1e6 in
+  let counters = Obs.since snap in
   Obs.set_enabled obs_was;
   let union =
     List.sort
@@ -769,19 +728,11 @@ let do_online (_, prog) seed runs workers density reach (max_events, deadline_s)
         | c -> c)
       !union
   in
-  Printf.printf
-    "%d run(s): %d structural steals, %d tasks, %d deque steals, %d events\n"
-    runs !total_steals !total_tasks !total_deque !total_events;
+  Printf.printf "%d run(s): %d structural steals\n" runs !total_steals;
   print_races (List.map Report.to_string union);
-  (match metrics with
-  | None -> ()
-  | Some fmt ->
-      let dt = !runtime_s in
-      Printf.printf "throughput %.0f events/s over %.3f s\n"
-        (float_of_int !total_events /. (if dt > 0. then dt else 1e-9))
-        dt;
-      print_metrics fmt counters
-        ~phases:[ ("runtime", !runtime_s); ("verdict", !verdict_s) ]);
+  Option.iter
+    (fun fmt -> print_metrics fmt counters ~phases:[ ("verdict", verdict_s) ])
+    metrics;
   (match (trace_out, if !racy_trace <> None then !racy_trace else !last_trace) with
   | Some _, Some tr -> emit trace_out (Steal_trace.to_string tr)
   | _ -> ());
@@ -792,8 +743,9 @@ let do_online (_, prog) seed runs workers density reach (max_events, deadline_s)
 
 let online_cmd =
   let doc =
-    "Run a program on the real work-stealing runtime (OCaml domains); each \
-     run's verdict is the serial detectors' under the steals it made."
+    "Judge a program under seeded work-stealing schedules: each run steals \
+     a structural set of continuations (a seeded hash of fork paths against \
+     --density), and its verdict is the serial detectors' under those steals."
   in
   let runs_arg =
     Arg.(
@@ -801,23 +753,17 @@ let online_cmd =
       & info [ "runs"; "n" ] ~docv:"K"
           ~doc:"Number of online runs, with seeds SEED, SEED+1, ...")
   in
-  let workers_arg =
-    Arg.(
-      value & opt positive_int 2
-      & info [ "workers"; "p" ] ~docv:"P" ~doc:"Worker domains (>= 1).")
-  in
   let trace_out_arg =
     file_arg [ "trace-out" ]
       "Write the steal trace of the first racy run (or the last run \
        when all are clean): a human-readable record of which \
-       continuations were stolen. Nothing reads it back; each run's \
-       verdict replays its trace in-process."
+       continuations were stolen. Nothing reads it back."
   in
   Cmd.v
     (Cmd.info "online" ~doc)
     Term.(
-      const do_online $ program_t $ seed_arg $ runs_arg $ workers_arg $ density_arg
-      $ reach_arg $ budgets_t $ metrics_arg $ trace_out_arg)
+      const do_online $ program_t $ seed_arg $ runs_arg $ density_arg $ reach_arg
+      $ budgets_t $ metrics_arg $ trace_out_arg)
 
 (* ---------- commands that record one run, then render it ---------- *)
 

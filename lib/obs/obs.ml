@@ -45,10 +45,6 @@ type counters = {
   mutable reach_fp_queries : int; (* precedence queries answered *)
   mutable reach_fp_words : int; (* fingerprint words compared *)
   mutable reach_epoch_ops : int; (* view-epoch records + survivor-search steps *)
-  (* online work-stealing runtime (Rader_sched.Online) *)
-  mutable online_tasks : int; (* tasks executed across all workers *)
-  mutable online_deque_steals : int; (* successful cross-worker deque steals *)
-  mutable online_parks : int; (* sync waits that actually suspended *)
 }
 
 let zero () =
@@ -77,9 +73,6 @@ let zero () =
     reach_fp_queries = 0;
     reach_fp_words = 0;
     reach_epoch_ops = 0;
-    online_tasks = 0;
-    online_deque_steals = 0;
-    online_parks = 0;
   }
 
 (* The field list below is the single source of truth for every derived
@@ -116,11 +109,6 @@ let fields : (string * (counters -> int) * (counters -> int -> unit)) list =
       fun c v -> c.reach_fp_queries <- v );
     ("reach_fp_words", (fun c -> c.reach_fp_words), fun c v -> c.reach_fp_words <- v);
     ("reach_epoch_ops", (fun c -> c.reach_epoch_ops), fun c v -> c.reach_epoch_ops <- v);
-    ("online_tasks", (fun c -> c.online_tasks), fun c v -> c.online_tasks <- v);
-    ( "online_deque_steals",
-      (fun c -> c.online_deque_steals),
-      fun c v -> c.online_deque_steals <- v );
-    ("online_parks", (fun c -> c.online_parks), fun c v -> c.online_parks <- v);
   ]
 
 let to_assoc c = List.map (fun (name, get, _) -> (name, get c)) fields
@@ -223,21 +211,6 @@ let bump_reach_query ~words =
 let bump_reach_epoch ~steps =
   let c = cur () in
   c.reach_epoch_ops <- c.reach_epoch_ops + steps
-
-(* Online runtime: bumped from the worker domain that did the work, so
-   the per-domain records naturally shard the counts; the runtime sums
-   the per-worker deltas when it joins its domains. *)
-let bump_online_task () =
-  let c = cur () in
-  c.online_tasks <- c.online_tasks + 1
-
-let bump_online_deque_steal () =
-  let c = cur () in
-  c.online_deque_steals <- c.online_deque_steals + 1
-
-let bump_online_park () =
-  let c = cur () in
-  c.online_parks <- c.online_parks + 1
 
 (* Engine flushes a whole run at once (zero per-event overhead: the engine
    already maintains these counts for [Engine.stats]). *)

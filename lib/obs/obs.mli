@@ -50,12 +50,6 @@ type counters = {
   mutable reach_epoch_ops : int;
       (** view-epoch bookkeeping: records at frame return plus survivor
           binary-search steps at query time *)
-  mutable online_tasks : int;
-      (** tasks (continuations + root) executed by the online runtime *)
-  mutable online_deque_steals : int;
-      (** successful cross-worker deque steals in the online runtime *)
-  mutable online_parks : int;
-      (** online syncs that actually suspended waiting for a child *)
 }
 
 val zero : unit -> counters
@@ -129,14 +123,6 @@ val bump_reach_query : words:int -> unit
 
 (** [steps] view-epoch operations (records or survivor-search steps). *)
 val bump_reach_epoch : steps:int -> unit
-
-(** Online-runtime sites, bumped from the worker domain doing the work —
-    the per-domain records shard the counts, and the runtime sums the
-    per-worker deltas when it joins its domains. *)
-val bump_online_task : unit -> unit
-
-val bump_online_deque_steal : unit -> unit
-val bump_online_park : unit -> unit
 
 (** [note_engine_run ...] flushes one whole engine run's event counts
     (the engine already maintains them for [Engine.stats], so per-event

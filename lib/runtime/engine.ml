@@ -21,14 +21,7 @@ type stats = {
 
 type state = Fresh | Running | Done
 
-type 'a future = {
-  mutable value : 'a option;
-  owner : int;
-  born_block : int;
-  (* Online mode: filled by the child's executor, read by the parent
-     frame's executor strictly after the join — the publication happens
-     through the runtime's join lock, so no atomic is needed here. *)
-}
+type 'a future = { mutable value : 'a option; owner : int; born_block : int }
 
 (* Live frames are strictly nested in the serial execution, so a frame's
    depth is its slot in the [f_*] arrays (root = 0, innermost = [top]).
@@ -87,34 +80,12 @@ type t = {
   mutable c_reads : int;
   mutable c_writes : int;
   mutable c_reducer_reads : int;
-  (* Online mode: when [Some ops], the DSL entry points dispatch to the
-     installed work-stealing runtime instead of the serial interpreter.
-     The serial path is untouched (one [None] branch per call). *)
-  mutable online : online_ops option;
-  shell_mu : Mutex.t;
-      (* guards the registry, the reducer merges and the contract log
-         against concurrent online workers; the serial path never takes it *)
 }
 
-and ctx = { eng : t; fid : int; depth : int; ost : Obj.t }
-(* A serial context names its frame by fid and stack slot and is valid
-   only while that frame is innermost. [ost] is the online runtime's
-   per-execution-segment state (opaque to the engine); online contexts
-   carry fid = depth = -1, serial ones [no_ost]. *)
+and ctx = { eng : t; fid : int; depth : int }
+(* A context names its frame by fid and stack slot and is valid only
+   while that frame is innermost. *)
 
-and online_ops = {
-  oo_spawn : 'a. ctx -> (ctx -> 'a) -> 'a future;
-  oo_get : 'a. ctx -> 'a future -> 'a;
-  oo_sync : ctx -> unit;
-  oo_call : 'a. ctx -> (ctx -> 'a) -> 'a;
-  oo_run_aux : 'a. ctx -> Tool.frame_kind -> (ctx -> 'a) -> 'a;
-  oo_event : unit -> unit;
-  oo_current_region : ctx -> int;
-  oo_view_find : ctx -> region:int -> reducer:int -> Obj.t option;
-  oo_view_set : ctx -> region:int -> reducer:int -> Obj.t -> unit;
-}
-
-let no_ost = Obj.repr ()
 let init_cap = 16
 
 let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
@@ -157,8 +128,6 @@ let create ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
     c_reads = 0;
     c_writes = 0;
     c_reducer_reads = 0;
-    online = None;
-    shell_mu = Mutex.create ();
   }
 
 (* An engine runs one tool: replacing an installed detector would leave
@@ -207,8 +176,7 @@ let reset ?(tool = Tool.null) ?(spec = Steal_spec.none) ?(record = false)
   t.c_reduce_calls <- 0;
   t.c_reads <- 0;
   t.c_writes <- 0;
-  t.c_reducer_reads <- 0;
-  t.online <- None
+  t.c_reducer_reads <- 0
 
 (* An entry with no argument is its tag. Callers whose entry takes
    computing test [t.record] themselves, so an unrecorded run computes no
@@ -301,7 +269,7 @@ let bad_ctx ctx =
     err "Cilk context used while one of its frame's children is running"
   else err "Cilk context used outside its dynamic extent"
 
-(* A serial context may touch frame state only while its frame is the
+(* A context may touch frame state only while its frame is the
    innermost live one; fids never repeat, so a popped (or recycled) slot
    rejects the stale context. *)
 let[@inline] check_ctx ctx =
@@ -340,7 +308,7 @@ let merge_top_two ctx =
 (* Start frame [d]'s continuation strand. *)
 let continue_strand t d = t.f_strand.(d) <- next_strand t
 
-let do_sync ctx =
+let sync ctx =
   let t = ctx.eng in
   require_user ctx "sync";
   let d = ctx.depth in
@@ -355,9 +323,6 @@ let do_sync ctx =
   t.f_steals.(d) <- 0;
   t.f_strand.(d) <- next_strand t
 
-let sync ctx =
-  match ctx.eng.online with Some o -> o.oo_sync ctx | None -> do_sync ctx
-
 (* Run [f] as a child User_fn frame of [ctx]'s frame, which the caller has
    checked, and return its result. The child's last strand is left in its
    popped slot, [ctx.depth + 1]. One context serves the child's body and
@@ -371,24 +336,21 @@ let run_child ctx ~spawned f =
   let fid = t.f_fid.(d) in
   t.tool.on_frame_enter ~frame:fid ~parent:ctx.fid ~spawned ~kind:Tool.User_fn;
   t.f_strand.(d) <- next_strand t;
-  let c = { eng = t; fid; depth = d; ost = no_ost } in
+  let c = { eng = t; fid; depth = d } in
   let result = f c in
   (* Cilk functions implicitly sync before returning. *)
-  do_sync c;
+  sync c;
   pop_frame t d;
   t.tool.on_frame_return ~frame:fid ~parent:ctx.fid ~spawned ~kind:Tool.User_fn;
   result
 
-let serial_call ctx f =
+let call ctx f =
   require_user ctx "call";
   let result = run_child ctx ~spawned:false f in
   let t = ctx.eng in
   record t Tape.return;
   continue_strand t ctx.depth;
   result
-
-let call ctx f =
-  match ctx.eng.online with Some o -> o.oo_call ctx f | None -> serial_call ctx f
 
 let rec mem_int x = function [] -> false | y :: ys -> x = y || mem_int x ys
 
@@ -412,7 +374,7 @@ let steals t d ~spawn_index ~local =
           sync_block = t.f_block.(d);
         }
 
-let serial_spawn ctx f =
+let spawn ctx f =
   let t = ctx.eng in
   require_user ctx "spawn";
   let d = ctx.depth in
@@ -448,12 +410,7 @@ let serial_spawn ctx f =
   continue_strand t d;
   fut
 
-let spawn ctx f =
-  match ctx.eng.online with
-  | Some o -> o.oo_spawn ctx f
-  | None -> serial_spawn ctx f
-
-let serial_get ctx fut =
+let get ctx fut =
   check_ctx ctx;
   if ctx.fid <> fut.owner then
     err "future read from a frame other than the spawning one";
@@ -461,12 +418,7 @@ let serial_get ctx fut =
     err "future read before sync (the spawned child may still be running)";
   match fut.value with Some v -> v | None -> err "future has no value"
 
-let get ctx fut =
-  match ctx.eng.online with Some o -> o.oo_get ctx fut | None -> serial_get ctx fut
-
-(* Built from the dispatching [spawn]/[call]/[sync], so the same
-   divide-and-conquer tree runs identically under the serial interpreter
-   and the online work-stealing runtime. *)
+(* A divide-and-conquer tree of [spawn]s under one [call]. *)
 let parallel_for ?(grain = 1) ctx ~lo ~hi body =
   if grain < 1 then invalid_arg "parallel_for: grain must be >= 1";
   if hi > lo then begin
@@ -507,9 +459,9 @@ let run t main =
   let fid = t.f_fid.(d) in
   t.tool.on_frame_enter ~frame:fid ~parent:(-1) ~spawned:false ~kind:Tool.User_fn;
   t.f_strand.(d) <- next_strand t;
-  let ctx = { eng = t; fid; depth = d; ost = no_ost } in
+  let ctx = { eng = t; fid; depth = d } in
   let result = main ctx in
-  do_sync ctx;
+  sync ctx;
   pop_frame t d;
   record t Tape.return;
   t.tool.on_frame_return ~frame:fid ~parent:(-1) ~spawned:false ~kind:Tool.User_fn;
@@ -548,9 +500,7 @@ let unwind t =
   t.state <- Done;
   flush_obs t
 
-(* Mutex-guarded: online reducer self-checks report from worker domains. *)
-let report_contract_violation t cv =
-  Mutex.protect t.shell_mu (fun () -> t.contract_log <- cv :: t.contract_log)
+let report_contract_violation t cv = t.contract_log <- cv :: t.contract_log
 
 (* Post-run spec check: if the spec never fired and its shape names
    coordinates the program cannot reach, the caller got a silently serial
@@ -608,11 +558,8 @@ let engine ctx = ctx.eng
 let current_strand t = t.strand_counter - 1
 
 let current_region ctx =
-  match ctx.eng.online with
-  | Some o -> o.oo_current_region ctx
-  | None ->
-      check_ctx ctx;
-      cur_region ctx.eng
+  check_ctx ctx;
+  cur_region ctx.eng
 
 let stats t =
   {
@@ -632,14 +579,10 @@ let tape t = if t.record then Some (Intvec.to_array t.tape) else None
 
 (* -------- low-level hooks -------- *)
 
-let alloc_locs t ~label n =
-  match t.online with
-  | None -> Loc.alloc_range t.registry ~label n
-  | Some _ ->
-      Mutex.protect t.shell_mu (fun () -> Loc.alloc_range t.registry ~label n)
+let alloc_locs t ~label n = Loc.alloc_range t.registry ~label n
 
 (* One instrumented access, delivered to the tool as it is accepted. *)
-let serial_emit_access ctx ~write loc =
+let emit_access ctx ~write loc =
   let t = ctx.eng in
   check_ctx ctx;
   bump_event t;
@@ -655,31 +598,19 @@ let serial_emit_access ctx ~write loc =
   end;
   if t.record then Intvec.push t.tape (Tape.access_entry ~loc ~write)
 
-let emit_read ctx loc =
-  match ctx.eng.online with
-  | Some o -> o.oo_event ()
-  | None -> serial_emit_access ctx ~write:false loc
+let emit_read ctx loc = emit_access ctx ~write:false loc
+let emit_write ctx loc = emit_access ctx ~write:true loc
 
-let emit_write ctx loc =
-  match ctx.eng.online with
-  | Some o -> o.oo_event ()
-  | None -> serial_emit_access ctx ~write:true loc
-
-let serial_emit_reducer_read ctx reducer =
+let emit_reducer_read ctx reducer =
   let t = ctx.eng in
   require_user ctx "reducer read (create/get/set)";
   t.tool.on_reducer_read ~frame:ctx.fid ~reducer;
   t.c_reducer_reads <- t.c_reducer_reads + 1;
   if t.record then Intvec.push t.tape (Tape.entry Tape.reducer_read reducer)
 
-let emit_reducer_read ctx reducer =
-  match ctx.eng.online with
-  | Some o -> o.oo_event ()
-  | None -> serial_emit_reducer_read ctx reducer
-
 (* A view-aware frame runs exactly one strand: it can neither spawn nor
    sync, so its first strand is its last. *)
-let serial_run_aux_frame ~reducer ctx kind f a =
+let run_aux_frame ~reducer ctx kind f a =
   let t = ctx.eng in
   require_user ctx "reducer operation";
   (match kind with
@@ -691,7 +622,7 @@ let serial_run_aux_frame ~reducer ctx kind f a =
   t.tool.on_frame_enter ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
   let in_reduce = kind = Tool.Reduce_fn && t.in_merge in
   t.f_strand.(d) <- next_strand t;
-  let result = f { eng = t; fid; depth = d; ost = no_ost } a in
+  let result = f { eng = t; fid; depth = d } a in
   pop_frame t d;
   record t Tape.return;
   t.tool.on_frame_return ~frame:fid ~parent:ctx.fid ~spawned:false ~kind;
@@ -701,59 +632,7 @@ let serial_run_aux_frame ~reducer ctx kind f a =
   else continue_strand t ctx.depth;
   result
 
-let run_aux_frame ~reducer ctx kind f a =
-  match ctx.eng.online with
-  | Some o -> o.oo_run_aux ctx kind (fun c -> f c a)
-  | None -> serial_run_aux_frame ~reducer ctx kind f a
-
-let push_merge t merge =
+let register_reducer t ~merge =
   let id = Dynarr.length t.reducer_merges in
   Dynarr.push t.reducer_merges merge;
   id
-
-let register_reducer t ~merge =
-  match t.online with
-  | None -> push_merge t merge
-  | Some _ -> Mutex.protect t.shell_mu (fun () -> push_merge t merge)
-
-(* -------- online-runtime hooks (see Rader_sched.Online) -------- *)
-
-(* The engine value doubles as the online run's shell: it owns the location
-   registry and labels, the contract log and the registered reducer
-   merges, each behind [shell_mu], while the scheduling entry points above
-   forward to the installed ops. The shell never enters [Running] state —
-   the online runtime drives frames itself — so [loc_label] and the
-   contract log keep working on it after the run. *)
-
-let set_online t ops =
-  if t.state <> Fresh then err "Engine.set_online: engine already running";
-  t.online <- Some ops
-
-let clear_online t = t.online <- None
-let is_online ctx = match ctx.eng.online with Some _ -> true | None -> false
-let online_ctx t ost = { eng = t; fid = -1; depth = -1; ost }
-let ctx_ost ctx = ctx.ost
-
-(* Workers register reducers concurrently, so iterate a snapshot. *)
-let online_merge ctx ~from_region ~into_region =
-  let t = ctx.eng in
-  let merges =
-    Mutex.protect t.shell_mu (fun () -> Dynarr.to_list t.reducer_merges)
-  in
-  List.iter (fun merge -> merge ctx ~from_region ~into_region) merges
-
-let online_view_find ctx ~region ~reducer =
-  match ctx.eng.online with
-  | Some o -> o.oo_view_find ctx ~region ~reducer
-  | None -> invalid_arg "Engine.online_view_find: not an online context"
-
-let online_view_set ctx ~region ~reducer v =
-  match ctx.eng.online with
-  | Some o -> o.oo_view_set ctx ~region ~reducer v
-  | None -> invalid_arg "Engine.online_view_set: not an online context"
-
-let online_future_make ~owner ~born_block = { value = None; owner; born_block }
-let online_future_fill fut v = fut.value <- Some v
-let online_future_peek fut = fut.value
-let future_owner fut = fut.owner
-let future_born_block fut = fut.born_block

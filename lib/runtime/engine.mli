@@ -226,73 +226,3 @@ val failure_origin : t -> Fault.origin
     [into] view, calling {!run_aux_frame} for any user code it runs. *)
 val register_reducer :
   t -> merge:(ctx -> from_region:int -> into_region:int -> unit) -> int
-
-(** {1 Online mode} — the hook surface behind [Rader_sched.Online].
-
-    A genuinely parallel work-stealing runtime cannot reuse the serial
-    interpreter's bodies (one frame stack, one strand counter, serial
-    region stacks), but user programs and the reducer library are written
-    against {e this} module's DSL. [set_online] therefore installs an
-    {!online_ops} record on an engine value, and the DSL entry points
-    dispatch to it, so the same [(ctx -> 'a)] program runs unchanged on
-    OCaml 5 domains. The engine value then acts only as the run's shell:
-    it keeps the location registry and labels, the registered reducer
-    merges and the contract log, each safe to use from several domains,
-    and it never enters the [Running] state. No detector runs online: a
-    run's verdict is a serial replay of its steals. *)
-
-type online_ops = {
-  oo_spawn : 'a. ctx -> (ctx -> 'a) -> 'a future;
-  oo_get : 'a. ctx -> 'a future -> 'a;
-  oo_sync : ctx -> unit;
-  oo_call : 'a. ctx -> (ctx -> 'a) -> 'a;
-  oo_run_aux : 'a. ctx -> Tool.frame_kind -> (ctx -> 'a) -> 'a;
-      (** {!run_aux_frame}: runs the body under a view-aware context *)
-  oo_event : unit -> unit;
-      (** one instrumented access or reducer-read, for the event budget *)
-  oo_current_region : ctx -> int;
-  oo_view_find : ctx -> region:int -> reducer:int -> Obj.t option;
-  oo_view_set : ctx -> region:int -> reducer:int -> Obj.t -> unit;
-}
-
-(** [set_online t ops] turns [t] into an online shell. Only before any
-    run. @raise Cilk_error otherwise. *)
-val set_online : t -> online_ops -> unit
-
-(** [clear_online t] uninstalls the ops (end of the online run). *)
-val clear_online : t -> unit
-
-(** [is_online ctx] — does this context dispatch to an online runtime?
-    The reducer library branches on this to route view storage through
-    {!online_view_find}/{!online_view_set} instead of its serial
-    per-reducer hash table. *)
-val is_online : ctx -> bool
-
-(** [online_ctx t ost] is a context carrying the runtime's opaque
-    per-segment state [ost]; retrieve it with {!ctx_ost}. *)
-val online_ctx : t -> Obj.t -> ctx
-
-val ctx_ost : ctx -> Obj.t
-
-(** [online_merge ctx ~from_region ~into_region] runs every registered
-    reducer's merge callback (see {!register_reducer}) — how the runtime
-    folds a dying region's views into the surviving one at a sync. *)
-val online_merge : ctx -> from_region:int -> into_region:int -> unit
-
-(** Per-region reducer-view storage, dispatched to the runtime (regions
-    own their view tables online; the serial engine keeps views inside
-    each reducer instead). Values are [Obj.t]-erased: each reducer id's
-    entries are written and read only by that reducer's typed closures. *)
-val online_view_find : ctx -> region:int -> reducer:int -> Obj.t option
-
-val online_view_set : ctx -> region:int -> reducer:int -> Obj.t -> unit
-
-(** Future plumbing for the online runtime: the runtime allocates the
-    future at spawn, the child's executor fills it, and [oo_get] reads it
-    back after validating the owner-frame / post-sync discipline. *)
-val online_future_make : owner:int -> born_block:int -> 'a future
-
-val online_future_fill : 'a future -> 'a -> unit
-val online_future_peek : 'a future -> 'a option
-val future_owner : 'a future -> int
-val future_born_block : 'a future -> int

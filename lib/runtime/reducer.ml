@@ -10,7 +10,7 @@ type 'v law_check = {
   lc_samples : int;
 }
 
-(* Serial view storage: a stack of (region id, view) pairs in the engine's
+(* View storage: a stack of (region id, view) pairs in the engine's
    region-stack order. Region ids never decrease along that stack, views
    are created only for the innermost open region and removed only when
    that region merges into the one below it, so the ids here strictly
@@ -91,20 +91,6 @@ let check_associativity ctx monoid lc a b =
       "((a ⊗ b) ⊗ c) differs from (a ⊗ (b ⊗ c)) on observed views \
        (c = a ⊗ b)"
 
-(* Online the regions themselves own the view tables (they are
-   created/merged/discarded by the work-stealing runtime, which also
-   guarantees single-owner access), so reads and writes route through the
-   engine's online hooks with an [Obj.t]-erased payload: every entry under
-   a reducer's id is written and read back only by that reducer's own
-   closures, at the one type ['v]. *)
-let online_find ctx rid region =
-  match Engine.online_view_find ctx ~region ~reducer:rid with
-  | None -> None
-  | Some o -> Some (Obj.obj o)
-
-let online_set ctx rid region v =
-  Engine.online_view_set ctx ~region ~reducer:rid (Obj.repr v)
-
 (* Auxiliary-frame bodies, passed to [Engine.run_aux_frame] with their
    argument so that no closure is built per call. *)
 let run_identity c m = m.identity c
@@ -133,17 +119,7 @@ let create ctx ?self_check monoid ~init =
   (* A surviving region that never materialized a view takes [v_from]
      as is: its lazy identity absorbs it without running user code. *)
   let merge mctx ~from_region ~into_region =
-    if Engine.is_online mctx then
-      (* The dying region's whole view table is discarded by the runtime
-         after its merges, so nothing is removed here. *)
-      match online_find mctx !rid_slot from_region with
-      | None -> ()
-      | Some v_from ->
-          online_set mctx !rid_slot into_region
-            (match online_find mctx !rid_slot into_region with
-            | None -> v_from
-            | Some v_into -> combine mctx v_into v_from)
-    else if store_top_is views from_region then begin
+    if store_top_is views from_region then begin
       let v_from = views.views.(views.n - 1) in
       views.n <- views.n - 1;
       store_set views into_region
@@ -159,14 +135,10 @@ let create ctx ?self_check monoid ~init =
   | Some lc when lc.lc_samples > 0 -> check_identity_laws ctx monoid lc init
   | _ -> ());
   let creation_region = Engine.current_region ctx in
-  if Engine.is_online ctx then online_set ctx rid creation_region init
-  else store_push views creation_region init;
+  store_push views creation_region init;
   { rid; monoid; views; creation_region }
 
-let set_view ctx r v =
-  let region = Engine.current_region ctx in
-  if Engine.is_online ctx then online_set ctx r.rid region v
-  else store_set r.views region v
+let set_view ctx r v = store_set r.views (Engine.current_region ctx) v
 
 let materialize ctx r =
   let v =
@@ -180,11 +152,7 @@ let materialize ctx r =
    demand (Cilk creates views lazily at the first access after a steal). *)
 let current_view ctx r =
   let region = Engine.current_region ctx in
-  if Engine.is_online ctx then
-    match online_find ctx r.rid region with
-    | Some v -> v
-    | None -> materialize ctx r
-  else if store_top_is r.views region then r.views.views.(r.views.n - 1)
+  if store_top_is r.views region then r.views.views.(r.views.n - 1)
   else materialize ctx r
 
 let get_value ctx r =

@@ -3,7 +3,7 @@
    per case under test/golden/cli/. Stderr is not pinned (usage wording
    may change; exit code 2 may not). Cases are the deterministic
    invocations of every subcommand but the daemon: no --metrics phase
-   timings, no online run with more than one worker.
+   timings.
 
    A case can write input files before its first run and pin files its
    runs write ([files]). An absolute deadline is printed as wall-clock
@@ -151,13 +151,12 @@ let run_cases =
       [ words "record fig1-buggy -s all -o fig1.trace"; words "oracle fig1.trace" ];
     case "record_oracle_fib-racy"
       [ words "record fib-racy -s 1,2 -o fib-racy.trace"; words "oracle fib-racy.trace" ];
-    one "online_fib-racy" (words "online fib-racy --workers 1 --seed 1 --runs 8");
-    one "online_racy-read_depa"
-      (words "online racy-read --workers 1 --runs 3 --reach depa");
+    one "online_fib-racy" (words "online fib-racy --seed 1 --runs 8");
+    one "online_racy-read_depa" (words "online racy-read --runs 3 --reach depa");
     one "online_fib_replay-budget"
-      (words "online fib --scale 0.05 --workers 1 --seed 1 --runs 2 --max-events 225000");
+      (words "online fib --scale 0.05 --seed 1 --runs 2 --max-events 225000");
     one ~files:[ "online.steal-trace" ] "online_fig1-buggy_trace-out"
-      (words "online fig1-buggy --workers 1 --runs 2 --trace-out online.steal-trace");
+      (words "online fig1-buggy --runs 2 --trace-out online.steal-trace");
   ]
 
 (* Each exits 2 (usage error) before anything runs. *)
@@ -175,7 +174,6 @@ let usage_cases =
     one "usage_coverage_jobs-negative" (words "coverage fib --jobs=-1");
     one "usage_verify_jobs" (words "verify fib --jobs -1");
     one "usage_verify_jobs-negative" (words "verify fib --jobs=-1");
-    one "usage_online_workers" (words "online fib --workers 0");
     one "usage_online_runs" (words "online fib --runs 0");
     one "usage_lint_program-and-all" (words "lint fig1-buggy --all");
     one "usage_lint_nothing" [ "lint" ];
@@ -196,7 +194,7 @@ let usage_cases =
     one "usage_coverage_deadline-nan"
       (words "coverage fib --scale 0.05 --deadline-s nan");
     one "usage_verify_deadline-inf" (words "verify fib --scale 0.05 --deadline-s inf");
-    one "usage_online_deadline-negative" (words "online fib --workers 1 --deadline-s=-1");
+    one "usage_online_deadline-negative" (words "online fib --deadline-s=-1");
     one "usage_submit_deadline-nan"
       (words "submit --addr unix:/nonexistent-dir/rader.sock fib --deadline-s nan");
   ]

@@ -213,22 +213,22 @@ let alloc_programs =
   ]
 
 (* Committed words per spawn, per compiler series: the measured slopes
-   rounded up to a tenth of a word (5.1.1 measured 26.00, 36.00 and 55.01;
+   rounded up to a tenth of a word (5.1.1 measured 24.00, 33.00 and 50.01;
    the last carries the reducer view stack's doubling with depth; recorded,
-   39.84, 68.19 and 119.31, the tape's doubling store included). A series
+   37.84, 65.19 and 114.31, the tape's doubling store included). A series
    without a row is held to the first one. *)
 let alloc_table =
   [
     ( "5.1",
       [
-        ("bare tree", 26.0);
-        ("fib+opadd", 36.0);
-        ("fib+opadd -s all", 55.1);
-        ("bare tree recorded", 39.9);
-        ("fib+opadd recorded", 68.2);
-        ("fib+opadd -s all recorded", 119.4);
-        ("bare tree front end", 130.9);
-        ("fib+opadd front end", 214.3);
+        ("bare tree", 24.0);
+        ("fib+opadd", 33.0);
+        ("fib+opadd -s all", 50.1);
+        ("bare tree recorded", 37.9);
+        ("fib+opadd recorded", 65.2);
+        ("fib+opadd -s all recorded", 114.4);
+        ("bare tree front end", 128.9);
+        ("fib+opadd front end", 211.3);
       ] );
   ]
 
