@@ -91,6 +91,9 @@ let positive_int = checked_int ~expected:"an integer >= 1" (fun n -> n >= 1)
 let non_negative_float =
   checked_float ~expected:"a finite number >= 0" (fun x -> x >= 0.0 && Float.is_finite x)
 
+let probability =
+  checked_float ~expected:"a number in [0,1]" (fun p -> p >= 0.0 && p <= 1.0)
+
 (* ---------- common options ---------- *)
 
 (* An optional FILE flag: --trace-out, --dot, --output and the lint
@@ -139,9 +142,6 @@ let spec_arg =
   Arg.(value & opt string "none" & info [ "steal"; "s" ] ~docv:"SPEC" ~doc)
 
 let density_arg =
-  let probability =
-    checked_float ~expected:"a number in [0,1]" (fun p -> p >= 0.0 && p <= 1.0)
-  in
   Arg.(
     value
     & opt probability 0.5
@@ -501,7 +501,14 @@ let do_lint program all scale reach json dot_out baseline write_baseline =
     | Some _, true -> usage_error "PROGRAM and --all are mutually exclusive"
     | None, false -> usage_error "need a PROGRAM or --all"
   in
-
+  let expected =
+    Option.map
+      (fun path ->
+        match In_channel.with_open_text path In_channel.input_lines with
+        | lines -> List.filter (fun l -> l <> "") lines
+        | exception Sys_error msg -> usage_error ("--baseline: " ^ msg))
+      baseline
+  in
   let failures = ref 0 in
   let results =
     List.filter_map
@@ -559,19 +566,8 @@ let do_lint program all scale reach json dot_out baseline write_baseline =
   let racy =
     !failures = 0
     &&
-    match baseline with
-    | Some path ->
-        let expected =
-          let ic = open_in path in
-          let rec loop acc =
-            match input_line ic with
-            | line -> loop (if line = "" then acc else line :: acc)
-            | exception End_of_file ->
-                close_in ic;
-                List.rev acc
-          in
-          loop []
-        in
+    match expected with
+    | Some expected ->
         let missing = List.filter (fun l -> not (List.mem l lines)) expected in
         let extra = List.filter (fun l -> not (List.mem l expected)) lines in
         if missing = [] && extra = [] then begin
@@ -665,7 +661,9 @@ let fuzz_cmd =
     Arg.(value & opt int 16 & info [ "runs"; "n" ] ~docv:"N" ~doc:"Number of schedules.")
   in
   let workers_arg =
-    Arg.(value & opt int 8 & info [ "workers"; "p" ] ~docv:"P" ~doc:"Simulated workers.")
+    Arg.(
+      value & opt positive_int 8
+      & info [ "workers"; "p" ] ~docv:"P" ~doc:"Simulated workers.")
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
@@ -901,7 +899,7 @@ let serve_cmd =
   let chaos_arg =
     Arg.(
       value
-      & opt ~vopt:(Some 0.1) (some float) None
+      & opt ~vopt:(Some 0.1) (some probability) None
       & info [ "chaos" ] ~docv:"RATE"
           ~doc:
             "Inject worker crashes and stalls, each with probability RATE \
@@ -928,9 +926,9 @@ let serve_cmd =
       field positive_int "queue-depth" "N"
         "Admission queue bound; beyond it requests are shed." d.queue_depth
         (fun c queue_depth -> { c with Server.queue_depth });
-      field Arg.float "max-deadline-s" "S" "Cap on per-request deadlines."
+      field non_negative_float "max-deadline-s" "S" "Cap on per-request deadlines."
         d.max_deadline_s (fun c max_deadline_s -> { c with Server.max_deadline_s });
-      field Arg.float "default-deadline-s" "S"
+      field non_negative_float "default-deadline-s" "S"
         "Deadline applied when a request names none." d.default_deadline_s
         (fun c default_deadline_s -> { c with Server.default_deadline_s });
       field Arg.int "max-events-cap" "N" "Cap on per-request event budgets."
@@ -938,13 +936,13 @@ let serve_cmd =
       field Arg.int "restart-budget" "N"
         "Worker respawns allowed per rolling window before the pool degrades."
         d.restart_budget (fun c restart_budget -> { c with Server.restart_budget });
-      field Arg.float "restart-window-s" "S" "Restart-budget window." d.restart_window_s
-        (fun c restart_window_s -> { c with Server.restart_window_s });
+      field non_negative_float "restart-window-s" "S" "Restart-budget window."
+        d.restart_window_s (fun c restart_window_s -> { c with Server.restart_window_s });
       field Arg.int "cache-cap" "N" "LRU verdict-cache capacity." d.cache_cap
         (fun c cache_cap -> { c with Server.cache_cap });
       field Arg.int "retry-after-ms" "MS" "Backoff hint attached to shed responses."
         d.retry_after_ms (fun c retry_after_ms -> { c with Server.retry_after_ms });
-      field Arg.float "drain-grace-s" "S"
+      field non_negative_float "drain-grace-s" "S"
         "Drain wait before leftover queued requests are shed." d.drain_grace_s
         (fun c drain_grace_s -> { c with Server.drain_grace_s });
       Term.(const chaos $ chaos_arg $ chaos_seed_arg);

@@ -178,11 +178,19 @@ let usage_cases =
     one "usage_lint_program-and-all" (words "lint fig1-buggy --all");
     one "usage_lint_nothing" [ "lint" ];
     one "usage_lint_dot_all" (words "lint --all --scale 0.05 --dot all.dot");
+    one "usage_lint_missing-baseline" (words "lint fig1-buggy --baseline /nonexistent");
+    one "usage_fuzz_workers" (words "fuzz fib --workers 0");
     one "usage_oracle_missing" (words "oracle no-such.trace");
     one ~inputs:[ ("v1.trace", "rader-trace 1\n") ] "usage_oracle_v1"
       (words "oracle v1.trace");
     one "usage_serve_workers" (words "serve --workers 0");
     one "usage_serve_queue-depth" (words "serve --queue-depth 0");
+    (* each of these would otherwise start a daemon that never exits *)
+    one "usage_serve_max-deadline-nan" (words "serve --max-deadline-s nan");
+    one "usage_serve_default-deadline-inf" (words "serve --default-deadline-s inf");
+    one "usage_serve_restart-window-negative" (words "serve --restart-window-s=-1");
+    one "usage_serve_drain-grace-nan" (words "serve --drain-grace-s nan");
+    one "usage_serve_chaos-rate" (words "serve --chaos 2");
     one "usage_submit_bad-addr" (words "submit --addr nowhere fib");
     one "usage_submit_no-server"
       (words "submit --addr unix:/nonexistent-dir/rader.sock fib");
