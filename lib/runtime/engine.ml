@@ -418,7 +418,6 @@ let get ctx fut =
     err "future read before sync (the spawned child may still be running)";
   match fut.value with Some v -> v | None -> err "future has no value"
 
-(* A divide-and-conquer tree of [spawn]s under one [call]. *)
 let parallel_for ?(grain = 1) ctx ~lo ~hi body =
   if grain < 1 then invalid_arg "parallel_for: grain must be >= 1";
   if hi > lo then begin
